@@ -192,10 +192,6 @@ def bicommutant(a: OperatorSubspace) -> OperatorSubspace:
     return commutant(commutant(a))
 
 
-def subspace_equal(a: OperatorSubspace, b: OperatorSubspace, tol: float = 1e-9) -> bool:
-    return mutual_projection_residual(a, b) <= tol
-
-
 def mutual_projection_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:
     """Largest distance of a basis element of either subspace from the other."""
     if a.dim != b.dim:
@@ -230,11 +226,6 @@ def is_algebra(a: OperatorSubspace, tol: float = SPAN_TOL * 10) -> bool:
     return True
 
 
-def _orbit_matrix(a: OperatorSubspace, omega: np.ndarray) -> np.ndarray:
-    """d x dim(a) matrix with columns b_i omega."""
-    return np.column_stack([b @ omega for b in a.basis])
-
-
 def numerical_rank(sv: np.ndarray) -> int:
     """Rank at the global threshold, floored at the O(1) scale of unit data."""
     if sv.size == 0:
@@ -242,24 +233,48 @@ def numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_TOL * max(float(sv[0]), 1.0)))
 
 
-def cyclic_report(a: OperatorSubspace, omega) -> RankReport:
+@dataclass(frozen=True)
+class Orbit:
+    """The orbit map b -> b omega of a subspace, with its singular values.
+
+    ``matrix`` is the d x dim(space) matrix with columns b_i omega. Its one
+    SVD gives the cyclic rank, the separating rank and the condition number
+    that every solve against it is gated on.
+    """
+
+    space: OperatorSubspace
+    omega: np.ndarray
+    matrix: np.ndarray
+    singular_values: np.ndarray
+
+    @property
+    def cond(self) -> float:
+        sv = self.singular_values
+        return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+
+
+def orbit(a: OperatorSubspace, omega) -> Orbit:
+    """Build the orbit matrix of a at omega and factor it once."""
     omega = np.asarray(omega, dtype=complex)
-    orbit = _orbit_matrix(a, omega)
-    sv = np.linalg.svd(orbit, compute_uv=False)
-    return RankReport(rank=numerical_rank(sv), required=a.dim_space, singular_values=sv)
+    m = np.column_stack([b @ omega for b in a.basis])
+    return Orbit(a, omega, m, np.linalg.svd(m, compute_uv=False))
+
+
+def cyclic_report(orb: Orbit) -> RankReport:
+    """Rank evidence that omega is cyclic: the orbit spans C^d."""
+    sv = orb.singular_values
+    return RankReport(rank=numerical_rank(sv), required=orb.space.dim_space, singular_values=sv)
 
 
 def is_cyclic(a: OperatorSubspace, omega) -> bool:
     """True iff the orbit {b omega} has full numerical rank d."""
-    return cyclic_report(a, omega).full
+    return cyclic_report(orbit(a, omega)).full
 
 
-def separating_report(a: OperatorSubspace, omega) -> RankReport:
+def separating_report(orb: Orbit) -> RankReport:
     """Rank evidence for the map a -> a omega restricted to the subspace."""
-    omega = np.asarray(omega, dtype=complex)
-    orbit = _orbit_matrix(a, omega)
-    sv = np.linalg.svd(orbit, compute_uv=False)
-    return RankReport(rank=numerical_rank(sv), required=a.dim, singular_values=sv)
+    sv = orb.singular_values
+    return RankReport(rank=numerical_rank(sv), required=orb.space.dim, singular_values=sv)
 
 
 def is_separating(a: OperatorSubspace, omega) -> bool:
@@ -268,4 +283,4 @@ def is_separating(a: OperatorSubspace, omega) -> bool:
     Equivalent to omega being cyclic for the commutant; the equivalence is
     exercised as a property test rather than assumed here.
     """
-    return separating_report(a, omega).full
+    return separating_report(orbit(a, omega)).full

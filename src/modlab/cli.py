@@ -61,15 +61,19 @@ def _config(args, suites) -> RunConfig:
         trials=args.trials,
         tol_base=args.tol,
         p_min=args.pmin,
-        out_dir=_out_dir(args),
         suites=tuple(suites),
     )
 
 
+def _residual(c, spec: str) -> str:
+    """A record's largest finite residual, or "none" when no sample was finite."""
+    return "none" if c.max_residual is None else format(c.max_residual, spec)
+
+
 def _print_report(report) -> None:
     for c in report.checks:
-        print(f"{c.status:5s}  {c.id:40s} max_residual={c.max_residual:.3e} "
-              f"tolerance={c.tolerance:.3e} samples={c.samples}")
+        print(f"{c.status:5s}  {c.id:40s} max_residual={_residual(c, '.3e')} "
+              f"tolerance={c.tolerance:.3e} samples={c.samples} nonfinite={c.nonfinite}")
     s = report.summary
     print(f"summary: {s['pass']} pass, {s['fail']} fail, {s['audit']} audit")
 
@@ -78,7 +82,7 @@ def cmd_verify(args) -> int:
     suites = tuple(args.suite) if args.suite else ALL_SUITES
     config = _config(args, suites)
     report, tidy_rows, contour_rows = run_suites(config)
-    paths = emit(report, config.out_dir, tidy_rows=tidy_rows, contour_rows=contour_rows)
+    paths = emit(report, _out_dir(args), tidy_rows=tidy_rows, contour_rows=contour_rows)
     _print_report(report)
     print(f"wrote {paths['report']}")
     return 0 if report.must_pass_ok else 1
@@ -87,10 +91,10 @@ def cmd_verify(args) -> int:
 def cmd_audit_tidy_bound(args) -> int:
     config = _config(args, ("tidy",))
     report, tidy_rows, _ = run_suites(config)
-    emit(report, config.out_dir, tidy_rows=tidy_rows)
+    emit(report, _out_dir(args), tidy_rows=tidy_rows)
     for c in report.checks:
         if c.id.startswith("tidy/growth-slope"):
-            print(f"{c.id}: fitted slope {c.max_residual:.4f} vs bound rate {c.tolerance:.4f}")
+            print(f"{c.id}: fitted slope {_residual(c, '.4f')} vs bound rate {c.tolerance:.4f}")
     violations = sum(1 for r in tidy_rows if not r["pass"])
     print(f"{len(tidy_rows)} audit rows, {violations} above the closed-form bound")
     return 0 if report.must_pass_ok else 1
@@ -99,7 +103,7 @@ def cmd_audit_tidy_bound(args) -> int:
 def cmd_contour_study(args) -> int:
     config = _config(args, ("contour",))
     report, _, contour_rows = run_suites(config)
-    emit(report, config.out_dir, contour_rows=contour_rows)
+    emit(report, _out_dir(args), contour_rows=contour_rows)
     _print_report(report)
     print(f"{len(contour_rows)} convergence rows")
     return 0 if report.must_pass_ok else 1

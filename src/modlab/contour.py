@@ -43,30 +43,21 @@ class NodeCollisionError(ContourError):
     """A sigmoid pole sits on (or numerically on) a quadrature node."""
 
 
-def sigmoid(z: complex, k: int, lam: float) -> complex:
-    """Overflow-safe sigmoid 1 / (1 + exp(k (z - lambda))).
+def sigmoid(z, k: int, lam: float):
+    """Overflow-safe sigmoid 1 / (1 + exp(k (z - lambda))), elementwise.
 
+    Takes a scalar or an array of points and returns the same shape, complex.
     k must be a positive integer: only then do the half-lines at Im z = +-2 pi
     reproduce the real-axis values (exp(+-2 pi i k) = 1) and stay clear of the
     poles.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ContourError(f"sigmoid steepness must be a positive integer, got {k!r}")
-    w = k * (complex(z) - lam)
-    if w.real > 0.0:
-        e = np.exp(-w)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + np.exp(w))
-
-
-def _sigmoid_array(z: np.ndarray, k: int, lam: float) -> np.ndarray:
-    w = k * (z - lam)
-    out = np.empty_like(w)
+    w = k * (np.asarray(z, dtype=complex) - lam)
     pos = w.real > 0.0
-    e = np.exp(-w[pos])
-    out[pos] = e / (1.0 + e)
-    out[~pos] = 1.0 / (1.0 + np.exp(w[~pos]))
-    return out
+    # exp is taken of the argument with nonpositive real part only
+    e = np.exp(np.where(pos, -w, w))
+    return np.where(pos, e / (1.0 + e), 1.0 / (1.0 + e))[()]
 
 
 def sigmoid_poles(k: int, lam: float, half_height: float) -> np.ndarray:
@@ -166,7 +157,7 @@ def spectral_oracle(triple: ModularTriple, n: int, k: int, lam: float, psi) -> n
     """Reference value Delta^n f_k(Delta) psi, computed via eigendata only."""
     psi = np.asarray(psi, dtype=complex)
     w = triple.delta_spec.eigenvalues.astype(complex)
-    vals = w**n * _sigmoid_array(w, k, lam)
+    vals = w**n * sigmoid(w, k, lam)
     u = triple.delta_spec.eigenvectors
     return (u * vals) @ (u.conj().T @ psi)
 
@@ -214,7 +205,7 @@ def contour_quadrature_fixed(
     w_eig = triple.delta_spec.eigenvalues.astype(complex)
     u = triple.delta_spec.eigenvectors
     psi_eig = u.conj().T @ psi
-    integrand = z**n * _sigmoid_array(z, k, lam) * wts
+    integrand = z**n * sigmoid(z, k, lam) * wts
     comps = integrand[:, None] / (z[:, None] - w_eig[None, :])
     acc = comps.sum(axis=0) * psi_eig
     return (u @ acc) / (2j * math.pi)

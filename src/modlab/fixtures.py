@@ -28,10 +28,11 @@ import numpy as np
 
 from .algebra import (
     AlgebraError,
+    NotCyclicError,
+    NotSeparatingError,
     OperatorSubspace,
     commutant,
-    is_cyclic,
-    is_separating,
+    orbit,
     subspace_orthonormalize,
 )
 from .tomita import ModularTriple, modular_data
@@ -156,13 +157,10 @@ def _draw_weights(rng: np.random.Generator, count: int, floor: float) -> np.ndar
 
 @dataclass(frozen=True)
 class Fixture:
-    """A generated instance: algebra, commutant, reference vector, modular data."""
+    """A generated instance: the standard form (A, A', omega) with its modular data."""
 
     spec: AlgebraSpec
     seed: int
-    algebra: OperatorSubspace
-    commutant: OperatorSubspace
-    omega: np.ndarray
     triple: ModularTriple
     block_weights: np.ndarray          # weight of each block in omega
     block_probs: list[np.ndarray]      # within-block Schmidt weights
@@ -220,18 +218,13 @@ def generate_fixture(
                 block_vec[i * m + i] = np.sqrt(q[i]) * phases[i]
             omega[off : off + n * m] = np.sqrt(w) * block_vec
         omega = omega / np.linalg.norm(omega)
-        if is_cyclic(a, omega) and is_separating(a, omega):
-            triple = modular_data(a, omega)
-            return Fixture(
-                spec=spec,
-                seed=seed,
-                algebra=a,
-                commutant=a_prime,
-                omega=omega,
-                triple=triple,
-                block_weights=weights,
-                block_probs=probs,
-            )
+        try:
+            triple = modular_data(a, omega, a_prime)
+        except (NotCyclicError, NotSeparatingError):
+            continue
+        return Fixture(
+            spec=spec, seed=seed, triple=triple, block_weights=weights, block_probs=probs
+        )
     raise AlgebraError(
         f"could not certify a cyclic-separating vector for {spec.label()} "
         f"after {max_attempts} attempts (are all multiplicities equal to their block sizes?)"
@@ -291,9 +284,9 @@ def fixture_to_json(fix: Fixture) -> dict:
         "model": fix.spec.label(),
         "seed": fix.seed,
         "dim": fix.dim,
-        "omega": _complex_vector_to_json(fix.omega),
-        "algebra_basis": [_complex_matrix_to_json(b) for b in fix.algebra.basis],
-        "commutant_basis": [_complex_matrix_to_json(b) for b in fix.commutant.basis],
+        "omega": _complex_vector_to_json(t.omega),
+        "algebra_basis": [_complex_matrix_to_json(b) for b in t.algebra.basis],
+        "commutant_basis": [_complex_matrix_to_json(b) for b in t.commutant.basis],
         "s_matrix": _complex_matrix_to_json(t.s.matrix),
         "j_matrix": _complex_matrix_to_json(t.j.matrix),
         "delta": _complex_matrix_to_json(t.delta),
@@ -324,7 +317,8 @@ def fixture_from_json(doc: dict) -> Fixture:
     omega = _vector_from_json(doc["omega"])
     delta = _matrix_from_json(doc["delta"])
     triple = ModularTriple(
-        omega=omega,
+        orbit=orbit(algebra, omega),
+        commutant_orbit=orbit(comm, omega),
         s=AntilinearMap(_matrix_from_json(doc["s_matrix"])),
         j=AntilinearMap(_matrix_from_json(doc["j_matrix"])),
         delta=delta,
@@ -334,9 +328,6 @@ def fixture_from_json(doc: dict) -> Fixture:
     return Fixture(
         spec=spec,
         seed=int(doc["seed"]),
-        algebra=algebra,
-        commutant=comm,
-        omega=omega,
         triple=triple,
         block_weights=np.array(doc["block_weights"], dtype=float),
         block_probs=[np.array(q, dtype=float) for q in doc["block_probs"]],

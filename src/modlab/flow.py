@@ -82,8 +82,6 @@ class FlowCheckRow:
 
 def tomita_check(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
-    commutant_algebra: OperatorSubspace,
     a,
     t_samples,
     tol_base: float = 1e-9,
@@ -102,9 +100,9 @@ def tomita_check(
     norm_a = opnorm(m)
     for t in t_samples:
         flowed = modular_flow(triple, m, float(t))
-        mem = membership_residual(flowed, algebra)
+        mem = membership_residual(flowed, triple.algebra)
         worst = 0.0
-        for b in commutant_algebra.basis:
+        for b in triple.commutant.basis:
             comm = flowed @ b - b @ flowed
             scale = max(norm_a * opnorm(b), 1e-30)
             worst = max(worst, opnorm(comm) / scale)

@@ -178,10 +178,6 @@ class AntilinearMap:
         return AntilinearMap(self.matrix @ np.conj(linear))
 
 
-def antilinear_from_matrix(m) -> AntilinearMap:
-    return AntilinearMap(as_square_array(m, "antilinear map matrix"))
-
-
 def polar_antilinear(s: AntilinearMap) -> tuple[AntilinearMap, np.ndarray]:
     """Polar-decompose an invertible antilinear map as S = J o Delta^(1/2).
 

@@ -7,7 +7,8 @@ The report schema (schema_version "1") is::
       "config": {...},                # echo of the run configuration
       "checks": [
         {"id": ..., "ref": ..., "status": "pass" | "fail" | "audit",
-         "max_residual": ..., "tolerance": ..., "samples": ...},
+         "max_residual": ..., "tolerance": ..., "samples": ...,
+         "nonfinite": ...},
         ...
       ],
       "summary": {"pass": n, "fail": n, "audit": n},
@@ -39,19 +40,28 @@ STATUS_AUDIT = "audit"
 
 @dataclass
 class CheckRecord:
-    """Aggregated result of one named check across all samples of a run."""
+    """Aggregated result of one named check across all samples of a run.
+
+    ``max_residual`` is the largest finite residual (None while no sample was
+    finite); non-finite samples are counted in ``nonfinite`` and fail the
+    record, audit or not, since they mean the measurement itself broke down.
+    """
 
     id: str
     ref: str
     status: str
-    max_residual: float
+    max_residual: float | None
     tolerance: float
-    samples: int
+    samples: int = 0
+    nonfinite: int = 0
 
     def merge(self, residual: float, tolerance: float, ok: bool) -> None:
         """Fold one more sample into the record, keeping the binding residual."""
         self.samples += 1
-        if residual > self.max_residual:
+        if not math.isfinite(residual):
+            self.nonfinite += 1
+            self.status = STATUS_FAIL
+        elif self.max_residual is None or residual > self.max_residual:
             self.max_residual = residual
             self.tolerance = tolerance
         if self.status != STATUS_AUDIT and not ok:
@@ -71,12 +81,11 @@ class CheckSet:
         rec = self._records.get(check_id)
         if rec is None:
             status = STATUS_AUDIT if audit else (STATUS_PASS if ok else STATUS_FAIL)
-            self._records[check_id] = CheckRecord(
+            rec = self._records[check_id] = CheckRecord(
                 id=check_id, ref=ref, status=status,
-                max_residual=float(residual), tolerance=float(tolerance), samples=1,
+                max_residual=None, tolerance=float(tolerance),
             )
-        else:
-            rec.merge(float(residual), float(tolerance), ok)
+        rec.merge(float(residual), float(tolerance), ok)
 
     def records(self) -> list[CheckRecord]:
         return [self._records[k] for k in sorted(self._records)]
@@ -111,6 +120,7 @@ class VerificationReport:
                     "max_residual": c.max_residual,
                     "tolerance": c.tolerance,
                     "samples": c.samples,
+                    "nonfinite": c.nonfinite,
                 }
                 for c in self.checks
             ],

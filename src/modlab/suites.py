@@ -37,7 +37,6 @@ class RunConfig:
     trials: int = 25
     tol_base: float = 1e-9
     p_min: float = 0.01
-    out_dir: str = "out"
     suites: tuple[str, ...] = ALL_SUITES
 
     def __post_init__(self):
@@ -61,7 +60,6 @@ class RunConfig:
             "trials": self.trials,
             "tol_base": self.tol_base,
             "p_min": self.p_min,
-            "out_dir": self.out_dir,
             "suites": sorted(self.suites),
         }
 
@@ -99,15 +97,15 @@ def run_modular_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
     omega = t.omega
 
     worst = 0.0
-    for i in range(len(fix.algebra.basis) + n_random):
-        a = fix.algebra.basis[i] if i < len(fix.algebra.basis) else _random_element(fix.algebra, rng)
+    for i in range(len(t.algebra.basis) + n_random):
+        a = t.algebra.basis[i] if i < len(t.algebra.basis) else _random_element(t.algebra, rng)
         worst = max(worst, rel_residual(t.s(a @ omega), a.conj().T @ omega))
     checks.add("modular/s-on-algebra", "S(a omega) = a* omega on the algebra", worst, tol)
 
     worst = 0.0
     s_star = t.s_star
-    for i in range(len(fix.commutant.basis) + n_random):
-        b = fix.commutant.basis[i] if i < len(fix.commutant.basis) else _random_element(fix.commutant, rng)
+    for i in range(len(t.commutant.basis) + n_random):
+        b = t.commutant.basis[i] if i < len(t.commutant.basis) else _random_element(t.commutant, rng)
         worst = max(worst, rel_residual(s_star(b @ omega), b.conj().T @ omega))
     checks.add("modular/s-star-on-commutant", "S*(a' omega) = a'* omega on the commutant", worst, tol)
 
@@ -172,8 +170,8 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
     d = t.dim
     tol = tol_base * math.sqrt(t.kappa) * d
 
-    for a in fix.algebra.basis:
-        for row in tomita_check(t, fix.algebra, fix.commutant, a, FLOW_TIMES, tol_base):
+    for a in t.algebra.basis:
+        for row in tomita_check(t, a, FLOW_TIMES, tol_base):
             checks.add("flow/membership",
                        "Delta^(-it) a Delta^(it) stays in the algebra",
                        row.membership, row.tolerance)
@@ -181,7 +179,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
                        "[Delta^(-it) a Delta^(it), b'] = 0",
                        row.max_commutator, row.tolerance)
 
-    x = _random_element(fix.algebra, rng)
+    x = _random_element(t.algebra, rng)
     s, u = 0.4, -1.7
     lhs = modular_flow(t, modular_flow(t, x, s), u)
     rhs = modular_flow(t, x, s + u)
@@ -196,9 +194,9 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
                worst, 1e-10 * d)
 
     windows = covering_windows(t)
-    source = _random_element(fix.algebra, rng)
+    source = _random_element(t.algebra, rng)
     w0 = windows[int(rng.integers(len(windows)))]
-    tidy0 = td.make_tidy(t, fix.algebra, fix.commutant, source, w0[0], w0[1], n=0)
+    tidy0 = td.make_tidy(t, source, w0[0], w0[1], n=0)
 
     scan = strip_growth_scan(t, tidy0.a, strip_n=3)
     by_re: dict[float, list[float]] = {}
@@ -214,7 +212,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
 
     for n in (1, 2, 3):
         f_n = analytic_flow(t, tidy0.a, n).value
-        lad = td.ladder(t, fix.algebra, tidy0, -n)
+        lad = td.ladder(t, t.orbit, tidy0, -n)
         tol_n = tol_base * t.kappa ** ((n + 1) / 2.0) * d
         checks.add("flow/integer-ladder-match",
                    "Delta^(-n) a Delta^n equals the ladder solve",
@@ -222,7 +220,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
 
     def worst_commutator(value, norm):
         r = 0.0
-        for b in fix.commutant.basis:
+        for b in t.commutant.basis:
             comm = value @ b - b @ value
             r = max(r, opnorm(comm) / max(norm * opnorm(b), 1e-30))
         return r
@@ -259,9 +257,9 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
     tol = tol_base * math.sqrt(t.kappa) * d
     windows = covering_windows(t)
 
-    source = _random_element(fix.algebra, rng)
+    source = _random_element(t.algebra, rng)
     w0 = windows[int(rng.integers(len(windows)))]
-    tidy0 = td.make_tidy(t, fix.algebra, fix.commutant, source, w0[0], w0[1], n=0)
+    tidy0 = td.make_tidy(t, source, w0[0], w0[1], n=0)
 
     agreement = max(
         rel_residual(tidy0.a @ t.omega, tidy0.vector),
@@ -271,32 +269,31 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
                "a omega = a' omega = windowed vector", agreement, tol)
 
     mem = max(
-        membership_residual(tidy0.a, fix.algebra),
-        membership_residual(tidy0.a_prime, fix.commutant),
+        membership_residual(tidy0.a, t.algebra),
+        membership_residual(tidy0.a_prime, t.commutant),
     )
     checks.add("tidy/membership", "tidy solves land in their algebras", mem, tol_base * d)
 
-    a = _random_element(fix.algebra, rng)
-    round_trip = rel_residual(td.operator_from_vector(a @ t.omega, fix.algebra, t.omega), a)
+    a = _random_element(t.algebra, rng)
+    round_trip = rel_residual(td.operator_from_vector(a @ t.omega, t.orbit), a)
     checks.add("tidy/solve-roundtrip",
                "operator_from_vector inverts a -> a omega", round_trip, 1e-10 * math.sqrt(t.kappa) * d)
 
     for n in range(-n_range, n_range + 1):
-        res, tol_n = td.dagger_ladder_check(t, fix.algebra, fix.commutant, tidy0, n, tol_base)
+        res, tol_n = td.dagger_ladder_check(t, tidy0, n, tol_base)
         checks.add("tidy/dagger-ladder",
                    "(a'_(n+1))* omega = (a_n)* omega", res, tol_n)
 
     w1 = windows[int(rng.integers(len(windows)))]
-    tidy_b = td.make_tidy(t, fix.algebra, fix.commutant,
-                          _random_element(fix.algebra, rng), w1[0], w1[1], n=0)
+    tidy_b = td.make_tidy(t, _random_element(t.algebra, rng), w1[0], w1[1], n=0)
     for n in range(-n_range, n_range + 1):
-        res, tol_n = td.powers_check(t, fix.algebra, tidy_a=tidy0, tidy_b=tidy_b, n=n, tol_base=tol_base)
+        res, tol_n = td.powers_check(t, tidy_a=tidy0, tidy_b=tidy_b, n=n, tol_base=tol_base)
         checks.add("tidy/power-conjugation",
                    "Delta^n a Delta^(-n) b omega = a_n b omega", res, tol_n)
 
     if tidy_rows is not None:
         for (l1, l2) in AUDIT_WINDOWS:
-            audit = td.growth_audit(t, fix.algebra, fix.commutant, source, l1, l2, n_max=6)
+            audit = td.growth_audit(t, source, l1, l2, n_max=6)
             for row in audit.rows:
                 ratio = row.ratio if row.bound_value > 0 else (0.0 if row.measured_norm == 0 else math.inf)
                 tidy_rows.append({
@@ -346,15 +343,15 @@ def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
     w = t.delta_spec.eigenvalues
     for _ in range(samples):
         z = _draw_offaxis_z(rng, w)
-        a_prime = _random_element(fix.commutant, rng)
-        transfer = td.resolvent_transfer(t, fix.algebra, a_prime, z)
+        a_prime = _random_element(t.commutant, rng)
+        transfer = td.resolvent_transfer(t, a_prime, z)
         checks.add("resolvent/transfer-bound",
                    "|a| <= |a'| / sqrt(2 (|z| - Re z))",
                    transfer.measured_norm / transfer.bound, 1.0 + 1e-9,
                    ok=transfer.satisfied)
-        a = _random_element(fix.algebra, rng)
+        a = _random_element(t.algebra, rng)
         z2 = _draw_offaxis_z(rng, 1.0 / w[::-1])
-        mirror = td.resolvent_transfer_mirror(t, fix.commutant, a, z2)
+        mirror = td.resolvent_transfer(t, a, z2, mirror=True)
         checks.add("resolvent/transfer-bound-mirrored",
                    "role-swapped transfer (source in A, modular operator inverted)",
                    mirror.measured_norm / mirror.bound, 1.0 + 1e-9, audit=True)
@@ -369,19 +366,19 @@ def run_density_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
     t = fix.triple
     windows = covering_windows(t)
 
-    span = td.tidy_span_check(t, fix.algebra, windows)
+    span = td.tidy_span_check(t, windows)
     checks.add("density/tidy-span", "covering-window tidy vectors span H",
                float(span.required - span.rank), 0.5)
 
-    res = td.tidy_bicommutant_check(t, fix.algebra, fix.commutant, windows)
+    res = td.tidy_bicommutant_check(t, windows)
     checks.add("density/tidy-bicommutant", "(tidy set)'' = A", res, 1e-9)
 
     checks.add("density/algebra-bicommutant", "A'' = A",
-               mutual_projection_residual(bicommutant(fix.algebra), fix.algebra), 1e-9)
+               mutual_projection_residual(bicommutant(t.algebra), t.algebra), 1e-9)
 
-    triple_comm = bicommutant(fix.commutant)
+    triple_comm = bicommutant(t.commutant)
     checks.add("density/commutant-triple", "A''' = A'",
-               mutual_projection_residual(triple_comm, fix.commutant), 1e-9)
+               mutual_projection_residual(triple_comm, t.commutant), 1e-9)
 
 
 # ---------------------------------------------------------------------------

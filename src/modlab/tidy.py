@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    OperatorSubspace,
+    Orbit,
     RankReport,
     bicommutant,
     mutual_projection_residual,
@@ -47,13 +47,9 @@ class ResolventDomainError(ValueError):
     pass
 
 
-def heaviside(x: float, eps: float = 0.0) -> float:
-    """Step function with the half-value convention at the jump."""
-    if x > eps:
-        return 1.0
-    if x < -eps:
-        return 0.0
-    return 0.5
+def _step(x: np.ndarray, eps: float) -> np.ndarray:
+    """Step function with the half-value convention within eps of the jump."""
+    return np.where(x > eps, 1.0, np.where(x < -eps, 0.0, 0.5))
 
 
 def spectral_window(
@@ -73,32 +69,28 @@ def spectral_window(
     e1 = boundary_eps * max(1.0, abs(lambda1))
     e2 = boundary_eps * max(1.0, abs(lambda2))
 
-    def f(w):
-        return np.array([heaviside(lambda2 - x, e2) * heaviside(x - lambda1, e1) for x in w])
+    return matrix_function(
+        triple.delta_spec, lambda w: _step(lambda2 - w, e2) * _step(w - lambda1, e1)
+    )
 
-    return matrix_function(triple.delta_spec, f)
 
-
-def operator_from_vector(v, algebra: OperatorSubspace, omega) -> np.ndarray:
-    """The unique element a of the algebra with a omega = v.
+def operator_from_vector(v, orb: Orbit) -> np.ndarray:
+    """The unique element a of the orbit's subspace with a omega = v.
 
     Existence and uniqueness come from omega being cyclic and separating (the
-    basis matrix B with columns b_i omega is square and invertible); the map
+    orbit matrix B with columns b_i omega is square and invertible); the map
     v -> a is linear. Solves with cond(B) beyond the global cap are refused.
     """
-    omega = np.asarray(omega, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    b = np.column_stack([x @ omega for x in algebra.basis])
+    b = orb.matrix
     if b.shape[0] != b.shape[1]:
         raise ResolventDomainError(
             f"solve needs dim(A) = d, got {b.shape[1]} basis elements at dimension {b.shape[0]}"
         )
-    sv = np.linalg.svd(b, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if cond > COND_CAP:
-        raise IllConditionedError(cond)
+    if orb.cond > COND_CAP:
+        raise IllConditionedError(orb.cond)
     coeffs = np.linalg.solve(b, v)
-    return algebra.element(coeffs)
+    return orb.space.element(coeffs)
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,6 @@ class TidyOperator:
 
 def make_tidy(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
-    commutant_algebra: OperatorSubspace,
     source,
     lambda1: float,
     lambda2: float,
@@ -130,8 +120,8 @@ def make_tidy(
     v = w @ (src @ triple.omega)
     if n != 0:
         v = complex_power(triple.delta_spec, n) @ v
-    a = operator_from_vector(v, algebra, triple.omega)
-    a_prime = operator_from_vector(v, commutant_algebra, triple.omega)
+    a = operator_from_vector(v, triple.orbit)
+    a_prime = operator_from_vector(v, triple.commutant_orbit)
     return TidyOperator(
         window=(float(lambda1), float(lambda2)),
         n=int(n),
@@ -144,15 +134,15 @@ def make_tidy(
 
 def ladder(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
+    orb: Orbit,
     tidy: TidyOperator,
     n: int,
 ) -> np.ndarray:
-    """Ladder element a_n in the given algebra, solving a_n omega = Delta^n (a omega)."""
+    """Ladder element a_n on the orbit's side, solving a_n omega = Delta^n (a omega)."""
     if abs(n) > N_CAP:
         raise WindowError(f"|n| = {abs(n)} exceeds the conditioning cap {N_CAP}")
     v = complex_power(triple.delta_spec, n) @ tidy.vector
-    return operator_from_vector(v, algebra, triple.omega)
+    return operator_from_vector(v, orb)
 
 
 # ---------------------------------------------------------------------------
@@ -184,59 +174,38 @@ class ResolventTransfer:
 
 def resolvent_transfer(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
-    a_prime,
+    source,
     z: complex,
+    mirror: bool = False,
 ) -> ResolventTransfer:
-    """Solve a omega = (z - Delta)^{-1} a' omega in the algebra and audit the bound.
+    """Solve a omega = (z - Delta)^{-1} a' omega and audit the transfer bound.
 
-    z must lie outside the spectrum of Delta with |z| - Re(z) > AXIS_GAP. The
-    source a' is expected in the commutant; the mirrored variant (source in
-    the algebra, solve in the commutant against Delta^{-1}) is provided by
-    :func:`resolvent_transfer_mirror`.
+    By default the source a' is expected in the commutant and the solve runs
+    in the algebra. With ``mirror`` the roles swap: the source lies in the
+    algebra and the solve runs in the commutant, whose modular operator is
+    Delta^{-1}, so the resolvent is that of Delta^{-1}. z must lie outside the
+    spectrum of the operator used, with |z| - Re(z) > AXIS_GAP.
     """
     z = complex(z)
-    src = as_square_array(a_prime)
-    w = triple.delta_spec.eigenvalues
+    src = as_square_array(source)
     if abs(z) - z.real <= AXIS_GAP:
         raise ResolventDomainError(
             f"z = {z} is too close to the positive real axis (|z| - Re z <= {AXIS_GAP})"
         )
-    if np.min(np.abs(z - w)) <= AXIS_GAP:
-        raise ResolventDomainError(f"z = {z} is inside the spectrum of Delta")
-    resolvent = matrix_function(triple.delta_spec, lambda x: 1.0 / (z - x))
-    v = resolvent @ (src @ triple.omega)
-    a = operator_from_vector(v, algebra, triple.omega)
+    if mirror:
+        name, orb = "Delta^(-1)", triple.commutant_orbit
+        spectrum = 1.0 / triple.delta_spec.eigenvalues
+        f = lambda x: 1.0 / (z - 1.0 / x)  # noqa: E731
+    else:
+        name, orb = "Delta", triple.orbit
+        spectrum = triple.delta_spec.eigenvalues
+        f = lambda x: 1.0 / (z - x)  # noqa: E731
+    if np.min(np.abs(z - spectrum)) <= AXIS_GAP:
+        raise ResolventDomainError(f"z = {z} is inside the spectrum of {name}")
+    v = matrix_function(triple.delta_spec, f) @ (src @ triple.omega)
+    a = operator_from_vector(v, orb)
     return ResolventTransfer(
         z=z, a=a, measured_norm=opnorm(a), bound=resolvent_bound(z, opnorm(src))
-    )
-
-
-def resolvent_transfer_mirror(
-    triple: ModularTriple,
-    commutant_algebra: OperatorSubspace,
-    a,
-    z: complex,
-) -> ResolventTransfer:
-    """Role-swapped transfer: source in A, solve in A', resolvent of Delta^{-1}.
-
-    This is the same statement read for the commutant, whose modular operator
-    is Delta^{-1}. It is run alongside the primary variant as an audit.
-    """
-    z = complex(z)
-    src = as_square_array(a)
-    w = 1.0 / triple.delta_spec.eigenvalues
-    if abs(z) - z.real <= AXIS_GAP:
-        raise ResolventDomainError(
-            f"z = {z} is too close to the positive real axis (|z| - Re z <= {AXIS_GAP})"
-        )
-    if np.min(np.abs(z - w)) <= AXIS_GAP:
-        raise ResolventDomainError(f"z = {z} is inside the spectrum of Delta^(-1)")
-    resolvent = matrix_function(triple.delta_spec, lambda x: 1.0 / (z - 1.0 / x))
-    v = resolvent @ (src @ triple.omega)
-    a_pr = operator_from_vector(v, commutant_algebra, triple.omega)
-    return ResolventTransfer(
-        z=z, a=a_pr, measured_norm=opnorm(a_pr), bound=resolvent_bound(z, opnorm(src))
     )
 
 
@@ -302,8 +271,6 @@ class GrowthAudit:
 
 def growth_audit(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
-    commutant_algebra: OperatorSubspace,
     source,
     lambda1: float,
     lambda2: float,
@@ -325,14 +292,14 @@ def growth_audit(
     """
     if n_max > N_CAP:
         raise WindowError(f"N = {n_max} exceeds the conditioning cap {N_CAP}")
-    base = make_tidy(triple, algebra, commutant_algebra, source, lambda1, lambda2, n=0)
+    base = make_tidy(triple, source, lambda1, lambda2, n=0)
     norm_a0 = opnorm(base.a)
     norm_a0p = opnorm(base.a_prime)
     rows: list[BoundAuditRow] = []
     logs_pos, logs_neg = [], []
     for n in range(-n_max, n_max + 1):
-        an = ladder(triple, algebra, base, n)
-        apn = ladder(triple, commutant_algebra, base, n)
+        an = ladder(triple, triple.orbit, base, n)
+        apn = ladder(triple, triple.commutant_orbit, base, n)
         if n >= 0:
             bound = tidy_bound(lambda2, n, norm_a0p)
         else:
@@ -378,8 +345,6 @@ def _fit_slope(points: list[tuple[int, float]]) -> float:
 
 def dagger_ladder_check(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
-    commutant_algebra: OperatorSubspace,
     tidy: TidyOperator,
     n: int,
     tol_base: float = 1e-9,
@@ -392,8 +357,8 @@ def dagger_ladder_check(
     """
     if abs(n) + 1 > N_CAP:
         raise WindowError(f"|n| + 1 = {abs(n) + 1} exceeds the conditioning cap {N_CAP}")
-    a_n = ladder(triple, algebra, tidy, n)
-    ap_n1 = ladder(triple, commutant_algebra, tidy, n + 1)
+    a_n = ladder(triple, triple.orbit, tidy, n)
+    ap_n1 = ladder(triple, triple.commutant_orbit, tidy, n + 1)
     lhs = ap_n1.conj().T @ triple.omega
     rhs = a_n.conj().T @ triple.omega
     residual = float(np.linalg.norm(lhs - rhs))
@@ -409,7 +374,6 @@ def dagger_ladder_check(
 
 def powers_check(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
     tidy_a: TidyOperator,
     tidy_b: TidyOperator,
     n: int,
@@ -427,7 +391,7 @@ def powers_check(
     d_neg = complex_power(triple.delta_spec, -n)
     b_omega = tidy_b.vector
     lhs = d_pow @ (tidy_a.a @ (d_neg @ b_omega))
-    a_n = ladder(triple, algebra, tidy_a, n)
+    a_n = ladder(triple, triple.orbit, tidy_a, n)
     rhs = a_n @ b_omega
     residual = float(np.linalg.norm(lhs - rhs))
     scale = max(
@@ -447,21 +411,19 @@ def powers_check(
 
 def tidy_vectors(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
     windows,
 ) -> list[np.ndarray]:
     """Windowed vectors W a_i omega for every basis element and window."""
     vs = []
     for (l1, l2) in windows:
         w = spectral_window(triple, l1, l2)
-        for b in algebra.basis:
+        for b in triple.algebra.basis:
             vs.append(w @ (b @ triple.omega))
     return vs
 
 
 def tidy_span_check(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
     windows,
 ) -> RankReport:
     """Numerical rank of the span of windowed basis vectors.
@@ -469,7 +431,7 @@ def tidy_span_check(
     Full rank d is expected exactly when the windows cover the spectrum of
     Delta; a missed eigenspace shows up as a rank deficit of its dimension.
     """
-    vs = tidy_vectors(triple, algebra, windows)
+    vs = tidy_vectors(triple, windows)
     stack = np.column_stack(vs) if vs else np.zeros((triple.dim, 0))
     sv = np.linalg.svd(stack, compute_uv=False)
     return RankReport(rank=numerical_rank(sv), required=triple.dim, singular_values=sv)
@@ -477,8 +439,6 @@ def tidy_span_check(
 
 def tidy_bicommutant_check(
     triple: ModularTriple,
-    algebra: OperatorSubspace,
-    commutant_algebra: OperatorSubspace,
     windows,
 ) -> float:
     """Mutual projection residual between (tidy set)'' and the algebra.
@@ -488,9 +448,9 @@ def tidy_bicommutant_check(
     """
     ops = []
     for (l1, l2) in windows:
-        for b in algebra.basis:
-            t = make_tidy(triple, algebra, commutant_algebra, b, l1, l2, n=0)
+        for b in triple.algebra.basis:
+            t = make_tidy(triple, b, l1, l2, n=0)
             ops.append(t.a)
     tidy_span = subspace_orthonormalize(ops, dim_space=triple.dim)
     regenerated = bicommutant(tidy_span)
-    return mutual_projection_residual(regenerated, algebra)
+    return mutual_projection_residual(regenerated, triple.algebra)

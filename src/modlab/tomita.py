@@ -2,7 +2,7 @@
 
 Given an algebra A with orthonormal basis {a_i} and a unit vector omega that
 is cyclic and separating, the antilinear Tomita operator S is fixed by
-S(a omega) = a^* omega. Writing B for the square matrix with columns
+S(a omega) = a^* omega. Writing B for the square orbit matrix with columns
 a_i omega and B_* for the one with columns a_i^* omega, the matrix of S is
 ``B_* conj(B)^{-1}``. Polar decomposition S = J Delta^(1/2) then yields the
 modular conjugation J (antiunitary involution) and the modular operator
@@ -21,7 +21,9 @@ from .algebra import (
     NotCyclicError,
     NotSeparatingError,
     OperatorSubspace,
+    Orbit,
     cyclic_report,
+    orbit,
     separating_report,
 )
 from .linalg import (
@@ -55,14 +57,31 @@ class ModularBreakdownError(AlgebraError):
 
 @dataclass(frozen=True)
 class ModularTriple:
-    """Modular data of (A, omega): the operators S, J, Delta plus eigendata."""
+    """The standard form (A, A', omega) with its modular data S, J, Delta.
 
-    omega: np.ndarray
+    Each side is held as its orbit map b -> b omega, built and factored once;
+    every solve on A or A' reads it.
+    """
+
+    orbit: Orbit
+    commutant_orbit: Orbit
     s: AntilinearMap
     j: AntilinearMap
     delta: np.ndarray
     delta_spec: SpectralDecomposition
     kappa: float
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.orbit.omega
+
+    @property
+    def algebra(self) -> OperatorSubspace:
+        return self.orbit.space
+
+    @property
+    def commutant(self) -> OperatorSubspace:
+        return self.commutant_orbit.space
 
     @property
     def dim(self) -> int:
@@ -73,46 +92,44 @@ class ModularTriple:
         return self.s.adjoint()
 
 
-def _basis_vector_matrix(a: OperatorSubspace, omega: np.ndarray) -> np.ndarray:
-    return np.column_stack([b @ omega for b in a.basis])
-
-
-def tomita_operator(a: OperatorSubspace, omega) -> AntilinearMap:
+def tomita_operator(orb: Orbit) -> AntilinearMap:
     """Antilinear S with S(x omega) = x^* omega for every x in the algebra.
 
     Preconditions are enforced, with distinct errors carrying the rank
     evidence: omega must be cyclic (orbit rank d) and separating (trivial
-    solve nullspace), which forces dim(A) = d and makes the basis matrix B
+    solve nullspace), which forces dim(A) = d and makes the orbit matrix B
     square and invertible. Solves with cond(B) beyond COND_CAP are refused.
     """
-    omega = np.asarray(omega, dtype=complex)
-    cyc = cyclic_report(a, omega)
+    cyc = cyclic_report(orb)
     if not cyc.full:
         raise NotCyclicError(cyc)
-    sep = separating_report(a, omega)
+    sep = separating_report(orb)
     if not sep.full:
         raise NotSeparatingError(sep)
+    a = orb.space
     if a.dim != a.dim_space:
         # cyclic + separating forces dim(A) = d; reaching here means rank
         # certification and subspace dimension disagree
         raise AlgebraError(
             f"inconsistent certification: dim(A) = {a.dim} != d = {a.dim_space}"
         )
-    b = _basis_vector_matrix(a, omega)
-    sv = np.linalg.svd(b, compute_uv=False)
-    cond = float(sv[0] / sv[-1])
-    if cond > COND_CAP:
-        raise IllConditionedError(cond)
-    b_star = np.column_stack([x.conj().T @ omega for x in a.basis])
+    if orb.cond > COND_CAP:
+        raise IllConditionedError(orb.cond)
+    b = orb.matrix
+    b_star = np.column_stack([x.conj().T @ orb.omega for x in a.basis])
     # M conj(B) = B_*  =>  M = solve on the right
     m = np.linalg.solve(b.conj().T, b_star.T).T
     return AntilinearMap(m)
 
 
-def modular_data(a: OperatorSubspace, omega) -> ModularTriple:
-    """Construct the full modular triple (S, J, Delta) for (A, omega)."""
-    omega = np.asarray(omega, dtype=complex)
-    s = tomita_operator(a, omega)
+def modular_data(a: OperatorSubspace, omega, commutant: OperatorSubspace) -> ModularTriple:
+    """Construct the standard form and its modular data for (A, A', omega).
+
+    The commutant is supplied by the caller, which already holds it; it is
+    not recomputed here.
+    """
+    orb = orbit(a, omega)
+    s = tomita_operator(orb)
     j, delta = polar_antilinear(s)
     spec = hermitian_eig(delta)
     w = spec.eigenvalues
@@ -120,5 +137,7 @@ def modular_data(a: OperatorSubspace, omega) -> ModularTriple:
     if w[0] <= 0.0:
         raise ModularBreakdownError(float(w[0]), kappa)
     return ModularTriple(
-        omega=omega, s=s, j=j, delta=delta, delta_spec=spec, kappa=kappa
+        orbit=orb,
+        commutant_orbit=orbit(commutant, orb.omega),
+        s=s, j=j, delta=delta, delta_spec=spec, kappa=kappa,
     )

@@ -96,8 +96,8 @@ def test_criterion_03_flow_stays_in_algebra():
     worst_ratio = 0.0
     for fix in fixture_pool(50):
         t = fix.triple
-        for a in fix.algebra.basis:
-            for row in tomita_check(t, fix.algebra, fix.commutant, a, times, TOL_BASE):
+        for a in t.algebra.basis:
+            for row in tomita_check(t, a, times, TOL_BASE):
                 worst_ratio = max(worst_ratio,
                                   row.membership / row.tolerance,
                                   row.max_commutator / row.tolerance)
@@ -129,8 +129,9 @@ def test_criterion_04_resolvent_bound_zero_violations():
             z = r * complex(math.cos(theta), math.sin(theta))
             if abs(z) - z.real <= 1e-5 or np.min(np.abs(z - w)) <= 1e-5:
                 continue
-            c = rng.standard_normal(fix.commutant.dim) + 1j * rng.standard_normal(fix.commutant.dim)
-            out = resolvent_transfer(fix.triple, fix.algebra, fix.commutant.element(c), z)
+            comm = fix.triple.commutant
+            c = rng.standard_normal(comm.dim) + 1j * rng.standard_normal(comm.dim)
+            out = resolvent_transfer(fix.triple, comm.element(c), z)
             if not out.satisfied:
                 violations += 1
             done += 1
@@ -149,16 +150,16 @@ def test_criterion_05_ladder_identities():
         rng = np.random.default_rng((5000, fix.seed))
         wins = covering_windows(t)
         w0 = wins[int(rng.integers(len(wins)))]
-        c = rng.standard_normal(fix.algebra.dim) + 1j * rng.standard_normal(fix.algebra.dim)
-        tidy_a = make_tidy(t, fix.algebra, fix.commutant, fix.algebra.element(c), w0[0], w0[1], 0)
-        c2 = rng.standard_normal(fix.algebra.dim) + 1j * rng.standard_normal(fix.algebra.dim)
+        c = rng.standard_normal(t.algebra.dim) + 1j * rng.standard_normal(t.algebra.dim)
+        tidy_a = make_tidy(t, t.algebra.element(c), w0[0], w0[1], 0)
+        c2 = rng.standard_normal(t.algebra.dim) + 1j * rng.standard_normal(t.algebra.dim)
         w1 = wins[int(rng.integers(len(wins)))]
-        tidy_b = make_tidy(t, fix.algebra, fix.commutant, fix.algebra.element(c2), w1[0], w1[1], 0)
+        tidy_b = make_tidy(t, t.algebra.element(c2), w1[0], w1[1], 0)
         for n in range(-3, 4):
-            res, tol = dagger_ladder_check(t, fix.algebra, fix.commutant, tidy_a, n, TOL_BASE)
+            res, tol = dagger_ladder_check(t, tidy_a, n, TOL_BASE)
             if res > 0:
                 worst = max(worst, res / tol)
-            res, tol = powers_check(t, fix.algebra, tidy_a, tidy_b, n, TOL_BASE)
+            res, tol = powers_check(t, tidy_a, tidy_b, n, TOL_BASE)
             if res > 0:
                 worst = max(worst, res / tol)
     _report(
@@ -174,10 +175,10 @@ def test_criterion_06_tidy_density():
     for fix in fixture_pool(25):
         t = fix.triple
         wins = covering_windows(t)
-        span = tidy_span_check(t, fix.algebra, wins)
+        span = tidy_span_check(t, wins)
         if not span.full:
             deficits += 1
-        worst = max(worst, tidy_bicommutant_check(t, fix.algebra, fix.commutant, wins))
+        worst = max(worst, tidy_bicommutant_check(t, wins))
     _report(
         "criterion 6: covering-window tidy families regenerate the algebra",
         worst <= 1e-9 and deficits == 0,
@@ -260,10 +261,10 @@ def test_criterion_09_growth_bound_audit(tmp_path):
         spec = (AlgebraSpec.standard_factor(2), AlgebraSpec.standard_factor(3))[i % 2]
         fix = generate_fixture(spec, seed=9000 + i, p_min=P_MIN)
         rng = np.random.default_rng((9000, i))
-        c = rng.standard_normal(fix.algebra.dim) + 1j * rng.standard_normal(fix.algebra.dim)
-        src = fix.algebra.element(c)
+        a = fix.triple.algebra
+        src = a.element(rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim))
         for (l1, l2) in AUDIT_WINDOWS:
-            audit = growth_audit(fix.triple, fix.algebra, fix.commutant, src, l1, l2, n_max=6)
+            audit = growth_audit(fix.triple, src, l1, l2, n_max=6)
             slopes.setdefault((l1, l2), []).append((audit.slope_pos, audit.slope_neg))
             for r in audit.rows:
                 ratio = r.measured_norm / r.bound_value if r.bound_value > 0 else 0.0
@@ -291,7 +292,7 @@ def test_criterion_09_growth_bound_audit(tmp_path):
 
 def test_criterion_10_determinism(tmp_path):
     config = RunConfig(seed=31415, models=("standard_factor(2)",), trials=2,
-                       suites=("modular", "tidy"), out_dir="unused")
+                       suites=("modular", "tidy"))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         report, tidy_rows, contour_rows = run_suites(config)

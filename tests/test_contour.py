@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modlab.algebra import subspace_orthonormalize
+from modlab.algebra import commutant, subspace_orthonormalize
 from modlab.contour import (
     ContourError,
     ContourSpec,
@@ -31,7 +31,7 @@ def two_qubit_triple():
         [np.kron(elementary(2, i, j), np.eye(2)) for i in range(2) for j in range(2)]
     )
     omega = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
-    return modular_data(a, omega)
+    return modular_data(a, omega, commutant(a))
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,20 @@ def test_sigmoid_rejects_non_integer_steepness():
         sigmoid(1.0, 1.5, 1.0)
     with pytest.raises(ContourError):
         sigmoid(1.0, 0, 1.0)
+    with pytest.raises(ContourError):
+        sigmoid(np.array([1.0, 2.0]), 1.5, 1.0)
+
+
+def test_sigmoid_scalar_and_array_bit_identical():
+    # the quadrature and the oracle evaluate arrays, the tests scalars: one
+    # function serves both and must give the same bits, overflow-safe on
+    # either side of the real-part switch
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-60.0, 60.0, 20_000) + 1j * rng.uniform(-8.0, 8.0, 20_000)
+    for k, lam in ((1, 0.7), (2, 1.5), (8, 2.9)):
+        values = sigmoid(z, k, lam)
+        assert values.shape == z.shape and np.isfinite(values).all()
+        assert np.array_equal(values, np.array([sigmoid(x, k, lam) for x in z]))
 
 
 # ---------------------------------------------------------------------------

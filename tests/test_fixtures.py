@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from modlab.algebra import AlgebraError, is_algebra, mutual_projection_residual
+from modlab.algebra import (
+    AlgebraError,
+    is_algebra,
+    mutual_projection_residual,
+    subspace_orthonormalize,
+)
 from modlab.fixtures import (
     AlgebraSpec,
+    commutant_basis_matrices,
     covering_windows,
     fixture_from_json,
     fixture_to_json,
@@ -34,9 +40,9 @@ def test_spec_labels_round_trip():
 def test_generate_fixture_deterministic():
     a = generate_fixture(AlgebraSpec.standard_factor(2), seed=123)
     b = generate_fixture(AlgebraSpec.standard_factor(2), seed=123)
-    assert np.array_equal(a.omega, b.omega)
+    assert np.array_equal(a.triple.omega, b.triple.omega)
     assert np.array_equal(a.triple.s.matrix, b.triple.s.matrix)
-    assert np.array_equal(a.algebra.basis, b.algebra.basis)
+    assert np.array_equal(a.triple.algebra.basis, b.triple.algebra.basis)
 
 
 def test_generate_fixture_kappa_bound():
@@ -58,10 +64,10 @@ def test_abelian_fixture_trivial_delta():
 
 def test_fixture_algebra_certified_and_commutant_consistent():
     fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=5)
-    assert is_algebra(fix.algebra)
-    assert is_algebra(fix.commutant)
-    assert fix.algebra.dim == 5
-    assert fix.commutant.dim == 5
+    assert is_algebra(fix.triple.algebra)
+    assert is_algebra(fix.triple.commutant)
+    assert fix.triple.algebra.dim == 5
+    assert fix.triple.commutant.dim == 5
 
 
 def test_fixture_closed_form_delta_matches():
@@ -101,11 +107,11 @@ def test_fixture_json_round_trip(tmp_path):
     loaded = load_fixture(path)
     assert loaded.spec == fix.spec
     assert loaded.seed == fix.seed
-    assert np.allclose(loaded.omega, fix.omega, atol=0)
+    assert np.allclose(loaded.triple.omega, fix.triple.omega, atol=0)
     assert np.allclose(loaded.triple.s.matrix, fix.triple.s.matrix, atol=0)
     assert np.allclose(loaded.triple.delta, fix.triple.delta, atol=0)
-    assert mutual_projection_residual(loaded.algebra, fix.algebra) <= 1e-12
-    assert mutual_projection_residual(loaded.commutant, fix.commutant) <= 1e-12
+    assert mutual_projection_residual(loaded.triple.algebra, fix.triple.algebra) <= 1e-12
+    assert mutual_projection_residual(loaded.triple.commutant, fix.triple.commutant) <= 1e-12
 
 
 def test_commutant_dimension_formula_on_block_models():
@@ -118,8 +124,21 @@ def test_commutant_dimension_formula_on_block_models():
     ]
     for spec, dim_a, dim_c in cases:
         fix = generate_fixture(spec, seed=50)
-        assert fix.algebra.dim == dim_a
-        assert fix.commutant.dim == dim_c
+        assert fix.triple.algebra.dim == dim_a
+        assert fix.triple.commutant.dim == dim_c
+
+
+def test_numerical_commutant_equals_closed_form():
+    # closed-form oracle: the commutant of (+)_k M_n (x) 1_m is (+)_k 1_n (x) M_m
+    for spec in (
+        AlgebraSpec.standard_factor(2),
+        AlgebraSpec.standard_factor(3),
+        AlgebraSpec.direct_sum([(2, 2), (1, 1)]),
+        AlgebraSpec.maximal_abelian(4),
+    ):
+        closed = subspace_orthonormalize(commutant_basis_matrices(spec))
+        numerical = generate_fixture(spec, seed=60).triple.commutant
+        assert mutual_projection_residual(numerical, closed) <= 1e-9
 
 
 def test_fixture_json_schema_fields():

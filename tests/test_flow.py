@@ -28,8 +28,11 @@ def two_qubit_fixture():
     a = subspace_orthonormalize(
         [np.kron(elementary(2, i, j), np.eye(2)) for i in range(2) for j in range(2)]
     )
+    comm = subspace_orthonormalize(
+        [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
+    )
     omega = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
-    return a, omega, modular_data(a, omega)
+    return a, omega, modular_data(a, omega, comm)
 
 
 def test_flow_at_zero_is_identity_map():
@@ -96,17 +99,14 @@ def test_analytic_flow_trivial_and_unitary_cases():
 
 
 def test_analytic_flow_at_one_matches_independent_tidy_solve():
-    a, omega, t = two_qubit_fixture()
-    comm = subspace_orthonormalize(
-        [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
-    )
+    _, _, t = two_qubit_fixture()
     src = np.kron(SX, np.eye(2))
-    tidy = make_tidy(t, a, comm, src, 1.5, 2.5, n=0)
+    tidy = make_tidy(t, src, 1.5, 2.5, n=0)
     # window (1.5, 2.5) keeps only the eigenvalue-2 eigenspace |01>, and the
     # solved pair is E_01 (x) 1 by hand
     assert rel_residual(tidy.a, np.kron(elementary(2, 0, 1), np.eye(2))) <= 1e-10
     f1 = analytic_flow(t, tidy.a, 1.0)
-    lad = ladder(t, a, tidy, -1)
+    lad = ladder(t, t.orbit, tidy, -1)
     assert rel_residual(f1.value, lad) <= 1e-10
     # closed form: Delta^{-1} (E_01 (x) 1) Delta = (1/2) E_01 (x) 1
     assert rel_residual(f1.value, 0.5 * np.kron(elementary(2, 0, 1), np.eye(2))) <= 1e-10
@@ -127,20 +127,16 @@ def test_membership_residual_in_flow_sample():
 
 def test_tomita_check_abelian_trivial():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(5), seed=3)
-    rows = tomita_check(fix.triple, fix.algebra, fix.commutant,
-                        fix.algebra.basis[2], (0.3, 1.0, np.pi, 10.0))
+    rows = tomita_check(fix.triple, fix.triple.algebra.basis[2], (0.3, 1.0, np.pi, 10.0))
     for r in rows:
         assert r.passed
         assert r.membership <= 1e-12
 
 
 def test_tomita_check_standard_fixture():
-    a, omega, t = two_qubit_fixture()
-    comm = subspace_orthonormalize(
-        [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
-    )
+    _, _, t = two_qubit_fixture()
     x = np.kron(SX, np.eye(2))
-    rows = tomita_check(t, a, comm, x, (0.3, 1.0, np.pi, 10.0))
+    rows = tomita_check(t, x, (0.3, 1.0, np.pi, 10.0))
     for r in rows:
         assert r.membership <= 1e-9
         assert r.max_commutator <= 1e-9
@@ -150,11 +146,12 @@ def test_tomita_check_standard_fixture():
 def test_tomita_check_random_direct_sum_ensemble():
     rng = np.random.default_rng(6)
     fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=11)
+    a = fix.triple.algebra
     for _ in range(10):
-        c = rng.standard_normal(fix.algebra.dim) + 1j * rng.standard_normal(fix.algebra.dim)
-        x = fix.algebra.element(c)
+        c = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+        x = a.element(c)
         tt = float(rng.uniform(-5, 5))
-        rows = tomita_check(fix.triple, fix.algebra, fix.commutant, x, (tt,))
+        rows = tomita_check(fix.triple, x, (tt,))
         assert rows[0].passed
 
 
@@ -166,15 +163,12 @@ def test_strip_scan_identity_operator():
 
 
 def test_strip_scan_constant_along_imaginary_direction():
-    a, omega, t = two_qubit_fixture()
-    comm = subspace_orthonormalize(
-        [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
-    )
+    a, _, t = two_qubit_fixture()
     rng = np.random.default_rng(7)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     src = a.element(c)
     wins = covering_windows(t)
-    tidy = make_tidy(t, a, comm, src, wins[0][0], wins[0][1], n=0)
+    tidy = make_tidy(t, src, wins[0][0], wins[0][1], n=0)
     samples = strip_growth_scan(t, tidy.a, strip_n=4)
     by_re = {}
     for s in samples:
@@ -189,13 +183,10 @@ def test_strip_scan_constant_along_imaginary_direction():
 
 def test_strip_scan_integer_values_under_tidy_growth_bound():
     # compare against the tidy module's closed-form bound evaluation
-    a, omega, t = two_qubit_fixture()
-    comm = subspace_orthonormalize(
-        [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
-    )
+    _, _, t = two_qubit_fixture()
     src = np.kron(SX, np.eye(2))
     l1, l2 = 1.5, 2.5
-    tidy = make_tidy(t, a, comm, src, l1, l2, n=0)
+    tidy = make_tidy(t, src, l1, l2, n=0)
     norm_a0 = np.linalg.norm(tidy.a, 2)
     for x in range(1, 7):
         sample = analytic_flow(t, tidy.a, float(x))
@@ -205,17 +196,14 @@ def test_strip_scan_integer_values_under_tidy_growth_bound():
 
 
 def test_analytic_commutators_vanish_off_axis():
-    a, omega, t = two_qubit_fixture()
-    comm = subspace_orthonormalize(
-        [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
-    )
+    _, _, t = two_qubit_fixture()
     wins = covering_windows(t)
-    tidy = make_tidy(t, a, comm, np.kron(SX, np.eye(2)), wins[-1][0], wins[-1][1], n=0)
+    tidy = make_tidy(t, np.kron(SX, np.eye(2)), wins[-1][0], wins[-1][1], n=0)
     rng = np.random.default_rng(8)
     for _ in range(8):
         z = complex(rng.uniform(-4, 4), rng.uniform(-5, 5))
         sample = analytic_flow(t, tidy.a, z)
-        for b in comm.basis:
+        for b in t.commutant.basis:
             comm_norm = np.linalg.norm(sample.value @ b - b @ sample.value, 2)
             scale = max(sample.norm * np.linalg.norm(b, 2), 1e-30)
             assert comm_norm / scale <= 1e-9 * t.kappa ** ((abs(z.real) + 1) / 2)

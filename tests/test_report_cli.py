@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -85,6 +86,38 @@ def test_checkset_audit_never_fails():
     assert cs.records()[0].status == "audit"
 
 
+def test_nonfinite_first_sample_still_writes_a_report(tmp_path, monkeypatch, capsys):
+    import modlab.cli as cli_mod
+
+    def rigged(config):
+        cs = CheckSet()
+        cs.add("x", "r", float("nan"), 1e-9)
+        cs.add("x", "r", float("inf"), 1e-9)
+        return VerificationReport(config=config.echo(), checks=cs.records()), [], []
+
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    monkeypatch.setattr(cli_mod, "run_suites", rigged)
+    assert main(["verify", "--trials", "1", "--out", str(tmp_path)]) == 1
+    assert "max_residual=none" in capsys.readouterr().out
+    record = json.loads((tmp_path / "report.json").read_text())["checks"][0]
+    assert record["status"] == "fail"
+    assert record["nonfinite"] == 2 and record["samples"] == 2
+    assert record["max_residual"] is None
+
+
+def test_nonfinite_sample_after_finite_one_is_counted():
+    cs = CheckSet()
+    cs.add("x", "r", 1e-12, 1e-9)
+    cs.add("x", "r", float("nan"), 1e-9, ok=True)
+    cs.add("x", "r", 3e-12, 2e-9)
+    cs.add("aud", "r", 0.5, 1.0, audit=True)
+    cs.add("aud", "r", float("nan"), 1.0, audit=True)
+    rec, aud = cs.records()[1], cs.records()[0]
+    assert rec.status == "fail" and rec.nonfinite == 1 and rec.samples == 3
+    assert rec.max_residual == 3e-12 and rec.tolerance == 2e-9
+    assert aud.status == "fail" and aud.nonfinite == 1 and aud.max_residual == 0.5
+
+
 def test_report_must_pass_flag():
     cs = CheckSet()
     cs.add("ok", "r", 1e-12, 1e-9)
@@ -122,7 +155,6 @@ SMALL = RunConfig(
     models=("standard_factor(2)",),
     trials=2,
     suites=("modular", "resolvent"),
-    out_dir="unused",
 )
 
 
@@ -190,6 +222,20 @@ def test_cli_env_var_overrides_out(tmp_path, monkeypatch):
     assert code == 0
     assert env_dir.exists()
     assert not (tmp_path / "flag_dir").exists()
+
+
+def test_cli_report_body_independent_of_out_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    strip = re.compile(r'"environment": \{[^}]*\},?\n(\s*)')
+    bodies = []
+    for name in ("a", "b"):
+        code = main(["verify", "--model", "abelian", "--factor-size", "3", "--trials", "1",
+                     "--seed", "4", "--out", str(tmp_path / name), "--suite", "modular"])
+        assert code == 0
+        text = (tmp_path / name / "report.json").read_text()
+        assert strip.search(text)
+        bodies.append(strip.sub(r"\1", text))
+    assert bodies[0] == bodies[1]
 
 
 def test_cli_exit_code_via_subprocess(tmp_path):

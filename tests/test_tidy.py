@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,26 +8,24 @@ from hypothesis import strategies as st
 
 from modlab.algebra import membership_residual, subspace_orthonormalize
 from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture
-from modlab.linalg import rel_residual
+from modlab.linalg import matrix_function, rel_residual
 from modlab.tidy import (
     ResolventDomainError,
     WindowError,
     dagger_ladder_check,
     growth_audit,
-    heaviside,
     ladder,
     make_tidy,
     mirrored_tidy_bound,
     operator_from_vector,
     powers_check,
     resolvent_transfer,
-    resolvent_transfer_mirror,
     spectral_window,
     tidy_bicommutant_check,
     tidy_bound,
     tidy_span_check,
 )
-from modlab.tomita import modular_data
+from modlab.tomita import IllConditionedError, modular_data
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -45,7 +44,7 @@ def two_qubit():
         [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
     )
     omega = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
-    return a, comm, omega, modular_data(a, omega)
+    return a, comm, omega, modular_data(a, omega, comm)
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +86,36 @@ def test_window_rejects_bad_ordering():
         spectral_window(t, -1.0, 1.5)
 
 
-def test_heaviside_convention():
-    assert heaviside(0.3) == 1.0
-    assert heaviside(-0.3) == 0.0
-    assert heaviside(0.0) == 0.5
+def test_spectral_window_half_value_convention():
+    # the step is 1 inside the window, 0 outside and 1/2 on an edge; the
+    # eigenvalue-2 eigenspace |01> of the two-qubit Delta is the probe
+    _, _, _, t = two_qubit()
+    u = t.delta_spec.eigenvectors
+    top = int(np.argmax(t.delta_spec.eigenvalues))
+
+    def weight(l1, l2):
+        return (u.conj().T @ spectral_window(t, l1, l2) @ u)[top, top]
+
+    assert abs(weight(1.7, 2.3) - 1.0) <= 1e-12
+    assert abs(weight(2.3, 3.0)) <= 1e-12
+    assert abs(weight(2.0, 3.0) - 0.5) <= 1e-12
+
+
+def test_spectral_window_matches_elementwise_step():
+    # reference: the step evaluated one eigenvalue at a time in Python
+    def step(x, eps):
+        return 1.0 if x > eps else (0.0 if x < -eps else 0.5)
+
+    fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=3)
+    t = fix.triple
+    w = t.delta_spec.eigenvalues
+    windows = covering_windows(t) + [(w[0], w[-1]), (0.1, float(w[2])), (1.5, 2.5)]
+    for l1, l2 in windows:
+        e1, e2 = 1e-9 * max(1.0, l1), 1e-9 * max(1.0, l2)
+        ref = matrix_function(
+            t.delta_spec, lambda ws: np.array([step(l2 - x, e2) * step(x - l1, e1) for x in ws])
+        )
+        assert np.array_equal(spectral_window(t, l1, l2), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +125,14 @@ def test_heaviside_convention():
 
 def test_operator_from_vector_identity():
     a, _, omega, t = two_qubit()
-    out = operator_from_vector(omega, a, omega)
+    out = operator_from_vector(omega, t.orbit)
     assert rel_residual(out, np.eye(4)) <= 1e-12
 
 
 def test_operator_from_vector_membership_round_trip():
     a, _, omega, t = two_qubit()
     x = np.kron(SX, np.eye(2))
-    out = operator_from_vector(x @ omega, a, omega)
+    out = operator_from_vector(x @ omega, t.orbit)
     assert rel_residual(out, x) <= 1e-12
 
 
@@ -115,7 +140,7 @@ def test_operator_from_vector_random_residual():
     a, _, omega, t = two_qubit()
     rng = np.random.default_rng(0)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    out = operator_from_vector(v, a, omega)
+    out = operator_from_vector(v, t.orbit)
     assert np.linalg.norm(out @ omega - v) <= 1e-10 * np.linalg.norm(v)
 
 
@@ -124,9 +149,28 @@ def test_operator_from_vector_linear():
     rng = np.random.default_rng(1)
     v1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    lhs = operator_from_vector(2.0 * v1 - 1j * v2, a, omega)
-    rhs = 2.0 * operator_from_vector(v1, a, omega) - 1j * operator_from_vector(v2, a, omega)
+    lhs = operator_from_vector(2.0 * v1 - 1j * v2, t.orbit)
+    rhs = 2.0 * operator_from_vector(v1, t.orbit) - 1j * operator_from_vector(v2, t.orbit)
     assert rel_residual(lhs, rhs) <= 1e-12
+
+
+def test_operator_from_vector_solves_against_the_cached_orbit(monkeypatch):
+    # the orbit matrix and its SVD are built once, in modular_data
+    _, _, omega, t = two_qubit()
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("operator_from_vector must not factor the orbit again")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    out = operator_from_vector(omega, t.commutant_orbit)
+    assert rel_residual(out, np.eye(4)) <= 1e-12
+
+
+def test_operator_from_vector_refuses_ill_conditioned_orbit():
+    _, _, omega, t = two_qubit()
+    skewed = dataclasses.replace(t.orbit, singular_values=np.array([1e7, 1.0, 1.0, 1.0]))
+    with pytest.raises(IllConditionedError):
+        operator_from_vector(omega, skewed)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +181,7 @@ def test_operator_from_vector_linear():
 def test_make_tidy_full_window_recovers_source():
     a, comm, omega, t = two_qubit()
     x = np.kron(SX, np.eye(2))
-    tidy = make_tidy(t, a, comm, x, 0.1, 100.0, n=0)
+    tidy = make_tidy(t, x, 0.1, 100.0, n=0)
     assert rel_residual(tidy.a, x) <= 1e-10
     assert np.linalg.norm(tidy.a_prime @ omega - x @ omega) <= 1e-10
 
@@ -146,7 +190,7 @@ def test_make_tidy_identity_source_narrow_window():
     # spectral projection oracle: omega lives in the eigenvalue-1 eigenspace,
     # so the (1.5, 2.5) window annihilates it
     a, comm, omega, t = two_qubit()
-    tidy = make_tidy(t, a, comm, np.eye(4), 1.5, 2.5, n=0)
+    tidy = make_tidy(t, np.eye(4), 1.5, 2.5, n=0)
     assert np.linalg.norm(tidy.vector) <= 1e-12
     assert np.linalg.norm(tidy.a) <= 1e-10
 
@@ -155,8 +199,8 @@ def test_make_tidy_vector_and_power_scaling():
     # Delta^2 scales the eigenvalue-2 eigenspace by 4
     a, comm, omega, t = two_qubit()
     x = np.kron(SX, np.eye(2))
-    t0 = make_tidy(t, a, comm, x, 1.5, 2.5, n=0)
-    t2 = make_tidy(t, a, comm, x, 1.5, 2.5, n=2)
+    t0 = make_tidy(t, x, 1.5, 2.5, n=0)
+    t2 = make_tidy(t, x, 1.5, 2.5, n=2)
     assert rel_residual(t2.vector, 4.0 * t0.vector) <= 1e-12
     for tidy in (t0, t2):
         assert rel_residual(tidy.a @ omega, tidy.vector) <= 1e-10
@@ -168,7 +212,7 @@ def test_make_tidy_vector_and_power_scaling():
 def test_make_tidy_rejects_large_power():
     a, comm, _, t = two_qubit()
     with pytest.raises(WindowError):
-        make_tidy(t, a, comm, np.eye(4), 0.5, 2.5, n=9)
+        make_tidy(t, np.eye(4), 0.5, 2.5, n=9)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +224,7 @@ def test_resolvent_bound_at_minus_one():
     # direct evaluation: sqrt(2 (1 + 1)) = 2
     a, comm, omega, t = two_qubit()
     src = comm.basis[1]
-    out = resolvent_transfer(t, a, src, -1.0 + 0.0j)
+    out = resolvent_transfer(t, src, -1.0 + 0.0j)
     assert abs(out.bound - np.linalg.norm(src, 2) / 2.0) <= 1e-12
     assert out.satisfied
 
@@ -188,7 +232,7 @@ def test_resolvent_bound_at_minus_one():
 def test_resolvent_bound_at_2pi_i():
     a, comm, omega, t = two_qubit()
     src = np.kron(np.eye(2), SX)
-    out = resolvent_transfer(t, a, src, 2j * np.pi)
+    out = resolvent_transfer(t, src, 2j * np.pi)
     assert abs(out.bound - 1.0 / math.sqrt(4 * math.pi)) <= 1e-12
     assert out.measured_norm <= out.bound * (1 + 1e-9)
     # the solve really lands in the algebra and reproduces the vector
@@ -213,8 +257,9 @@ def test_resolvent_transfer_ensemble_zero_violations():
             z = r * complex(math.cos(theta), math.sin(theta))
             if abs(z) - z.real <= 1e-5 or np.min(np.abs(z - w)) <= 1e-5:
                 continue
-            c = rng.standard_normal(fix.commutant.dim) + 1j * rng.standard_normal(fix.commutant.dim)
-            out = resolvent_transfer(fix.triple, fix.algebra, fix.commutant.element(c), z)
+            comm = fix.triple.commutant
+            c = rng.standard_normal(comm.dim) + 1j * rng.standard_normal(comm.dim)
+            out = resolvent_transfer(fix.triple, comm.element(c), z)
             assert out.satisfied
             done += 1
         checked += done
@@ -224,17 +269,22 @@ def test_resolvent_transfer_ensemble_zero_violations():
 def test_resolvent_transfer_mirror_role_swap():
     a, comm, omega, t = two_qubit()
     src = np.kron(SX, np.eye(2))
-    out = resolvent_transfer_mirror(t, comm, src, 1j)
+    out = resolvent_transfer(t, src, 1j, mirror=True)
     assert membership_residual(out.a, comm) <= 1e-10
     assert out.satisfied
+    # the commutant's modular operator is Delta^(-1)
+    resolvent_vec = np.linalg.solve(1j * np.eye(4) - np.linalg.inv(t.delta), src @ omega)
+    assert np.linalg.norm(out.a @ omega - resolvent_vec) <= 1e-10
 
 
 def test_resolvent_rejects_points_near_axis_or_spectrum():
     a, comm, _, t = two_qubit()
     with pytest.raises(ResolventDomainError):
-        resolvent_transfer(t, a, comm.basis[0], 3.0 + 0j)  # positive real axis
+        resolvent_transfer(t, comm.basis[0], 3.0 + 0j)  # positive real axis
     with pytest.raises(ResolventDomainError):
-        resolvent_transfer(t, a, comm.basis[0], 2.0 + 1e-9j)  # inside spectrum
+        resolvent_transfer(t, comm.basis[0], 2.0 + 1e-9j)  # inside spectrum
+    with pytest.raises(ResolventDomainError):
+        resolvent_transfer(t, a.basis[0], 0.5 + 1e-9j, mirror=True)  # inside spec(Delta^-1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +338,8 @@ def test_mirrored_bound_matches_displayed_formula():
 
 def test_growth_audit_trivial_delta_constant_norms():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=2)
-    src = fix.algebra.basis[1]
-    audit = growth_audit(fix.triple, fix.algebra, fix.commutant, src, 0.5, 2.0, n_max=4)
+    src = fix.triple.algebra.basis[1]
+    audit = growth_audit(fix.triple, src, 0.5, 2.0, n_max=4)
     norms = [r.measured_norm for r in audit.rows if r.family == "a"]
     assert max(norms) - min(norms) <= 1e-10 * max(norms)
     assert all(r.passed for r in audit.rows)
@@ -300,7 +350,7 @@ def test_growth_audit_single_eigenvalue_window_scales_exactly():
     # a factor 2 in operator norm per step
     a, comm, omega, t = two_qubit()
     src = np.kron(SX, np.eye(2))
-    audit = growth_audit(t, a, comm, src, 1.5, 2.5, n_max=3)
+    audit = growth_audit(t, src, 1.5, 2.5, n_max=3)
     a_rows = {r.n: r for r in audit.rows if r.family == "a"}
     for n in range(-3, 3):
         assert abs(a_rows[n + 1].measured_norm - 2.0 * a_rows[n].measured_norm) \
@@ -312,8 +362,8 @@ def test_growth_audit_rows_and_bound_sides():
     fix = generate_fixture(AlgebraSpec.standard_factor(2), seed=13)
     rng = np.random.default_rng(3)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    src = fix.algebra.element(c)
-    audit = growth_audit(fix.triple, fix.algebra, fix.commutant, src, 0.9, 1.5, n_max=6)
+    src = fix.triple.algebra.element(c)
+    audit = growth_audit(fix.triple, src, 0.9, 1.5, n_max=6)
     assert len(audit.rows) == 2 * 13
     families = {r.family for r in audit.rows}
     assert families == {"a", "a_prime"}
@@ -334,7 +384,7 @@ def test_growth_audit_n0_constant_is_violated_on_reference_instance():
     # small, consistent with the enclosed-pole gap in the contour identity
     a, comm, omega, t = two_qubit()
     src = np.kron(SX, np.eye(2))
-    audit = growth_audit(t, a, comm, src, 1.5, 2.5, n_max=1)
+    audit = growth_audit(t, src, 1.5, 2.5, n_max=1)
     row = next(r for r in audit.rows if r.family == "a" and r.n == 0)
     assert abs(row.measured_norm - 1.0) <= 1e-10
     assert abs(row.bound_value - tidy_bound(2.5, 0, 1 / math.sqrt(2))) <= 1e-12
@@ -350,9 +400,8 @@ def test_growth_audit_n0_constant_is_violated_on_reference_instance():
 def test_dagger_ladder_trivial_delta():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=4)
     wins = covering_windows(fix.triple)
-    tidy = make_tidy(fix.triple, fix.algebra, fix.commutant,
-                     fix.algebra.basis[2], wins[0][0], wins[0][1], n=0)
-    res, tol = dagger_ladder_check(fix.triple, fix.algebra, fix.commutant, tidy, 0)
+    tidy = make_tidy(fix.triple, fix.triple.algebra.basis[2], wins[0][0], wins[0][1], n=0)
+    res, tol = dagger_ladder_check(fix.triple, tidy, 0)
     assert res <= max(tol, 1e-12)
     # abelian case: a' = a and the identity holds exactly
     assert rel_residual(tidy.a, tidy.a_prime) <= 1e-10
@@ -362,32 +411,32 @@ def test_dagger_ladder_two_qubit_range():
     a, comm, omega, t = two_qubit()
     rng = np.random.default_rng(6)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    tidy = make_tidy(t, a, comm, a.element(c), 0.4, 2.6, n=0)
+    tidy = make_tidy(t, a.element(c), 0.4, 2.6, n=0)
     for n in (0, 1, 2, -1, -2):
-        res, tol = dagger_ladder_check(t, a, comm, tidy, n)
+        res, tol = dagger_ladder_check(t, tidy, n)
         assert res <= max(tol, 1e-9)
 
 
 def test_powers_check_zero_is_exact():
     a, comm, omega, t = two_qubit()
     rng = np.random.default_rng(7)
-    tidy_a = make_tidy(t, a, comm, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+    tidy_a = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        0.4, 2.6, n=0)
-    tidy_b = make_tidy(t, a, comm, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+    tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        0.4, 2.6, n=0)
-    res, tol = powers_check(t, a, tidy_a, tidy_b, 0)
+    res, tol = powers_check(t, tidy_a, tidy_b, 0)
     assert res <= 1e-12
 
 
 def test_powers_check_range():
     a, comm, omega, t = two_qubit()
     rng = np.random.default_rng(8)
-    tidy_a = make_tidy(t, a, comm, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+    tidy_a = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        0.4, 2.6, n=0)
-    tidy_b = make_tidy(t, a, comm, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+    tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        1.5, 2.5, n=0)
     for n in (1, 2, 3, -1, -3):
-        res, tol = powers_check(t, a, tidy_a, tidy_b, n)
+        res, tol = powers_check(t, tidy_a, tidy_b, n)
         assert res <= max(tol, 1e-9)
 
 
@@ -398,13 +447,13 @@ def test_powers_check_range():
 
 def test_tidy_span_full_window_is_cyclic_span():
     a, comm, omega, t = two_qubit()
-    report = tidy_span_check(t, a, [(0.1, 100.0)])
+    report = tidy_span_check(t, [(0.1, 100.0)])
     assert report.full
 
 
 def test_tidy_span_split_windows_full_rank():
     a, comm, omega, t = two_qubit()
-    report = tidy_span_check(t, a, [(0.3, 1.4), (1.4, 3.0)])
+    report = tidy_span_check(t, [(0.3, 1.4), (1.4, 3.0)])
     assert report.full
 
 
@@ -412,24 +461,24 @@ def test_tidy_span_missing_eigenspace_deficit():
     # projector rank arithmetic: dropping the eigenvalue-2 eigenspace (|01>,
     # dimension 1) reduces the span rank by exactly 1
     a, comm, omega, t = two_qubit()
-    report = tidy_span_check(t, a, [(0.3, 1.4)])
+    report = tidy_span_check(t, [(0.3, 1.4)])
     assert report.rank == 3
     assert report.required - report.rank == 1
 
 
 def test_tidy_bicommutant_full_window():
     a, comm, omega, t = two_qubit()
-    assert tidy_bicommutant_check(t, a, comm, [(0.1, 100.0)]) <= 1e-9
+    assert tidy_bicommutant_check(t, [(0.1, 100.0)]) <= 1e-9
 
 
 def test_tidy_bicommutant_partial_covering_windows():
     a, comm, omega, t = two_qubit()
     wins = covering_windows(t)
     assert len(wins) >= 2
-    assert tidy_bicommutant_check(t, a, comm, wins) <= 1e-9
+    assert tidy_bicommutant_check(t, wins) <= 1e-9
 
 
 def test_tidy_bicommutant_abelian():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=9)
     wins = covering_windows(fix.triple)
-    assert tidy_bicommutant_check(fix.triple, fix.algebra, fix.commutant, wins) <= 1e-9
+    assert tidy_bicommutant_check(fix.triple, wins) <= 1e-9

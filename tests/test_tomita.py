@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from modlab.algebra import NotCyclicError, NotSeparatingError, commutant, subspace_orthonormalize
+from modlab.algebra import (
+    NotCyclicError,
+    NotSeparatingError,
+    commutant,
+    orbit,
+    subspace_orthonormalize,
+)
 from modlab.linalg import complex_power, rel_residual
 from modlab.fixtures import AlgebraSpec, generate_fixture
 from modlab.tomita import modular_data, tomita_operator
@@ -35,9 +41,9 @@ def test_abelian_real_positive_omega_gives_plain_conjugation():
     d = 4
     a = subspace_orthonormalize([elementary(d, i, i) for i in range(d)])
     omega = np.array([0.5, 0.6, 0.4, np.sqrt(1 - 0.77)], dtype=complex)
-    s = tomita_operator(a, omega)
+    s = tomita_operator(orbit(a, omega))
     assert np.allclose(s.matrix, np.eye(d), atol=1e-12)
-    triple = modular_data(a, omega)
+    triple = modular_data(a, omega, commutant(a))
     assert np.allclose(triple.delta, np.eye(d), atol=1e-10)
 
 
@@ -47,23 +53,23 @@ def test_abelian_complex_omega_closed_form():
     a = subspace_orthonormalize([elementary(d, i, i) for i in range(d)])
     rng = np.random.default_rng(8)
     omega = np.sqrt(rng.dirichlet(np.ones(d))) * np.exp(2j * np.pi * rng.random(d))
-    s = tomita_operator(a, omega)
+    s = tomita_operator(orbit(a, omega))
     oracle = np.diag(omega / np.conj(omega))
     assert np.allclose(s.matrix, oracle, atol=1e-12)
-    triple = modular_data(a, omega)
+    triple = modular_data(a, omega, commutant(a))
     assert np.allclose(triple.delta, np.eye(d), atol=1e-10)
 
 
 def test_standard_form_s_fixes_omega():
     a, omega = TWO_QUBIT
-    s = tomita_operator(a, omega)
+    s = tomita_operator(orbit(a, omega))
     assert np.linalg.norm(s(omega) - omega) <= 1e-12
 
 
 def test_standard_form_delta_eigenvalues():
     # independent closed-form oracle: Delta = rho (x) conj(rho)^{-1}
     a, omega = TWO_QUBIT
-    triple = modular_data(a, omega)
+    triple = modular_data(a, omega, commutant(a))
     assert np.allclose(triple.delta_spec.eigenvalues, [0.5, 1.0, 1.0, 2.0], atol=1e-10)
     rho = np.diag([2 / 3, 1 / 3]).astype(complex)
     oracle = np.kron(rho, np.linalg.inv(np.conj(rho)))
@@ -72,14 +78,14 @@ def test_standard_form_delta_eigenvalues():
 
 def test_standard_form_with_phases_keeps_closed_form():
     a, omega = standard_form([0.55, 0.45], phases=[0.3, -1.2])
-    triple = modular_data(a, omega)
+    triple = modular_data(a, omega, commutant(a))
     rho = np.diag([0.55, 0.45]).astype(complex)
     assert rel_residual(triple.delta, np.kron(rho, np.linalg.inv(np.conj(rho)))) <= 1e-10
 
 
 def test_maximally_mixed_standard_form_trivial_delta():
     a, omega = standard_form([0.5, 0.5])
-    triple = modular_data(a, omega)
+    triple = modular_data(a, omega, commutant(a))
     assert np.allclose(triple.delta, np.eye(4), atol=1e-10)
 
 
@@ -89,10 +95,10 @@ def _assert_triple_invariants(fix, tol_scale=1e-9):
     tol = tol_scale * np.sqrt(t.kappa) * d
     omega = t.omega
     # S(a omega) = a* omega on the basis (bounded-operator domain statement)
-    for a in fix.algebra.basis:
+    for a in t.algebra.basis:
         assert rel_residual(t.s(a @ omega), a.conj().T @ omega) <= tol
     # the adjoint S* is the Tomita operator of the commutant
-    for b in fix.commutant.basis:
+    for b in t.commutant.basis:
         assert rel_residual(t.s_star(b @ omega), b.conj().T @ omega) <= tol
     assert np.linalg.norm(t.s(omega) - omega) <= tol
     assert np.linalg.norm(t.j(omega) - omega) <= tol
@@ -140,7 +146,7 @@ def test_not_cyclic_error_carries_rank_report():
     v00 = np.zeros(4, dtype=complex)
     v00[0] = 1.0
     with pytest.raises(NotCyclicError) as exc:
-        tomita_operator(a, v00)
+        tomita_operator(orbit(a, v00))
     assert exc.value.report.rank == 2
     assert exc.value.report.required == 4
 
@@ -156,11 +162,11 @@ def test_not_separating_error_distinct():
     v /= np.linalg.norm(v)
     # dim(A) = 9 > d = 6, so separation must fail before cyclicity does
     with pytest.raises(NotSeparatingError) as exc:
-        tomita_operator(a, v)
+        tomita_operator(orbit(a, v))
     assert exc.value.report.rank < exc.value.report.required
 
 
 def test_s_star_is_tomita_operator_of_commutant():
     fix = generate_fixture(AlgebraSpec.standard_factor(2), seed=9)
-    s_prime = tomita_operator(fix.commutant, fix.omega)
+    s_prime = tomita_operator(fix.triple.commutant_orbit)
     assert rel_residual(s_prime.matrix, fix.triple.s_star.matrix) <= 1e-9 * np.sqrt(fix.triple.kappa)
