@@ -68,7 +68,7 @@ class OperatorSubspace:
 
     def flat(self) -> np.ndarray:
         """Basis as a (k, d^2) row-orthonormal matrix (row-major flattening)."""
-        return self.basis.reshape(self.dim, -1)
+        return self.basis.reshape(self.dim, self.dim_space**2)
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Trace-inner-product coefficients of x against the basis."""
@@ -76,11 +76,18 @@ class OperatorSubspace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of x onto the subspace."""
-        c = self.coefficients(x)
-        return np.tensordot(c, self.basis, axes=(0, 0))
+        d = self.dim_space
+        return np.dot(self.coefficients(x), self.flat()).reshape(d, d)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coeffs, dtype=complex), self.basis, axes=(0, 0))
+        """The combination sum_i coeffs[i] basis[i].
+
+        ``np.dot`` gives the bits of ``np.tensordot(coeffs, basis, 1)``, which
+        calls it, without the wrapper cost; ``coeffs @ flat`` differs in the
+        last bit for a one-element basis.
+        """
+        d = self.dim_space
+        return np.dot(np.asarray(coeffs, dtype=complex), self.flat()).reshape(d, d)
 
 
 def membership_residual(x, subspace: OperatorSubspace, eps: float = 1e-30) -> float:

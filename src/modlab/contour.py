@@ -18,6 +18,16 @@ eigendecomposition. Both the corrected discrepancy (against oracle + poles)
 and the uncorrected one (against the oracle alone) are measured; only the
 corrected identity is asserted anywhere, the uncorrected behavior is
 tabulated as data.
+
+The quadrature is evaluated on half the contour. Delta is Hermitian, lambda
+is real and k is an integer, so the integrand g(z) = z^n f_k(z) is real on
+the real axis and g(conj z) = conj g(z) (Schwarz reflection); the nodes and
+poles are conjugation-symmetric and the weights satisfy w(conj z) =
+-conj w(z). A node and its mirror image therefore add up to 2i Im of one
+term, and each eigencomponent is (1/pi) sum Im(g(z) w(z) / (z - w_j)) psi_j
+over the nodes with Im z <= 0 (a self-conjugate node at z = -half_height
+gets weight 1/2). Node counts (``node_count``, ``NODE_CAP``) count the nodes
+of the full rule, 2 n_line + n_circ, twice the number of evaluations.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ def sigmoid(z, k: int, lam: float):
     pos = w.real > 0.0
     # exp is taken of the argument with nonpositive real part only
     e = np.exp(np.where(pos, -w, w))
-    return np.where(pos, e / (1.0 + e), 1.0 / (1.0 + e))[()]
+    return (np.where(pos, e, 1.0) / (1.0 + e))[()]
 
 
 def sigmoid_poles(k: int, lam: float, half_height: float) -> np.ndarray:
@@ -116,30 +126,31 @@ def choose_contour(
 
 
 def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int):
-    """Midpoint nodes and weights along the three segments.
+    """Midpoint nodes and weights on the lower half of the contour.
 
-    Traversal order is fixed: top half-line from the truncation toward the
-    axis, then the left half-circle, then the bottom half-line outward. Nodes
-    sit at half-offsets so the corner points are never evaluated.
+    The full rule puts n_line midpoint nodes on each half-line and n_circ on
+    the half-circle, at half-offsets so the corner points are never
+    evaluated; it is mapped onto itself by conjugation, with w(conj z) =
+    -conj w(z). Returned here are its nodes with Im z <= 0 and their weights:
+    the bottom half-line z = u - ih (dz = +du) first, then the half-circle
+    z = h e^{i theta} (dz = i h e^{i theta} dtheta) for theta in [pi, 3 pi/2).
+    An odd n_circ puts a node on theta = pi, its own mirror image; its
+    weight is halved.
     """
     h = spec.half_height
     t = spec.truncation
     du = t / n_line
     u = (np.arange(n_line) + 0.5) * du
-    # top: z = u + ih traversed from u = T to 0, dz = -du
-    z_top = (t - u) + 1j * h
-    w_top = np.full(n_line, -du, dtype=complex)
-    # half-circle: z = h e^{i theta}, theta from pi/2 to 3 pi/2, dz = i h e^{i theta} dtheta
+    z_line = u - 1j * h
+    w_line = np.full(n_line, du, dtype=complex)
     dth = math.pi / n_circ
-    theta = math.pi / 2 + (np.arange(n_circ) + 0.5) * dth
-    z_circ = h * np.exp(1j * theta)
-    w_circ = 1j * h * np.exp(1j * theta) * dth
-    # bottom: z = u - ih traversed from u = 0 to T, dz = +du
-    z_bot = u - 1j * h
-    w_bot = np.full(n_line, du, dtype=complex)
-    z = np.concatenate([z_top, z_circ, z_bot])
-    w = np.concatenate([w_top, w_circ, w_bot])
-    return z, w
+    theta = math.pi / 2 + (np.arange(n_circ // 2, n_circ) + 0.5) * dth
+    rot = np.exp(1j * theta)
+    z_circ = h * rot
+    w_circ = 1j * h * rot * dth
+    if n_circ % 2:
+        w_circ[0] *= 0.5
+    return np.concatenate([z_line, z_circ]), np.concatenate([w_line, w_circ])
 
 
 @dataclass(frozen=True)
@@ -170,15 +181,18 @@ def pole_sum(
     psi,
     half_height: float = 2.0 * math.pi,
 ) -> np.ndarray:
-    """Sum of the enclosed sigmoid-pole residues z_m^n (-1/k) (z_m - Delta)^{-1} psi."""
+    """Sum of the enclosed sigmoid-pole residues z_m^n (-1/k) (z_m - Delta)^{-1} psi.
+
+    Summed in the eigenbasis of Delta, one resolvent per pole and eigenvalue.
+    """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ContourError(f"steepness must be a positive integer, got {k!r}")
     psi = np.asarray(psi, dtype=complex)
-    total = np.zeros_like(psi)
-    for zm in sigmoid_poles(k, lam, half_height):
-        resolvent = matrix_function(triple.delta_spec, lambda x: 1.0 / (zm - x))
-        total = total + zm**n * (-1.0 / k) * (resolvent @ psi)
-    return total
+    poles = sigmoid_poles(k, lam, half_height)
+    w = triple.delta_spec.eigenvalues
+    u = triple.delta_spec.eigenvectors
+    weights = (poles**n * (-1.0 / k))[:, None] / (poles[:, None] - w[None, :])
+    return u @ (weights.sum(axis=0) * (u.conj().T @ psi))
 
 
 def contour_quadrature_fixed(
@@ -191,24 +205,31 @@ def contour_quadrature_fixed(
     n_line: int,
     n_circ: int,
 ) -> np.ndarray:
-    """Single-pass quadrature at a fixed resolution, without pole correction."""
+    """Single-pass quadrature at a fixed resolution, without pole correction.
+
+    Evaluates the lower half of the contour only (see the module docstring):
+    eigencomponent j is (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j.
+    """
     psi = np.asarray(psi, dtype=complex)
     z, wts = _contour_nodes(spec, n_line, n_circ)
     poles = sigmoid_poles(k, lam, spec.half_height)
     if poles.size:
-        gap = np.min(np.abs(z[:, None] - poles[None, :]))
-        if gap < POLE_NODE_GAP:
+        # the line nodes share Im z = -h and the poles Re z = lambda, so
+        # their nearest pair is separable; the half-circle nodes are few
+        line_gap = math.hypot(np.min(np.abs(z[:n_line].real - lam)),
+                              np.min(np.abs(spec.half_height - np.abs(poles.imag))))
+        circ_gap = np.min(np.abs(z[n_line:, None] - poles[None, :]))
+        if min(line_gap, circ_gap) < POLE_NODE_GAP:
             raise NodeCollisionError(
                 f"a sigmoid pole lies within {POLE_NODE_GAP:.1e} of a quadrature "
                 "node; choose a different node count or half_height"
             )
-    w_eig = triple.delta_spec.eigenvalues.astype(complex)
+    w_eig = triple.delta_spec.eigenvalues
     u = triple.delta_spec.eigenvectors
     psi_eig = u.conj().T @ psi
     integrand = z**n * sigmoid(z, k, lam) * wts
-    comps = integrand[:, None] / (z[:, None] - w_eig[None, :])
-    acc = comps.sum(axis=0) * psi_eig
-    return (u @ acc) / (2j * math.pi)
+    comps = (integrand[:, None] / (z[:, None] - w_eig[None, :])).imag.sum(axis=0)
+    return (u @ (comps * psi_eig)) / math.pi
 
 
 def contour_apply(

@@ -21,7 +21,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,8 +56,12 @@ def as_square_array(a, name: str = "matrix") -> np.ndarray:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Operator norm (largest singular value)."""
-    return float(np.linalg.norm(a, 2))
+    """Operator norm (largest singular value).
+
+    The same bits as ``np.linalg.norm(a, 2)``, which takes this SVD too, in
+    half the time on small matrices.
+    """
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def frob(a: np.ndarray) -> float:
@@ -82,6 +86,8 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
+    # complex_power's results, keyed by the bits of the exponent
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -140,8 +146,13 @@ def complex_power(dec: SpectralDecomposition, z: complex) -> np.ndarray:
     """Matrix power ``Delta^z = U diag(exp(z ln w)) U^dag``.
 
     Requires strictly positive eigenvalues. For purely imaginary z the result
-    is unitary to working precision.
+    is unitary to working precision. Results are memoised per decomposition
+    and returned read-only, so repeated powers of one Delta cost a lookup.
     """
+    key = np.complex128(z).tobytes()  # tells -0.0 from 0.0, unlike ==
+    cached = dec._powers.get(key)
+    if cached is not None:
+        return cached
     w = dec.eigenvalues
     if np.min(w) <= 0.0:
         raise FunctionDomainError(
@@ -149,7 +160,10 @@ def complex_power(dec: SpectralDecomposition, z: complex) -> np.ndarray:
         )
     fw = np.exp(z * np.log(w.astype(complex)))
     u = dec.eigenvectors
-    return (u * fw) @ u.conj().T
+    power = (u * fw) @ u.conj().T
+    power.flags.writeable = False
+    dec._powers[key] = power
+    return power
 
 
 @dataclass(frozen=True)

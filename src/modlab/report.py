@@ -212,7 +212,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 TIDY_CSV_COLUMNS = ["seed", "model", "d", "lambda1", "lambda2", "n", "measured", "bound", "ratio", "pass"]
-CONTOUR_CSV_COLUMNS = ["k", "n", "lambda", "nodes", "uncorrected_err", "corrected_err", "pole_count", "pole_norm"]
+CONTOUR_CSV_COLUMNS = ["seed", "model", "k", "n", "lambda", "nodes", "uncorrected_err",
+                       "corrected_err", "pole_count", "pole_norm"]
 
 
 def render_csv(columns: list[str], rows: list[dict]) -> str:

@@ -427,6 +427,8 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
                        uncorrected, 10 * quad_tol, audit=True)
             if contour_rows is not None:
                 contour_rows.append({
+                    "seed": fix.seed,
+                    "model": fix.spec.label(),
                     "k": k,
                     "n": n,
                     "lambda": lam,

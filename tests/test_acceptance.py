@@ -239,6 +239,7 @@ def test_criterion_08_residue_closure(tmp_path):
                 uncorrected = float(np.linalg.norm(q.value - oracle))
                 worst = max(worst, corrected)
                 rows.append({
+                    "seed": fix.seed, "model": fix.spec.label(),
                     "k": k, "n": n, "lambda": lam, "nodes": q.node_count,
                     "uncorrected_err": uncorrected, "corrected_err": corrected,
                     "pole_count": len(sigmoid_poles(k, lam, 2 * math.pi)),

@@ -236,3 +236,22 @@ def test_membership_residual_values():
     # E_12 (x) 1 is trace-orthogonal to every 1 (x) E_ij, so the full norm survives
     x = np.kron(elementary(2, 0, 1), np.eye(2))
     assert abs(membership_residual(x, a) - 1.0) <= 1e-12
+
+
+def test_element_and_project_bits_equal_tensordot():
+    rng = np.random.default_rng(17)
+    # a one-element basis is where ``coeffs @ flat`` would differ
+    spaces = [
+        subspace_orthonormalize(m2_tensor_1()),
+        subspace_orthonormalize([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))]),
+        subspace_orthonormalize([rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                                 for _ in range(7)]),
+    ]
+    for a in spaces:
+        d = a.dim_space
+        for _ in range(5):
+            c = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            assert np.array_equal(a.element(c), np.tensordot(c, a.basis, axes=(0, 0)))
+            assert np.array_equal(a.project(x),
+                                  np.tensordot(a.coefficients(x), a.basis, axes=(0, 0)))

@@ -7,6 +7,7 @@ from modlab.algebra import commutant, subspace_orthonormalize
 from modlab.contour import (
     ContourError,
     ContourSpec,
+    NodeCollisionError,
     choose_contour,
     contour_apply,
     contour_quadrature_fixed,
@@ -207,6 +208,80 @@ def test_convergence_order_at_least_three():
     d1 = np.linalg.norm(contour_quadrature_fixed(t, n, k, lam, psi, spec, n_line, 32) - target)
     d2 = np.linalg.norm(contour_quadrature_fixed(t, n, k, lam, psi, spec, 2 * n_line, 64) - target)
     assert d1 / d2 >= 3.0
+
+
+def _full_rule(triple, n, k, lam, psi, spec, n_line, n_circ):
+    """The midpoint rule on the whole contour, by an N x d broadcast.
+
+    Top half-line from T toward the axis, left half-circle, bottom half-line
+    outward; (1/2 pi i) sum z^n f_k(z) w(z) / (z - w_j) psi_j per eigencomponent.
+    """
+    h, t = spec.half_height, spec.truncation
+    du = t / n_line
+    u = (np.arange(n_line) + 0.5) * du
+    theta = math.pi / 2 + (np.arange(n_circ) + 0.5) * (math.pi / n_circ)
+    z = np.concatenate([(t - u) + 1j * h, h * np.exp(1j * theta), u - 1j * h])
+    w = np.concatenate([np.full(n_line, -du), 1j * h * np.exp(1j * theta) * math.pi / n_circ,
+                        np.full(n_line, du)])
+    eig, vec = triple.delta_spec.eigenvalues, triple.delta_spec.eigenvectors
+    comps = (z**n * sigmoid(z, k, lam) * w)[:, None] / (z[:, None] - eig[None, :])
+    return vec @ (comps.sum(axis=0) * (vec.conj().T @ psi)) / (2j * math.pi)
+
+
+@pytest.mark.parametrize("spec", [
+    AlgebraSpec.standard_factor(2),
+    AlgebraSpec.standard_factor(3),
+    AlgebraSpec.direct_sum([(2, 2), (1, 1)]),  # degenerate spectrum
+    AlgebraSpec.maximal_abelian(4),
+], ids=lambda s: s.label())
+def test_half_contour_rule_equals_full_rule(spec):
+    t = generate_fixture(spec, seed=41).triple
+    rng = np.random.default_rng(42)
+    psi = rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)
+    psi /= np.linalg.norm(psi)
+    w = t.delta_spec.eigenvalues
+    lam = float(np.sqrt(w[0] * w[-1]))
+    worst = 0.0
+    for n in (0, 1, 2):
+        for k in (1, 2, 4, 8):
+            cspec = choose_contour(t, n, k, lam)
+            n_line = max(8, int(cspec.truncation * cspec.nodes_per_unit))
+            for n_circ in (64, 65):  # an odd count has a node on the real axis
+                ref = _full_rule(t, n, k, lam, psi, cspec, n_line, n_circ)
+                half = contour_quadrature_fixed(t, n, k, lam, psi, cspec, n_line, n_circ)
+                err = np.linalg.norm(half - ref) / max(1.0, np.linalg.norm(ref))
+                worst = max(worst, err)
+    assert worst <= 1e-12
+
+
+def test_node_collision_pole_on_half_circle_node():
+    # circle node i sits at h e^{i theta_i}; put the first pole pair
+    # lambda +- i pi/k on it and on its mirror image
+    t = two_qubit_triple()
+    k, n_circ, i = 1, 8, 1
+    theta = math.pi / 2 + (i + 0.5) * math.pi / n_circ
+    h = math.pi / (k * math.sin(theta))
+    lam = h * math.cos(theta)
+    spec = ContourSpec(half_height=h, truncation=10.0)
+    with pytest.raises(NodeCollisionError):
+        contour_quadrature_fixed(t, 0, k, lam, np.ones(4), spec, 80, n_circ)
+
+
+def _line_node_case(offset):
+    t = two_qubit_triple()
+    spec = ContourSpec(half_height=math.pi + offset, truncation=10.0)
+    n_line = 80
+    lam = (7 + 0.5) * spec.truncation / n_line  # real part of line node 7
+    return contour_quadrature_fixed(t, 0, 1, lam, np.ones(4), spec, n_line, 64)
+
+
+def test_node_collision_pole_next_to_line_node():
+    with pytest.raises(NodeCollisionError):
+        _line_node_case(1e-10)
+
+
+def test_node_collision_near_miss_does_not_raise():
+    assert np.isfinite(_line_node_case(1e-6)).all()
 
 
 def test_truncation_robustness():

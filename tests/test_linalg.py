@@ -9,9 +9,11 @@ from modlab.linalg import (
     FunctionDomainError,
     LinalgError,
     SingularMapError,
+    SpectralDecomposition,
     complex_power,
     hermitian_eig,
     matrix_function,
+    opnorm,
     polar_antilinear,
 )
 
@@ -148,6 +150,47 @@ def test_complex_power_group_law(d, re1, re2, im, seed):
     rhs = complex_power(dec, z1 + z2)
     scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
+
+
+def test_complex_power_memo_is_bit_identical_and_read_only():
+    rng = np.random.default_rng(29)
+    h = random_hermitian(rng, 5) + 6.0 * np.eye(5)
+    dec = hermitian_eig(h)
+    for z in (-0.5, 1, -1j * 0.3, complex(0.7, -2.0), -1j * 0.0, 0j):
+        first = complex_power(dec, z)
+        again = complex_power(dec, z)
+        assert again is first
+        # a decomposition with an empty memo computes from scratch
+        fresh = complex_power(SpectralDecomposition(dec.eigenvalues, dec.eigenvectors), z)
+        assert first.tobytes() == fresh.tobytes()
+        u = dec.eigenvectors
+        formula = (u * np.exp(z * np.log(dec.eigenvalues.astype(complex)))) @ u.conj().T
+        assert first.tobytes() == formula.tobytes()
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+
+def test_complex_power_memo_not_shared_between_fixtures():
+    from modlab.fixtures import AlgebraSpec, generate_fixture
+
+    spec = AlgebraSpec.standard_factor(2)
+    a = generate_fixture(spec, seed=5).triple.delta_spec
+    b = generate_fixture(spec, seed=6).triple.delta_spec
+    pa = complex_power(a, -1j * 0.3)
+    pb = complex_power(b, -1j * 0.3)
+    assert pa is not pb and not np.allclose(pa, pb)
+    assert np.array_equal(pb, complex_power(SpectralDecomposition(b.eigenvalues, b.eigenvectors),
+                                            -1j * 0.3))
+    assert complex_power(a, -1j * 0.3) is pa
+
+
+def test_opnorm_bits_equal_numpy_two_norm():
+    rng = np.random.default_rng(31)
+    mats = [random_complex(rng, d, d) for d in range(1, 17)]
+    mats += [np.zeros((4, 4), dtype=complex)]
+    mats += [np.outer(random_complex(rng, d), random_complex(rng, d).conj()) for d in (1, 3, 9)]
+    for m in mats:
+        assert opnorm(m) == float(np.linalg.norm(m, 2))
 
 
 # ---------------------------------------------------------------------------

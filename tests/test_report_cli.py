@@ -268,8 +268,25 @@ def test_cli_contour_study_subcommand(tmp_path, monkeypatch):
                  "--trials", "1", "--seed", "12", "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "contour_convergence.csv").read_text().strip().split("\n")
-    assert lines[0] == "k,n,lambda,nodes,uncorrected_err,corrected_err,pole_count,pole_norm"
+    assert lines[0] == ("seed,model,k,n,lambda,nodes,uncorrected_err,corrected_err,"
+                        "pole_count,pole_norm")
     assert len(lines) == 1 + 12  # n in {0,1,2} x k in {1,2,4,8}
+
+
+def test_cli_contour_rows_name_their_fixture(tmp_path, monkeypatch):
+    import csv
+
+    from modlab.suites import _fixture_seed
+
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    code = main(["verify", "--model", "direct-sum", "--factor-size", "2", "--trials", "2",
+                 "--seed", "13", "--suite", "contour", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "contour_convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    seeds = [str(_fixture_seed(13, 0, trial)) for trial in range(2)]
+    assert [r["seed"] for r in rows] == [seeds[0]] * 12 + [seeds[1]] * 12
+    assert {r["model"] for r in rows} == {"direct_sum(2:2,1:1)"}
 
 
 def test_report_body_identical_across_processes(tmp_path):
