@@ -5,6 +5,11 @@ of d x d matrices under the trace inner product <X, Y> = tr(X^dag Y). The
 engine provides star-algebra closure from generators, commutants and
 bicommutants by nullspace computation on the d^2-dimensional operator space,
 and cyclic/separating certification of vectors.
+
+The commutant's nullspace is read from the R factor of a QR of the stacked
+commutator map: R is d^2 x d^2 and has the stack's singular values and right
+singular vectors, so the stack's square left singular factor (256 MiB at
+d = 16, 3.9 GB at d = 25) is never formed.
 """
 
 from __future__ import annotations
@@ -160,29 +165,34 @@ def commutant(a: OperatorSubspace) -> OperatorSubspace:
     """Commutant {x : [x, b] = 0 for every basis element b of a}.
 
     Computed as the nullspace of the stacked commutator map on the
-    d^2-dimensional operator space. The result of a (certified) algebra is
-    itself an algebra.
+    d^2-dimensional operator space, read from the SVD of the stack's
+    d^2 x d^2 R factor; memory is the stack plus the QR's one copy. The
+    result of a (certified) algebra is itself an algebra.
     """
     d = a.dim_space
     if a.dim == 0:
         return subspace_orthonormalize(_full_basis(d))
-    eye = np.eye(d)
-    blocks = []
-    for b in a.basis:
-        # row-major vec: vec(x b) = (1 (x) b^T) vec(x), vec(b x) = (b (x) 1) vec(x)
-        blocks.append(np.kron(eye, b.T) - np.kron(b, eye))
-    stacked = np.concatenate(blocks, axis=0)
-    _, sv, vh = np.linalg.svd(stacked)
+    r = np.linalg.qr(_commutator_stack(a), mode="r")
+    _, sv, vh = np.linalg.svd(r)
     # basis elements are trace-normalized, so genuine non-commutation shows up
     # at scale O(1); the floor keeps noise-level singular values in the nullspace
-    threshold = RANK_TOL * max(float(sv[0]) if sv.size else 0.0, 1.0)
-    if sv.size:
-        null_mask = np.concatenate([sv <= threshold, np.ones(d * d - sv.size, bool)])
-    else:
-        null_mask = np.ones(d * d, bool)
-    null_rows = vh[null_mask]
-    basis = null_rows.conj().reshape(-1, d, d)
-    return subspace_orthonormalize(list(basis))
+    null_rows = vh[sv <= RANK_TOL * max(float(sv[0]), 1.0)]
+    return subspace_orthonormalize(list(null_rows.conj().reshape(-1, d, d)))
+
+
+def _commutator_stack(a: OperatorSubspace) -> np.ndarray:
+    """The (dim(a)*d^2, d^2) stack whose block n maps vec(x) to vec([x, b_n]).
+
+    Row-major vec: vec(x b) = (1 (x) b^T) vec(x), vec(b x) = (b (x) 1) vec(x);
+    entry (i*d + j, p*d + q) of block n is stack[n, i, j, p, q].
+    """
+    d, k = a.dim_space, a.dim
+    stack = np.zeros((k, d, d, d, d), dtype=complex)
+    for i in range(d):
+        stack[:, i, :, i, :] += a.basis.transpose(0, 2, 1)
+    for c in range(d):
+        stack[:, :, c, :, c] -= a.basis
+    return stack.reshape(k * d * d, d * d)
 
 
 def _full_basis(d: int):

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from modlab.algebra import (
+    RANK_TOL,
     AlgebraError,
+    _commutator_stack,
     bicommutant,
     close_to_algebra,
     commutant,
@@ -13,6 +17,7 @@ from modlab.algebra import (
     mutual_projection_residual,
     subspace_orthonormalize,
 )
+from modlab.fixtures import AlgebraSpec, algebra_basis_matrices, commutant_basis_matrices
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -160,6 +165,102 @@ def test_commutant_idempotence_triple():
     c1 = commutant(a)
     c3 = commutant(commutant(c1))
     assert mutual_projection_residual(c1, c3) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# commutant kernel: the R-factor nullspace against the kron/SVD reference
+# ---------------------------------------------------------------------------
+
+KERNEL_SPECS = (
+    AlgebraSpec.standard_factor(2),
+    AlgebraSpec.standard_factor(3),
+    AlgebraSpec.standard_factor(4),
+    AlgebraSpec.direct_sum([(2, 2), (1, 1)]),
+    AlgebraSpec.maximal_abelian(4),
+)
+
+
+def span_one_e12() -> list:
+    # span{1, E_12} in M_3 is not an algebra (E_12^dag is missing)
+    return [np.eye(3, dtype=complex), elementary(3, 0, 1)]
+
+
+def span_one_e12_commutant() -> list:
+    # [x, E_12] = 0 iff x_11 = x_22 and x_21 = x_31 = x_23 = 0
+    return [elementary(3, 0, 0) + elementary(3, 1, 1)] + [
+        elementary(3, i, j) for i, j in ((0, 1), (0, 2), (2, 1), (2, 2))
+    ]
+
+
+def kernel_cases() -> list:
+    cases = [
+        pytest.param(algebra_basis_matrices(s), commutant_basis_matrices(s), id=s.label())
+        for s in KERNEL_SPECS
+    ]
+    return cases + [pytest.param(span_one_e12(), span_one_e12_commutant(), id="span{1,E_12}")]
+
+
+def reference_stack(a):
+    eye = np.eye(a.dim_space)
+    return np.concatenate([np.kron(eye, b.T) - np.kron(b, eye) for b in a.basis], axis=0)
+
+
+def reference_commutant(a):
+    # the SVD of the whole stack; the reduced form has the same singular values
+    # and right singular vectors as the full one (the stack has at least d^2 rows)
+    d = a.dim_space
+    _, sv, vh = np.linalg.svd(reference_stack(a), full_matrices=False)
+    null_rows = vh[sv <= RANK_TOL * max(float(sv[0]), 1.0)]
+    return subspace_orthonormalize(list(null_rows.conj().reshape(-1, d, d)))
+
+
+@pytest.mark.parametrize("mats,_closed", kernel_cases())
+def test_commutant_kernel_matches_kron_svd_reference(mats, _closed):
+    a = subspace_orthonormalize(mats)
+    assert np.array_equal(_commutator_stack(a), reference_stack(a))
+    got, ref = commutant(a), reference_commutant(a)
+    assert got.dim == ref.dim
+    assert got.contains_identity == ref.contains_identity
+    assert mutual_projection_residual(got, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("mats,closed", kernel_cases())
+def test_commutant_commutes_with_unitary_conjugation(mats, closed):
+    # every fixture basis is block-diagonal; a seeded random unitary U moves A
+    # to a generic basis, where commutant(U A U*) must be U A' U*
+    d = mats[0].shape[0]
+    rng = np.random.default_rng(70 + d)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+    def conjugated(ms):
+        return subspace_orthonormalize([u @ m @ u.conj().T for m in ms])
+
+    got = commutant(conjugated(mats))
+    expected = conjugated(closed)
+    assert got.dim == expected.dim
+    assert mutual_projection_residual(got, expected) <= 1e-9
+
+
+def test_commutant_memory_is_stack_plus_one_copy():
+    a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(4)))
+    d = a.dim_space
+    stack_bytes = a.dim * d**4 * 16  # 16 MiB; the stack's left singular factor is 256 MiB
+    tracemalloc.start()
+    try:
+        commutant(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * stack_bytes
+
+
+def test_commutant_at_d25_equals_closed_form():
+    # the top of the supported range: standard_factor(5), d = 25, A' = 1 (x) M_5
+    spec = AlgebraSpec.standard_factor(5)
+    a = subspace_orthonormalize(algebra_basis_matrices(spec))
+    c = commutant(a)
+    assert c.dim == 25 and c.contains_identity
+    assert mutual_projection_residual(c, subspace_orthonormalize(commutant_basis_matrices(spec))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
