@@ -5,54 +5,7 @@ conjugation, modular operator) of finite-dimensional von Neumann algebras
 with cyclic-separating vectors, and verifies the operator identities,
 transfer bounds, and contour-integral calculus that underlie the invariance
 of such algebras under modular flow.
+
+The entry point is the ``modlab`` command (:mod:`modlab.cli`); library code
+imports the submodules, such as :mod:`modlab.algebra`, directly.
 """
-
-from .algebra import (
-    NotCyclicError,
-    NotSeparatingError,
-    OperatorSubspace,
-    bicommutant,
-    close_to_algebra,
-    commutant,
-    is_cyclic,
-    is_separating,
-    membership_residual,
-    subspace_orthonormalize,
-)
-from .contour import (
-    ContourSpec,
-    QuadratureResult,
-    contour_apply,
-    pole_sum,
-    sigmoid,
-    sigmoid_limit_check,
-    spectral_oracle,
-)
-from .fixtures import AlgebraSpec, Fixture, covering_windows, generate_fixture
-from .flow import FlowSample, analytic_flow, modular_flow, strip_growth_scan, tomita_check
-from .linalg import (
-    AntilinearMap,
-    SpectralDecomposition,
-    complex_power,
-    hermitian_eig,
-    matrix_function,
-    polar_antilinear,
-)
-from .suites import RunConfig, run_suites
-from .tidy import (
-    BoundAuditRow,
-    TidyOperator,
-    dagger_ladder_check,
-    growth_audit,
-    make_tidy,
-    mirrored_tidy_bound,
-    operator_from_vector,
-    powers_check,
-    resolvent_transfer,
-    spectral_window,
-    tidy_bound,
-    tidy_span_check,
-)
-from .tomita import ModularTriple, modular_data, tomita_operator
-
-__version__ = "0.1.0"

@@ -2,9 +2,11 @@
 
 An algebra (or any operator subspace) is represented by an orthonormal basis
 of d x d matrices under the trace inner product <X, Y> = tr(X^dag Y). The
-engine provides star-algebra closure from generators, commutants and
-bicommutants by nullspace computation on the d^2-dimensional operator space,
-and cyclic/separating certification of vectors.
+engine orthonormalizes spanning sets, computes commutants and bicommutants by
+nullspace computation on the d^2-dimensional operator space, and certifies
+that a vector is cyclic and separating from the singular values of its orbit
+matrix. Algebras enter as spanning sets (the block models of
+:mod:`modlab.fixtures`); nothing here closes generators into an algebra.
 
 The commutant's nullspace is read from the R factor of a QR of the stacked
 commutator map: R is d^2 x d^2 and has the stack's singular values and right
@@ -14,14 +16,13 @@ d = 16, 3.9 GB at d = 25) is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_square_array, frob
 
 RANK_TOL = 1e-9  # singular values below RANK_TOL * max count as zero
-SPAN_TOL = 1e-10
 
 
 class AlgebraError(ValueError):
@@ -64,7 +65,6 @@ class OperatorSubspace:
 
     dim_space: int
     basis: np.ndarray  # shape (k, d, d), rows orthonormal under <X,Y>=tr(X^dag Y)
-    contains_identity: bool = field(default=False)
 
     @property
     def dim(self) -> int:
@@ -95,23 +95,23 @@ class OperatorSubspace:
         return np.dot(np.asarray(coeffs, dtype=complex), self.flat()).reshape(d, d)
 
 
-def membership_residual(x, subspace: OperatorSubspace, eps: float = 1e-30) -> float:
+def membership_residual(x, subspace: OperatorSubspace) -> float:
     """Distance of x from the subspace, relative to its own size.
 
-    Returns ``|x - P(x)|_F / max(|x|_F, eps)``; zero (to rounding) exactly when
-    x lies in the span.
+    Returns ``|x - P(x)|_F / max(|x|_F, 1e-30)``; zero (to rounding) exactly
+    when x lies in the span.
     """
     m = np.asarray(x, dtype=complex)
     p = subspace.project(m)
-    return frob(m - p) / max(frob(m), eps)
+    return frob(m - p) / max(frob(m), 1e-30)
 
 
 def subspace_orthonormalize(mats, dim_space: int | None = None) -> OperatorSubspace:
     """Orthonormalize a list of matrices under the trace inner product.
 
-    The span is preserved: every input is within SPAN_TOL of its projection
-    onto the output. Empty input yields the zero-dimensional subspace (the
-    Hilbert space dimension must then be supplied).
+    The span is preserved, up to directions whose singular value is below
+    RANK_TOL times the largest. Empty input yields the zero-dimensional
+    subspace (the Hilbert space dimension must then be supplied).
     """
     mats = [as_square_array(m) for m in mats]
     if not mats:
@@ -127,38 +127,7 @@ def subspace_orthonormalize(mats, dim_space: int | None = None) -> OperatorSubsp
     if sv.size == 0 or sv[0] == 0.0:
         return OperatorSubspace(d, np.zeros((0, d, d), dtype=complex))
     keep = sv > RANK_TOL * sv[0]
-    basis = vh[keep].reshape(-1, d, d)
-    sub = OperatorSubspace(d, basis)
-    has_id = membership_residual(np.eye(d), sub) <= SPAN_TOL
-    return OperatorSubspace(d, basis, contains_identity=has_id)
-
-
-def close_to_algebra(generators, dim_space: int | None = None) -> OperatorSubspace:
-    """Smallest unital star-algebra containing the generators.
-
-    Iterates span + adjoints + pairwise products to a fixed point,
-    re-orthonormalizing each round. The iteration cannot exceed the full
-    matrix algebra, so it is capped at d^2 rounds.
-    """
-    gens = [as_square_array(g) for g in generators]
-    if gens:
-        d = gens[0].shape[0]
-    elif dim_space is not None:
-        d = dim_space
-    else:
-        raise AlgebraError("cannot infer dimension from an empty generator list")
-    current = subspace_orthonormalize([np.eye(d)] + gens)
-    for _ in range(d * d + 1):
-        elems = list(current.basis)
-        new = elems + [b.conj().T for b in elems]
-        for x in elems:
-            for y in elems:
-                new.append(x @ y)
-        grown = subspace_orthonormalize(new)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
-    raise AlgebraError("algebra closure did not stabilize within d^2 rounds")
+    return OperatorSubspace(d, vh[keep].reshape(-1, d, d))
 
 
 def commutant(a: OperatorSubspace) -> OperatorSubspace:
@@ -223,26 +192,6 @@ def mutual_projection_residual(a: OperatorSubspace, b: OperatorSubspace) -> floa
     return res
 
 
-def is_algebra(a: OperatorSubspace, tol: float = SPAN_TOL * 10) -> bool:
-    """Check closure under adjoint and multiplication plus unitality.
-
-    Residuals are absolute: basis elements are unit vectors under the trace
-    norm, so their adjoints and pairwise products live at scale at most 1 and
-    a numerically-zero product must count as inside the span.
-    """
-    if not a.contains_identity:
-        return False
-    for x in a.basis:
-        if frob(x.conj().T - a.project(x.conj().T)) > tol:
-            return False
-    for x in a.basis:
-        for y in a.basis:
-            p = x @ y
-            if frob(p - a.project(p)) > tol:
-                return False
-    return True
-
-
 def numerical_rank(sv: np.ndarray) -> int:
     """Rank at the global threshold, floored at the O(1) scale of unit data."""
     if sv.size == 0:
@@ -283,21 +232,11 @@ def cyclic_report(orb: Orbit) -> RankReport:
     return RankReport(rank=numerical_rank(sv), required=orb.space.dim_space, singular_values=sv)
 
 
-def is_cyclic(a: OperatorSubspace, omega) -> bool:
-    """True iff the orbit {b omega} has full numerical rank d."""
-    return cyclic_report(orbit(a, omega)).full
-
-
 def separating_report(orb: Orbit) -> RankReport:
-    """Rank evidence for the map a -> a omega restricted to the subspace."""
+    """Rank evidence for the map a -> a omega restricted to the subspace.
+
+    omega is separating for an algebra exactly when it is cyclic for its
+    commutant; the tests check the equivalence rather than assume it.
+    """
     sv = orb.singular_values
     return RankReport(rank=numerical_rank(sv), required=orb.space.dim, singular_values=sv)
-
-
-def is_separating(a: OperatorSubspace, omega) -> bool:
-    """True iff a -> a omega has trivial nullspace on the subspace.
-
-    Equivalent to omega being cyclic for the commutant; the equivalence is
-    exercised as a property test rather than assumed here.
-    """
-    return separating_report(orbit(a, omega)).full

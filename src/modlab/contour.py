@@ -41,6 +41,9 @@ from .linalg import matrix_function
 from .tomita import ModularTriple
 
 QUAD_TOL = 1e-8
+HALF_HEIGHT = 2.0 * math.pi  # Im z of the default half-lines, where exp(+-2 pi i k) = 1
+SIGMOID_FINAL_TOL = 1e-6  # sigmoid-limit error required at the largest k
+LAMBDA_GAP = 0.05  # smallest distance of lambda from spec(Delta) in the sigmoid limit
 NODE_CAP = 2**20  # total evaluations per integral
 POLE_NODE_GAP = 1e-8
 
@@ -86,7 +89,7 @@ def sigmoid_poles(k: int, lam: float, half_height: float) -> np.ndarray:
 class ContourSpec:
     """Geometry and resolution of the truncated contour."""
 
-    half_height: float = 2.0 * math.pi
+    half_height: float = HALF_HEIGHT
     truncation: float = 40.0
     nodes_per_unit: int = 8
     halfcircle_nodes: int = 64
@@ -108,7 +111,6 @@ def choose_contour(
     k: int,
     lam: float,
     quad_tol: float = QUAD_TOL,
-    half_height: float = 2.0 * math.pi,
 ) -> ContourSpec:
     """Pick a truncation making the discarded tail negligible.
 
@@ -116,13 +118,13 @@ def choose_contour(
     beyond the spectrum of Delta.
     """
     eig_max = float(triple.delta_spec.eigenvalues[-1])
-    t = max(lam + 1.0, 1.1 * eig_max + 1.0, half_height)
+    t = max(lam + 1.0, 1.1 * eig_max + 1.0, HALF_HEIGHT)
     for _ in range(60):
         tail = math.exp(-k * (t - lam)) * (t * t + 4 * math.pi**2) ** (n / 2.0)
         if tail < quad_tol:
             break
         t *= 1.3
-    return ContourSpec(half_height=half_height, truncation=t)
+    return ContourSpec(truncation=t)
 
 
 def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int):
@@ -179,7 +181,7 @@ def pole_sum(
     k: int,
     lam: float,
     psi,
-    half_height: float = 2.0 * math.pi,
+    half_height: float = HALF_HEIGHT,
 ) -> np.ndarray:
     """Sum of the enclosed sigmoid-pole residues z_m^n (-1/k) (z_m - Delta)^{-1} psi.
 
@@ -323,22 +325,20 @@ def sigmoid_limit_check(
     lam: float,
     psi,
     k_list=None,
-    final_tol: float = 1e-6,
-    min_gap: float = 0.05,
 ) -> SigmoidLimitResult:
     """Convergence of Delta^n f_k(Delta) psi to the windowed Delta^n Theta(lambda - Delta) psi.
 
-    lambda must keep a distance of at least min_gap from the spectrum. The
+    lambda must keep a distance of at least LAMBDA_GAP from the spectrum. The
     error sequence must be non-increasing from some k0 on (an absolute floor
     of 1e-14 absorbs rounding jitter near machine precision) and must end
-    below final_tol at k_max = ceil(40 / gap).
+    below SIGMOID_FINAL_TOL at k_max = ceil(40 / gap).
     """
     psi = np.asarray(psi, dtype=complex)
     w = triple.delta_spec.eigenvalues
     gap = float(np.min(np.abs(w - lam)))
-    if gap < min_gap:
+    if gap < LAMBDA_GAP:
         raise ContourError(
-            f"lambda = {lam} is {gap:.3f} from the spectrum, closer than {min_gap}"
+            f"lambda = {lam} is {gap:.3f} from the spectrum, closer than {LAMBDA_GAP}"
         )
     if k_list is None:
         k_max = int(math.ceil(40.0 / gap))
@@ -366,5 +366,5 @@ def sigmoid_limit_check(
             k0 = rows[start].k
             break
     final_error = rows[-1].error
-    passed = k0 is not None and final_error <= final_tol
+    passed = k0 is not None and final_error <= SIGMOID_FINAL_TOL
     return SigmoidLimitResult(rows=rows, k0=k0, final_error=final_error, gap=gap, passed=passed)

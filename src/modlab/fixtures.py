@@ -4,8 +4,9 @@ Every model is a direct sum of full matrix blocks with multiplicities,
 ``A = (+)_k M_{n_k} (x) 1_{m_k}`` acting on ``H = (+)_k C^{n_k} (x) C^{m_k}``:
 
 - ``standard_factor(n)``: a single block (n, n), dimension d = n^2;
-- ``direct_sum(blocks)``: arbitrary block list; a cyclic-separating vector
-  exists exactly when every multiplicity equals its block size;
+- ``direct_sum(blocks)``: a list of blocks (n, n); a cyclic-separating
+  vector exists exactly when every multiplicity equals its block size, so
+  blocks with m != n are refused;
 - ``maximal_abelian(d)``: d blocks (1, 1), the diagonal algebra.
 
 The reference vector is drawn per block as ``sum_i c_i |ii>`` with random
@@ -39,6 +40,8 @@ from .tomita import ModularTriple, modular_data
 from .linalg import AntilinearMap, hermitian_eig
 
 P_MIN_DEFAULT = 0.01
+CERTIFY_ATTEMPTS = 16  # redraws of omega before a model is declared uncertifiable
+WINDOW_MARGIN = 0.05  # relative distance of a window cut from both neighboring eigenvalues
 SCHEMA_VERSION = "1"
 
 
@@ -60,6 +63,11 @@ class AlgebraSpec:
         blocks = tuple((int(n), int(m)) for n, m in blocks)
         if not blocks or any(n < 1 or m < 1 for n, m in blocks):
             raise AlgebraError(f"invalid block list {blocks}")
+        if any(n != m for n, m in blocks):
+            raise AlgebraError(
+                f"block list {blocks} has a multiplicity different from its block "
+                "size, so no vector is cyclic and separating"
+            )
         return AlgebraSpec("direct_sum", blocks)
 
     @staticmethod
@@ -71,10 +79,6 @@ class AlgebraSpec:
     @property
     def dim(self) -> int:
         return sum(n * m for n, m in self.blocks)
-
-    @property
-    def algebra_dim(self) -> int:
-        return sum(n * n for n, m in self.blocks)
 
     def label(self) -> str:
         if self.kind == "standard_factor":
@@ -184,32 +188,22 @@ def generate_fixture(
     spec: AlgebraSpec,
     seed: int,
     p_min: float = P_MIN_DEFAULT,
-    max_attempts: int = 16,
 ) -> Fixture:
     """Deterministically generate a certified fixture for (spec, seed).
 
     The vector is drawn with floored Schmidt weights and random phases; if
     certification (cyclic and separating) fails the draw is retried with a
-    perturbed seed, at most max_attempts times. Requires every block to have
-    multiplicity equal to its size, otherwise no cyclic-separating vector
-    exists and generation fails after the retry budget.
+    perturbed seed, at most CERTIFY_ATTEMPTS times.
     """
     a = subspace_orthonormalize(algebra_basis_matrices(spec))
     a_prime = commutant(a)
     d = spec.dim
-    for attempt in range(max_attempts):
+    for attempt in range(CERTIFY_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         weights = _draw_weights(rng, len(spec.blocks), min(0.05, 1.0 / (2 * len(spec.blocks))))
         probs = []
         omega = np.zeros(d, dtype=complex)
         for (n, m), off, w in zip(spec.blocks, _block_embedding(spec), weights):
-            if n != m:
-                # no cyclic-separating vector exists here; draw a generic block
-                # vector and let certification reject it
-                probs.append(np.array([]))
-                raw = rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m)
-                omega[off : off + n * m] = np.sqrt(w) * raw / np.linalg.norm(raw)
-                continue
             q = _draw_weights(rng, n, p_min)
             probs.append(q)
             phases = np.exp(2j * np.pi * rng.random(n))
@@ -227,18 +221,17 @@ def generate_fixture(
         )
     raise AlgebraError(
         f"could not certify a cyclic-separating vector for {spec.label()} "
-        f"after {max_attempts} attempts (are all multiplicities equal to their block sizes?)"
+        f"after {CERTIFY_ATTEMPTS} attempts"
     )
 
 
 def covering_windows(
     triple: ModularTriple,
-    margin: float = 0.05,
 ) -> list[tuple[float, float]]:
     """Disjoint windows covering the spectrum of Delta, cut at spectral gaps.
 
     Cuts are placed at geometric means of consecutive distinct eigenvalues
-    whenever both neighbors keep a relative distance of at least ``margin``
+    whenever both neighbors keep a relative distance of at least WINDOW_MARGIN
     from the cut; otherwise the gap is not cut. The first window starts below
     the spectrum and the last ends above it, so the union always covers.
     """
@@ -249,7 +242,7 @@ def covering_windows(
         if y <= x * (1 + 1e-9):
             continue
         g = float(np.sqrt(x * y))
-        if (g - x) >= margin * x and (y - g) >= margin * y:
+        if (g - x) >= WINDOW_MARGIN * x and (y - g) >= WINDOW_MARGIN * y:
             cuts.append(g)
     cuts.append(hi * 2.0)
     return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
@@ -307,12 +300,10 @@ def fixture_from_json(doc: dict) -> Fixture:
     algebra = OperatorSubspace(
         d,
         np.stack([_matrix_from_json(b) for b in doc["algebra_basis"]]),
-        contains_identity=True,
     )
     comm = OperatorSubspace(
         d,
         np.stack([_matrix_from_json(b) for b in doc["commutant_basis"]]),
-        contains_identity=True,
     )
     omega = _vector_from_json(doc["omega"])
     delta = _matrix_from_json(doc["delta"])

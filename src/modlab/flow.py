@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorSubspace, membership_residual
+from .algebra import membership_residual
 from .linalg import as_square_array, complex_power, opnorm
 from .tomita import ModularTriple
 
 RE_Z_CAP = 12.0  # overflow guard: kappa <= 1e4 keeps kappa^12 inside double range
+STRIP_IM_VALUES = (-3.0, -1.0, 0.0, 1.0, 2.5)  # Im z sampled on each vertical line
 
 
 class FlowDomainError(ValueError):
@@ -27,12 +28,11 @@ class FlowDomainError(ValueError):
 
 @dataclass(frozen=True)
 class FlowSample:
-    """One evaluation of the continued flow: value, norm, optional membership."""
+    """One evaluation of the continued flow: its value and operator norm."""
 
     z: complex
     value: np.ndarray
     norm: float
-    membership_residual: float | None = None
 
 
 def modular_flow(triple: ModularTriple, x, t: float) -> np.ndarray:
@@ -50,13 +50,11 @@ def analytic_flow(
     triple: ModularTriple,
     a,
     z: complex,
-    algebra: OperatorSubspace | None = None,
 ) -> FlowSample:
     """Analytically continued flow Delta^{-z} a Delta^{z}.
 
     The real part of z is capped at RE_Z_CAP to keep Delta^{±z} inside double
-    range under the fixture conditioning budget. If an algebra is supplied the
-    sample carries the membership residual of the value against it.
+    range under the fixture conditioning budget.
     """
     m = as_square_array(a)
     z = complex(z)
@@ -65,8 +63,7 @@ def analytic_flow(
     left = complex_power(triple.delta_spec, -z)
     right = complex_power(triple.delta_spec, z)
     value = left @ m @ right
-    res = membership_residual(value, algebra) if algebra is not None else None
-    return FlowSample(z=z, value=value, norm=opnorm(value), membership_residual=res)
+    return FlowSample(z=z, value=value, norm=opnorm(value))
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,6 @@ def strip_growth_scan(
     triple: ModularTriple,
     a,
     strip_n: int,
-    im_values=(-3.0, -1.0, 0.0, 1.0, 2.5),
 ) -> list[FlowSample]:
     """Sample |Delta^{-z} a Delta^{z}| on the strip 0 <= Re z <= strip_n.
 
@@ -133,6 +129,6 @@ def strip_growth_scan(
     """
     samples = []
     for x in range(strip_n + 1):
-        for y in im_values:
+        for y in STRIP_IM_VALUES:
             samples.append(analytic_flow(triple, a, complex(x, y)))
     return samples

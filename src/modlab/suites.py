@@ -26,6 +26,9 @@ ALL_SUITES = ("modular", "flow", "tidy", "resolvent", "density", "contour")
 DEFAULT_MODELS = ("standard_factor(2)", "standard_factor(3)")
 AUDIT_WINDOWS = ((0.3, 0.9), (0.9, 1.5), (1.5, 2.5))
 FLOW_TIMES = (0.3, -0.3, 1.0, -1.0, math.pi, -math.pi, 10.0, -10.0)
+RANDOM_ELEMENTS = 100  # random elements per side beyond the basis in the S and S* checks
+LADDER_RANGE = 3  # ladder identities are checked for n = -LADDER_RANGE..LADDER_RANGE
+RESOLVENT_SAMPLES = 8  # off-axis points per fixture and role
 
 
 @dataclass(frozen=True)
@@ -89,22 +92,21 @@ def _random_unit_vector(d: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_modular_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
-                      n_random: int = 100) -> None:
+def run_modular_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
     t = fix.triple
     d = t.dim
     tol = tol_base * math.sqrt(t.kappa) * d
     omega = t.omega
 
     worst = 0.0
-    for i in range(len(t.algebra.basis) + n_random):
+    for i in range(len(t.algebra.basis) + RANDOM_ELEMENTS):
         a = t.algebra.basis[i] if i < len(t.algebra.basis) else _random_element(t.algebra, rng)
         worst = max(worst, rel_residual(t.s(a @ omega), a.conj().T @ omega))
     checks.add("modular/s-on-algebra", "S(a omega) = a* omega on the algebra", worst, tol)
 
     worst = 0.0
     s_star = t.s_star
-    for i in range(len(t.commutant.basis) + n_random):
+    for i in range(len(t.commutant.basis) + RANDOM_ELEMENTS):
         b = t.commutant.basis[i] if i < len(t.commutant.basis) else _random_element(t.commutant, rng)
         worst = max(worst, rel_residual(s_star(b @ omega), b.conj().T @ omega))
     checks.add("modular/s-star-on-commutant", "S*(a' omega) = a'* omega on the commutant", worst, tol)
@@ -196,7 +198,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
     windows = covering_windows(t)
     source = _random_element(t.algebra, rng)
     w0 = windows[int(rng.integers(len(windows)))]
-    tidy0 = td.make_tidy(t, source, w0[0], w0[1], n=0)
+    tidy0 = td.make_tidy(t, source, w0[0], w0[1])
 
     scan = strip_growth_scan(t, tidy0.a, strip_n=3)
     by_re: dict[float, list[float]] = {}
@@ -251,7 +253,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
 
 
 def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
-                   tidy_rows: list | None = None, n_range: int = 3) -> None:
+                   tidy_rows: list | None = None) -> None:
     t = fix.triple
     d = t.dim
     tol = tol_base * math.sqrt(t.kappa) * d
@@ -259,7 +261,7 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
 
     source = _random_element(t.algebra, rng)
     w0 = windows[int(rng.integers(len(windows)))]
-    tidy0 = td.make_tidy(t, source, w0[0], w0[1], n=0)
+    tidy0 = td.make_tidy(t, source, w0[0], w0[1])
 
     agreement = max(
         rel_residual(tidy0.a @ t.omega, tidy0.vector),
@@ -279,14 +281,14 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
     checks.add("tidy/solve-roundtrip",
                "operator_from_vector inverts a -> a omega", round_trip, 1e-10 * math.sqrt(t.kappa) * d)
 
-    for n in range(-n_range, n_range + 1):
+    for n in range(-LADDER_RANGE, LADDER_RANGE + 1):
         res, tol_n = td.dagger_ladder_check(t, tidy0, n, tol_base)
         checks.add("tidy/dagger-ladder",
                    "(a'_(n+1))* omega = (a_n)* omega", res, tol_n)
 
     w1 = windows[int(rng.integers(len(windows)))]
-    tidy_b = td.make_tidy(t, _random_element(t.algebra, rng), w1[0], w1[1], n=0)
-    for n in range(-n_range, n_range + 1):
+    tidy_b = td.make_tidy(t, _random_element(t.algebra, rng), w1[0], w1[1])
+    for n in range(-LADDER_RANGE, LADDER_RANGE + 1):
         res, tol_n = td.powers_check(t, tidy_a=tidy0, tidy_b=tidy_b, n=n, tol_base=tol_base)
         checks.add("tidy/power-conjugation",
                    "Delta^n a Delta^(-n) b omega = a_n b omega", res, tol_n)
@@ -337,11 +339,10 @@ def _draw_offaxis_z(rng, w) -> complex:
     raise RuntimeError("could not draw an off-axis resolvent point")
 
 
-def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
-                        samples: int = 8) -> None:
+def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
     t = fix.triple
     w = t.delta_spec.eigenvalues
-    for _ in range(samples):
+    for _ in range(RESOLVENT_SAMPLES):
         z = _draw_offaxis_z(rng, w)
         a_prime = _random_element(t.commutant, rng)
         transfer = td.resolvent_transfer(t, a_prime, z)
@@ -386,27 +387,26 @@ def run_density_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_avoiding_lambdas(t, count: int = 3, min_gap: float = 0.05):
+def _spectrum_avoiding_lambdas(t):
     w = t.delta_spec.eigenvalues
     candidates = []
     for x, y in zip(w[:-1], w[1:]):
         if y > x * (1 + 1e-9):
             g = float(np.sqrt(x * y))
-            if np.min(np.abs(w - g)) >= min_gap:
+            if np.min(np.abs(w - g)) >= ct.LAMBDA_GAP:
                 candidates.append(g)
     below = float(w[0]) / 2.0
-    if np.min(np.abs(w - below)) >= min_gap:
+    if np.min(np.abs(w - below)) >= ct.LAMBDA_GAP:
         candidates.append(below)
     k = 1.0
-    while len(candidates) < count:
+    while len(candidates) < 3:
         candidates.append(float(w[-1]) + k)
         k += 1.0
-    return candidates[:count]
+    return candidates[:3]
 
 
 def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
-                      contour_rows: list | None = None,
-                      quad_tol: float = ct.QUAD_TOL) -> None:
+                      contour_rows: list | None = None) -> None:
     t = fix.triple
     d = t.dim
     lambdas = _spectrum_avoiding_lambdas(t)
@@ -415,16 +415,16 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
 
     for n in (0, 1, 2):
         for k in (1, 2, 4, 8):
-            result = ct.contour_apply(t, n, k, lam, psi, quad_tol=quad_tol)
+            result = ct.contour_apply(t, n, k, lam, psi)
             oracle = ct.spectral_oracle(t, n, k, lam, psi)
             corrected = float(np.linalg.norm(result.corrected_value - oracle))
             uncorrected = float(np.linalg.norm(result.value - oracle))
             checks.add("contour/residue-closure",
                        "quadrature = spectral oracle + pole sum",
-                       corrected, 10 * quad_tol)
+                       corrected, 10 * ct.QUAD_TOL)
             checks.add("contour/uncorrected-discrepancy",
                        "quadrature vs oracle without pole correction",
-                       uncorrected, 10 * quad_tol, audit=True)
+                       uncorrected, 10 * ct.QUAD_TOL, audit=True)
             if contour_rows is not None:
                 contour_rows.append({
                     "seed": fix.seed,
@@ -435,13 +435,13 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
                     "nodes": result.node_count,
                     "uncorrected_err": uncorrected,
                     "corrected_err": corrected,
-                    "pole_count": len(ct.sigmoid_poles(k, lam, 2 * math.pi)),
+                    "pole_count": len(ct.sigmoid_poles(k, lam, ct.HALF_HEIGHT)),
                     "pole_norm": float(np.linalg.norm(result.pole_correction)),
                 })
 
     # convergence order on one fixed pair of resolutions
     n, k = 1, 2
-    spec = ct.choose_contour(t, n, k, lam, quad_tol)
+    spec = ct.choose_contour(t, n, k, lam)
     target = ct.spectral_oracle(t, n, k, lam, psi) + ct.pole_sum(t, n, k, lam, psi, spec.half_height)
     n_line = max(8, int(spec.truncation * 2))
     coarse = ct.contour_quadrature_fixed(t, n, k, lam, psi, spec, n_line, 32)
@@ -457,24 +457,24 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
                    d2 / d1, 1.0 / 3.0)
 
     # truncation robustness
-    base_spec = ct.choose_contour(t, 0, 1, lam, quad_tol)
+    base_spec = ct.choose_contour(t, 0, 1, lam)
     doubled = ct.ContourSpec(
         half_height=base_spec.half_height,
         truncation=2 * base_spec.truncation,
         nodes_per_unit=base_spec.nodes_per_unit,
         halfcircle_nodes=base_spec.halfcircle_nodes,
     )
-    r1 = ct.contour_apply(t, 0, 1, lam, psi, spec=base_spec, quad_tol=quad_tol)
-    r2 = ct.contour_apply(t, 0, 1, lam, psi, spec=doubled, quad_tol=quad_tol)
+    r1 = ct.contour_apply(t, 0, 1, lam, psi, spec=base_spec)
+    r2 = ct.contour_apply(t, 0, 1, lam, psi, spec=doubled)
     checks.add("contour/truncation-robustness",
                "doubling the truncation moves the result by < quad_tol",
-               float(np.linalg.norm(r1.value - r2.value)), quad_tol)
+               float(np.linalg.norm(r1.value - r2.value)), ct.QUAD_TOL)
 
     for idx, lam_i in enumerate(lambdas):
         res = ct.sigmoid_limit_check(t, n=idx % 3, lam=lam_i, psi=psi)
         checks.add("contour/sigmoid-limit",
                    "Delta^n f_k(Delta) psi converges to the windowed vector",
-                   res.final_error, 1e-6, ok=res.passed)
+                   res.final_error, ct.SIGMOID_FINAL_TOL, ok=res.passed)
 
 
 # ---------------------------------------------------------------------------

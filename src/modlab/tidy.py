@@ -56,18 +56,17 @@ def spectral_window(
     triple: ModularTriple,
     lambda1: float,
     lambda2: float,
-    boundary_eps: float = BOUNDARY_EPS,
 ) -> np.ndarray:
     """Spectral projector onto eigenvalues of Delta inside [lambda1, lambda2].
 
-    Eigenvalues within ``boundary_eps`` (relative) of a window edge receive
+    Eigenvalues within BOUNDARY_EPS (relative) of a window edge receive
     weight 1/2, matching the half-value step convention; away from edges the
     result is an orthogonal projector.
     """
     if not (0.0 < lambda1 < lambda2):
         raise WindowError(f"window must satisfy 0 < lambda1 < lambda2, got ({lambda1}, {lambda2})")
-    e1 = boundary_eps * max(1.0, abs(lambda1))
-    e2 = boundary_eps * max(1.0, abs(lambda2))
+    e1 = BOUNDARY_EPS * max(1.0, abs(lambda1))
+    e2 = BOUNDARY_EPS * max(1.0, abs(lambda2))
 
     return matrix_function(
         triple.delta_spec, lambda w: _step(lambda2 - w, e2) * _step(w - lambda1, e1)
@@ -95,10 +94,12 @@ def operator_from_vector(v, orb: Orbit) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TidyOperator:
-    """A windowed ladder pair: a in A and a' in A' sharing the vector a omega."""
+    """A windowed pair: a in A and a' in A' sharing the vector a omega.
+
+    Its ladder elements, for powers n of Delta, come from :func:`ladder`.
+    """
 
     window: tuple[float, float]
-    n: int
     source: np.ndarray
     a: np.ndarray
     a_prime: np.ndarray
@@ -110,21 +111,15 @@ def make_tidy(
     source,
     lambda1: float,
     lambda2: float,
-    n: int = 0,
 ) -> TidyOperator:
-    """Build the tidy pair for a source algebra element, window, and power."""
-    if abs(n) > N_CAP:
-        raise WindowError(f"|n| = {abs(n)} exceeds the conditioning cap {N_CAP}")
+    """Build the tidy pair for a source algebra element and window."""
     src = as_square_array(source)
     w = spectral_window(triple, lambda1, lambda2)
     v = w @ (src @ triple.omega)
-    if n != 0:
-        v = complex_power(triple.delta_spec, n) @ v
     a = operator_from_vector(v, triple.orbit)
     a_prime = operator_from_vector(v, triple.commutant_orbit)
     return TidyOperator(
         window=(float(lambda1), float(lambda2)),
-        n=int(n),
         source=src,
         a=a,
         a_prime=a_prime,
@@ -292,7 +287,7 @@ def growth_audit(
     """
     if n_max > N_CAP:
         raise WindowError(f"N = {n_max} exceeds the conditioning cap {N_CAP}")
-    base = make_tidy(triple, source, lambda1, lambda2, n=0)
+    base = make_tidy(triple, source, lambda1, lambda2)
     norm_a0 = opnorm(base.a)
     norm_a0p = opnorm(base.a_prime)
     rows: list[BoundAuditRow] = []
@@ -409,29 +404,21 @@ def powers_check(
 # ---------------------------------------------------------------------------
 
 
-def tidy_vectors(
+def tidy_span_check(
     triple: ModularTriple,
     windows,
-) -> list[np.ndarray]:
-    """Windowed vectors W a_i omega for every basis element and window."""
+) -> RankReport:
+    """Numerical rank of the span of the windowed vectors W a_i omega.
+
+    One vector per algebra basis element a_i and window W. Full rank d is
+    expected exactly when the windows cover the spectrum of Delta; a missed
+    eigenspace shows up as a rank deficit of its dimension.
+    """
     vs = []
     for (l1, l2) in windows:
         w = spectral_window(triple, l1, l2)
         for b in triple.algebra.basis:
             vs.append(w @ (b @ triple.omega))
-    return vs
-
-
-def tidy_span_check(
-    triple: ModularTriple,
-    windows,
-) -> RankReport:
-    """Numerical rank of the span of windowed basis vectors.
-
-    Full rank d is expected exactly when the windows cover the spectrum of
-    Delta; a missed eigenspace shows up as a rank deficit of its dimension.
-    """
-    vs = tidy_vectors(triple, windows)
     stack = np.column_stack(vs) if vs else np.zeros((triple.dim, 0))
     sv = np.linalg.svd(stack, compute_uv=False)
     return RankReport(rank=numerical_rank(sv), required=triple.dim, singular_values=sv)
@@ -449,7 +436,7 @@ def tidy_bicommutant_check(
     ops = []
     for (l1, l2) in windows:
         for b in triple.algebra.basis:
-            t = make_tidy(triple, b, l1, l2, n=0)
+            t = make_tidy(triple, b, l1, l2)
             ops.append(t.a)
     tidy_span = subspace_orthonormalize(ops, dim_space=triple.dim)
     regenerated = bicommutant(tidy_span)

@@ -151,10 +151,10 @@ def test_criterion_05_ladder_identities():
         wins = covering_windows(t)
         w0 = wins[int(rng.integers(len(wins)))]
         c = rng.standard_normal(t.algebra.dim) + 1j * rng.standard_normal(t.algebra.dim)
-        tidy_a = make_tidy(t, t.algebra.element(c), w0[0], w0[1], 0)
+        tidy_a = make_tidy(t, t.algebra.element(c), w0[0], w0[1])
         c2 = rng.standard_normal(t.algebra.dim) + 1j * rng.standard_normal(t.algebra.dim)
         w1 = wins[int(rng.integers(len(wins)))]
-        tidy_b = make_tidy(t, t.algebra.element(c2), w1[0], w1[1], 0)
+        tidy_b = make_tidy(t, t.algebra.element(c2), w1[0], w1[1])
         for n in range(-3, 4):
             res, tol = dagger_ladder_check(t, tidy_a, n, TOL_BASE)
             if res > 0:

@@ -8,16 +8,16 @@ from modlab.algebra import (
     AlgebraError,
     _commutator_stack,
     bicommutant,
-    close_to_algebra,
     commutant,
-    is_algebra,
-    is_cyclic,
-    is_separating,
+    cyclic_report,
     membership_residual,
     mutual_projection_residual,
+    orbit,
+    separating_report,
     subspace_orthonormalize,
 )
 from modlab.fixtures import AlgebraSpec, algebra_basis_matrices, commutant_basis_matrices
+from modlab.linalg import hermitian_eig
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -38,6 +38,18 @@ def one_tensor_m2() -> list:
     return [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
 
 
+def full_matrix_algebra(d):
+    return subspace_orthonormalize([elementary(d, i, j) for i in range(d) for j in range(d)])
+
+
+def spectral_algebra(h):
+    """The algebra generated by a Hermitian h: the span of its spectral projectors."""
+    dec = hermitian_eig(h)
+    w, u = dec.eigenvalues, dec.eigenvectors
+    groups = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > 1e-9) + 1)
+    return subspace_orthonormalize([u[:, g] @ u[:, g].conj().T for g in groups])
+
+
 # ---------------------------------------------------------------------------
 # orthonormalization
 # ---------------------------------------------------------------------------
@@ -47,7 +59,7 @@ def test_orthonormalize_identity_alone():
     sub = subspace_orthonormalize([np.eye(3)])
     assert sub.dim == 1
     assert np.allclose(np.abs(sub.basis[0]), np.eye(3) / np.sqrt(3))
-    assert sub.contains_identity
+    assert membership_residual(np.eye(3), sub) <= 1e-10
 
 
 def test_orthonormalize_collapses_linear_dependence():
@@ -79,37 +91,37 @@ def test_orthonormalize_empty():
     assert sub.dim == 0 and sub.dim_space == 3
 
 
+def test_orthonormalize_rejects_dimension_mismatch():
+    with pytest.raises(AlgebraError):
+        subspace_orthonormalize([np.eye(2), np.eye(3)])
+
+
 # ---------------------------------------------------------------------------
-# closure
+# closure: the algebra generated by a self-adjoint set is its bicommutant
 # ---------------------------------------------------------------------------
 
 
 def test_closure_of_nothing_is_scalars():
-    sub = close_to_algebra([], dim_space=3)
+    # the commutant of the zero subspace is M_3, whose commutant is C 1
+    sub = bicommutant(subspace_orthonormalize([], dim_space=3))
     assert sub.dim == 1
-    assert sub.contains_identity
+    assert membership_residual(np.eye(3), sub) <= 1e-10
 
 
 def test_closure_of_sigma_x():
     # sigma_x^2 = 1, so the closure is span{1, sigma_x} worked out by hand
-    sub = close_to_algebra([SX])
-    assert sub.dim == 2
-    assert membership_residual(np.eye(2), sub) <= 1e-10
-    assert membership_residual(SX, sub) <= 1e-10
-    assert is_algebra(sub)
+    for sub in (bicommutant(subspace_orthonormalize([SX])), spectral_algebra(SX)):
+        assert sub.dim == 2
+        assert membership_residual(np.eye(2), sub) <= 1e-10
+        assert membership_residual(SX, sub) <= 1e-10
 
 
 def test_closure_of_elementary_tensor_generators():
-    gens = [np.kron(elementary(2, 0, 1), np.eye(2))]
-    sub = close_to_algebra(gens)
+    g = np.kron(elementary(2, 0, 1), np.eye(2))
+    sub = bicommutant(subspace_orthonormalize([g, g.conj().T]))
     known = subspace_orthonormalize(m2_tensor_1())
     assert sub.dim == 4
     assert mutual_projection_residual(sub, known) <= 1e-9
-
-
-def test_closure_rejects_dimension_mismatch():
-    with pytest.raises(AlgebraError):
-        close_to_algebra([np.eye(2), np.eye(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +130,7 @@ def test_closure_rejects_dimension_mismatch():
 
 
 def test_commutant_of_full_matrix_algebra_is_scalars():
-    full = close_to_algebra([elementary(3, 0, 1), elementary(3, 1, 2)])
+    full = full_matrix_algebra(3)
     assert full.dim == 9
     c = commutant(full)
     assert c.dim == 1
@@ -153,7 +165,7 @@ def test_bicommutant_of_m2_tensor_1_is_itself():
 
 
 def test_bicommutant_matches_closure_of_generators():
-    closed = close_to_algebra([SX])
+    closed = spectral_algebra(SX)
     gen_span = subspace_orthonormalize([np.eye(2), SX])
     assert mutual_projection_residual(bicommutant(gen_span), closed) <= 1e-9
 
@@ -161,7 +173,7 @@ def test_bicommutant_matches_closure_of_generators():
 def test_commutant_idempotence_triple():
     rng = np.random.default_rng(2)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = close_to_algebra([g + g.conj().T])
+    a = spectral_algebra(g + g.conj().T)
     c1 = commutant(a)
     c3 = commutant(commutant(c1))
     assert mutual_projection_residual(c1, c3) <= 1e-9
@@ -219,8 +231,10 @@ def test_commutant_kernel_matches_kron_svd_reference(mats, _closed):
     a = subspace_orthonormalize(mats)
     assert np.array_equal(_commutator_stack(a), reference_stack(a))
     got, ref = commutant(a), reference_commutant(a)
+    eye = np.eye(a.dim_space)
     assert got.dim == ref.dim
-    assert got.contains_identity == ref.contains_identity
+    assert membership_residual(eye, got) <= 1e-10
+    assert membership_residual(eye, ref) <= 1e-10
     assert mutual_projection_residual(got, ref) <= 1e-12
 
 
@@ -259,7 +273,7 @@ def test_commutant_at_d25_equals_closed_form():
     spec = AlgebraSpec.standard_factor(5)
     a = subspace_orthonormalize(algebra_basis_matrices(spec))
     c = commutant(a)
-    assert c.dim == 25 and c.contains_identity
+    assert c.dim == 25 and membership_residual(np.eye(25), c) <= 1e-10
     assert mutual_projection_residual(c, subspace_orthonormalize(commutant_basis_matrices(spec))) <= 1e-9
 
 
@@ -269,11 +283,11 @@ def test_commutant_at_d25_equals_closed_form():
 
 
 def test_full_algebra_any_unit_vector_cyclic():
-    full = close_to_algebra([elementary(3, 0, 1), elementary(3, 1, 2)])
+    full = full_matrix_algebra(3)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v /= np.linalg.norm(v)
-    assert is_cyclic(full, v)
+    assert cyclic_report(orbit(full, v)).full
 
 
 def test_product_state_not_cyclic_not_separating():
@@ -281,22 +295,22 @@ def test_product_state_not_cyclic_not_separating():
     v00 = np.zeros(4, dtype=complex)
     v00[0] = 1.0
     # rank of {(E_ij (x) 1)|00>} is 2 < 4
-    assert not is_cyclic(a, v00)
+    assert not cyclic_report(orbit(a, v00)).full
     # (E_11 (x) 1)|00> = 0 with E_11 != 0
-    assert not is_separating(a, v00)
+    assert not separating_report(orbit(a, v00)).full
 
 
 def test_entangled_state_cyclic_and_separating():
     a = subspace_orthonormalize(m2_tensor_1())
     omega = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
-    assert is_cyclic(a, omega)
-    assert is_separating(a, omega)
+    assert cyclic_report(orbit(a, omega)).full
+    assert separating_report(orbit(a, omega)).full
 
 
 def test_scalars_always_separating():
     scalars = subspace_orthonormalize([np.eye(4)])
     v = np.array([1.0, 0, 0, 0], dtype=complex)
-    assert is_separating(scalars, v)
+    assert separating_report(orbit(scalars, v)).full
 
 
 def test_separating_equivalent_to_commutant_cyclicity():
@@ -307,7 +321,7 @@ def test_separating_equivalent_to_commutant_cyclicity():
     for _ in range(20):
         d = int(rng.integers(2, 5))
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        cases.append(close_to_algebra([g + g.conj().T]))
+        cases.append(spectral_algebra(g + g.conj().T))
     cases.append(subspace_orthonormalize([np.kron(e, np.eye(3)) for e in
                                           [elementary(2, i, j) for i in range(2) for j in range(2)]]))
     cases.append(subspace_orthonormalize([np.kron(np.eye(3), e) for e in
@@ -318,7 +332,7 @@ def test_separating_equivalent_to_commutant_cyclicity():
         for _ in range(3):
             v = rng.standard_normal(a.dim_space) + 1j * rng.standard_normal(a.dim_space)
             v /= np.linalg.norm(v)
-            assert is_separating(a, v) == is_cyclic(c, v)
+            assert separating_report(orbit(a, v)).full == cyclic_report(orbit(c, v)).full
             checked += 1
     assert checked >= 50
 
@@ -326,7 +340,8 @@ def test_separating_equivalent_to_commutant_cyclicity():
 def test_cyclic_separating_forces_dim_equal_d():
     a = subspace_orthonormalize(m2_tensor_1())
     omega = np.array([np.sqrt(0.5), 0, 0, np.sqrt(0.5)], dtype=complex)
-    if is_cyclic(a, omega) and is_separating(a, omega):
+    orb = orbit(a, omega)
+    if cyclic_report(orb).full and separating_report(orb).full:
         assert a.dim == a.dim_space
 
 

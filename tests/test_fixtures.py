@@ -3,7 +3,8 @@ import pytest
 
 from modlab.algebra import (
     AlgebraError,
-    is_algebra,
+    bicommutant,
+    membership_residual,
     mutual_projection_residual,
     subspace_orthonormalize,
 )
@@ -63,9 +64,12 @@ def test_abelian_fixture_trivial_delta():
 
 
 def test_fixture_algebra_certified_and_commutant_consistent():
+    # a subspace equal to its bicommutant is a unital algebra; closure under
+    # adjoints then makes it a star-algebra
     fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=5)
-    assert is_algebra(fix.triple.algebra)
-    assert is_algebra(fix.triple.commutant)
+    for sub in (fix.triple.algebra, fix.triple.commutant):
+        assert mutual_projection_residual(bicommutant(sub), sub) <= 1e-9
+        assert max(membership_residual(x.conj().T, sub) for x in sub.basis) <= 1e-10
     assert fix.triple.algebra.dim == 5
     assert fix.triple.commutant.dim == 5
 
@@ -83,9 +87,13 @@ def test_fixture_closed_form_delta_matches():
 
 def test_rectangular_multiplicity_rejected():
     # no cyclic-separating vector exists when a multiplicity differs from its
-    # block size
+    # block size, so the model is refused before any fixture is drawn
     with pytest.raises(AlgebraError):
-        generate_fixture(AlgebraSpec.direct_sum([(2, 3)]), seed=0, max_attempts=2)
+        AlgebraSpec.direct_sum([(2, 3)])
+    with pytest.raises(AlgebraError):
+        AlgebraSpec.direct_sum([(2, 2), (1, 2)])
+    with pytest.raises(AlgebraError):
+        parse_spec("direct_sum(2:3)")
 
 
 def test_covering_windows_cover_and_avoid_spectrum():

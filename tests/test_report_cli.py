@@ -183,6 +183,10 @@ def test_config_validation():
         RunConfig(suites=("bogus",))
     with pytest.raises(ValueError):
         RunConfig(p_min=0.5, models=("standard_factor(3)",))
+    # a block whose multiplicity differs from its size has no cyclic-separating
+    # vector; the run is refused up front instead of dying without a report
+    with pytest.raises(ValueError):
+        RunConfig(models=("direct_sum(2:3)",))
 
 
 # ---------------------------------------------------------------------------

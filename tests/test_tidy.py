@@ -181,7 +181,7 @@ def test_operator_from_vector_refuses_ill_conditioned_orbit():
 def test_make_tidy_full_window_recovers_source():
     a, comm, omega, t = two_qubit()
     x = np.kron(SX, np.eye(2))
-    tidy = make_tidy(t, x, 0.1, 100.0, n=0)
+    tidy = make_tidy(t, x, 0.1, 100.0)
     assert rel_residual(tidy.a, x) <= 1e-10
     assert np.linalg.norm(tidy.a_prime @ omega - x @ omega) <= 1e-10
 
@@ -190,29 +190,32 @@ def test_make_tidy_identity_source_narrow_window():
     # spectral projection oracle: omega lives in the eigenvalue-1 eigenspace,
     # so the (1.5, 2.5) window annihilates it
     a, comm, omega, t = two_qubit()
-    tidy = make_tidy(t, np.eye(4), 1.5, 2.5, n=0)
+    tidy = make_tidy(t, np.eye(4), 1.5, 2.5)
     assert np.linalg.norm(tidy.vector) <= 1e-12
     assert np.linalg.norm(tidy.a) <= 1e-10
 
 
 def test_make_tidy_vector_and_power_scaling():
-    # Delta^2 scales the eigenvalue-2 eigenspace by 4
+    # Delta^2 scales the eigenvalue-2 eigenspace by 4; the ladder solves on
+    # both sides realize the scaled vector
     a, comm, omega, t = two_qubit()
     x = np.kron(SX, np.eye(2))
-    t0 = make_tidy(t, x, 1.5, 2.5, n=0)
-    t2 = make_tidy(t, x, 1.5, 2.5, n=2)
-    assert rel_residual(t2.vector, 4.0 * t0.vector) <= 1e-12
-    for tidy in (t0, t2):
-        assert rel_residual(tidy.a @ omega, tidy.vector) <= 1e-10
-        assert rel_residual(tidy.a_prime @ omega, tidy.vector) <= 1e-10
-        assert membership_residual(tidy.a, a) <= 1e-10
-        assert membership_residual(tidy.a_prime, comm) <= 1e-10
+    tidy = make_tidy(t, x, 1.5, 2.5)
+    a2 = ladder(t, t.orbit, tidy, 2)
+    a2_prime = ladder(t, t.commutant_orbit, tidy, 2)
+    assert rel_residual(a2 @ omega, 4.0 * tidy.vector) <= 1e-10
+    assert rel_residual(a2_prime @ omega, 4.0 * tidy.vector) <= 1e-10
+    assert rel_residual(tidy.a @ omega, tidy.vector) <= 1e-10
+    assert rel_residual(tidy.a_prime @ omega, tidy.vector) <= 1e-10
+    for op, space in ((tidy.a, a), (a2, a), (tidy.a_prime, comm), (a2_prime, comm)):
+        assert membership_residual(op, space) <= 1e-10
 
 
-def test_make_tidy_rejects_large_power():
+def test_ladder_rejects_large_power():
     a, comm, _, t = two_qubit()
+    tidy = make_tidy(t, np.eye(4), 0.5, 2.5)
     with pytest.raises(WindowError):
-        make_tidy(t, np.eye(4), 0.5, 2.5, n=9)
+        ladder(t, t.orbit, tidy, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +403,7 @@ def test_growth_audit_n0_constant_is_violated_on_reference_instance():
 def test_dagger_ladder_trivial_delta():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=4)
     wins = covering_windows(fix.triple)
-    tidy = make_tidy(fix.triple, fix.triple.algebra.basis[2], wins[0][0], wins[0][1], n=0)
+    tidy = make_tidy(fix.triple, fix.triple.algebra.basis[2], wins[0][0], wins[0][1])
     res, tol = dagger_ladder_check(fix.triple, tidy, 0)
     assert res <= max(tol, 1e-12)
     # abelian case: a' = a and the identity holds exactly
@@ -411,7 +414,7 @@ def test_dagger_ladder_two_qubit_range():
     a, comm, omega, t = two_qubit()
     rng = np.random.default_rng(6)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    tidy = make_tidy(t, a.element(c), 0.4, 2.6, n=0)
+    tidy = make_tidy(t, a.element(c), 0.4, 2.6)
     for n in (0, 1, 2, -1, -2):
         res, tol = dagger_ladder_check(t, tidy, n)
         assert res <= max(tol, 1e-9)
@@ -421,9 +424,9 @@ def test_powers_check_zero_is_exact():
     a, comm, omega, t = two_qubit()
     rng = np.random.default_rng(7)
     tidy_a = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
-                       0.4, 2.6, n=0)
+                       0.4, 2.6)
     tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
-                       0.4, 2.6, n=0)
+                       0.4, 2.6)
     res, tol = powers_check(t, tidy_a, tidy_b, 0)
     assert res <= 1e-12
 
@@ -432,9 +435,9 @@ def test_powers_check_range():
     a, comm, omega, t = two_qubit()
     rng = np.random.default_rng(8)
     tidy_a = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
-                       0.4, 2.6, n=0)
+                       0.4, 2.6)
     tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
-                       1.5, 2.5, n=0)
+                       1.5, 2.5)
     for n in (1, 2, 3, -1, -3):
         res, tol = powers_check(t, tidy_a, tidy_b, n)
         assert res <= max(tol, 1e-9)
