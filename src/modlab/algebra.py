@@ -31,11 +31,10 @@ class AlgebraError(ValueError):
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank evidence from an SVD: rank at RANK_TOL and the spectrum."""
+    """Numerical rank evidence from an SVD: rank at RANK_TOL against the rank required."""
 
     rank: int
     required: int
-    singular_values: np.ndarray
 
     @property
     def full(self) -> bool:
@@ -228,8 +227,7 @@ def orbit(a: OperatorSubspace, omega) -> Orbit:
 
 def cyclic_report(orb: Orbit) -> RankReport:
     """Rank evidence that omega is cyclic: the orbit spans C^d."""
-    sv = orb.singular_values
-    return RankReport(rank=numerical_rank(sv), required=orb.space.dim_space, singular_values=sv)
+    return RankReport(rank=numerical_rank(orb.singular_values), required=orb.space.dim_space)
 
 
 def separating_report(orb: Orbit) -> RankReport:
@@ -238,5 +236,4 @@ def separating_report(orb: Orbit) -> RankReport:
     omega is separating for an algebra exactly when it is cyclic for its
     commutant; the tests check the equivalence rather than assume it.
     """
-    sv = orb.singular_values
-    return RankReport(rank=numerical_rank(sv), required=orb.space.dim, singular_values=sv)
+    return RankReport(rank=numerical_rank(orb.singular_values), required=orb.space.dim)

@@ -3,14 +3,15 @@
 Subcommands:
 
 - ``verify``: run the verification suites over seeded fixtures and emit
-  report.json plus the CSV audit tables; exits nonzero if any must-pass
-  check fails.
+  report.json plus the CSV audit tables.
 - ``audit-tidy-bound``: growth-bound audit only, with per-window slope
   summary on stdout.
 - ``contour-study``: contour-quadrature convergence study only.
 - ``fixture``: generate one fixture and write its JSON snapshot.
 
-The environment variable MODLAB_OUT, when set, overrides ``--out``.
+Exit codes: 0 when every must-pass check passes, 1 when one fails, and 2
+for bad arguments, which are rejected before any fixture is built. The
+environment variable MODLAB_OUT, when set, overrides ``--out``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .fixtures import AlgebraSpec, generate_fixture, save_fixture
+from .fixtures import AlgebraSpec, generate_fixture, parse_spec, save_fixture
 from .report import emit
 from .suites import ALL_SUITES, DEFAULT_MODELS, RunConfig, run_suites
 
@@ -42,26 +43,27 @@ def _out_dir(args) -> str:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=20260809, help="base seed for all draws")
+    p.add_argument("--seed", type=int, default=RunConfig.seed, help="base seed for all draws")
     p.add_argument("--model", choices=["standard", "abelian", "direct-sum"],
                    default=None, help="fixture model (default: both standard factors)")
     p.add_argument("--factor-size", type=int, default=2,
                    help="block size n (standard/direct-sum) or dimension (abelian)")
-    p.add_argument("--trials", type=int, default=25, help="fixtures per model")
-    p.add_argument("--tol", type=float, default=1e-9, help="base residual tolerance")
-    p.add_argument("--pmin", type=float, default=0.01,
+    p.add_argument("--trials", type=int, default=RunConfig.trials, help="fixtures per model")
+    p.add_argument("--tol", type=float, default=RunConfig.tol_base,
+                   help="base residual tolerance")
+    p.add_argument("--pmin", type=float, default=RunConfig.p_min,
                    help="floor on Schmidt weights (conditioning cap)")
     p.add_argument("--out", default="out", help="output directory (MODLAB_OUT overrides)")
 
 
-def _config(args, suites) -> RunConfig:
+def _config(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
         models=_model_labels(args),
         trials=args.trials,
         tol_base=args.tol,
         p_min=args.pmin,
-        suites=tuple(suites),
+        suites=tuple(args.suite) if args.suite else ALL_SUITES,
     )
 
 
@@ -79,9 +81,7 @@ def _print_report(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    suites = tuple(args.suite) if args.suite else ALL_SUITES
-    config = _config(args, suites)
-    report, tidy_rows, contour_rows = run_suites(config)
+    report, tidy_rows, contour_rows = run_suites(args.config)
     paths = emit(report, _out_dir(args), tidy_rows=tidy_rows, contour_rows=contour_rows)
     _print_report(report)
     print(f"wrote {paths['report']}")
@@ -89,8 +89,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit_tidy_bound(args) -> int:
-    config = _config(args, ("tidy",))
-    report, tidy_rows, _ = run_suites(config)
+    report, tidy_rows, _ = run_suites(args.config)
     emit(report, _out_dir(args), tidy_rows=tidy_rows)
     for c in report.checks:
         if c.id.startswith("tidy/growth-slope"):
@@ -101,8 +100,7 @@ def cmd_audit_tidy_bound(args) -> int:
 
 
 def cmd_contour_study(args) -> int:
-    config = _config(args, ("contour",))
-    report, _, contour_rows = run_suites(config)
+    report, _, contour_rows = run_suites(args.config)
     emit(report, _out_dir(args), contour_rows=contour_rows)
     _print_report(report)
     print(f"{len(contour_rows)} convergence rows")
@@ -110,10 +108,7 @@ def cmd_contour_study(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    label = _model_labels(args)[0]
-    from .fixtures import parse_spec
-
-    spec = parse_spec(label)
+    spec = parse_spec(args.config.models[0])
     fix = generate_fixture(spec, args.seed, p_min=args.pmin)
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -138,21 +133,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tidy = sub.add_parser("audit-tidy-bound", help="growth-bound audit with slope summary")
     _add_common(p_tidy)
-    p_tidy.set_defaults(func=cmd_audit_tidy_bound)
+    p_tidy.set_defaults(func=cmd_audit_tidy_bound, suite=["tidy"])
 
     p_contour = sub.add_parser("contour-study", help="contour quadrature convergence study")
     _add_common(p_contour)
-    p_contour.set_defaults(func=cmd_contour_study)
+    p_contour.set_defaults(func=cmd_contour_study, suite=["contour"])
 
     p_fix = sub.add_parser("fixture", help="generate and serialize one fixture")
     _add_common(p_fix)
-    p_fix.set_defaults(func=cmd_fixture)
+    p_fix.set_defaults(func=cmd_fixture, suite=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.config = _config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     code = args.func(args)
     if argv is None:
         sys.exit(code)

@@ -45,6 +45,8 @@ HALF_HEIGHT = 2.0 * math.pi  # Im z of the default half-lines, where exp(+-2 pi 
 SIGMOID_FINAL_TOL = 1e-6  # sigmoid-limit error required at the largest k
 LAMBDA_GAP = 0.05  # smallest distance of lambda from spec(Delta) in the sigmoid limit
 NODE_CAP = 2**20  # total evaluations per integral
+NODES_PER_UNIT = 8  # starting half-line nodes per unit of truncation
+HALFCIRCLE_NODES = 64  # starting half-circle nodes
 POLE_NODE_GAP = 1e-8
 
 
@@ -87,12 +89,10 @@ def sigmoid_poles(k: int, lam: float, half_height: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Geometry and resolution of the truncated contour."""
+    """Geometry of the truncated contour: half-line height and truncation T."""
 
     half_height: float = HALF_HEIGHT
     truncation: float = 40.0
-    nodes_per_unit: int = 8
-    halfcircle_nodes: int = 64
 
     def validate(self, lam: float) -> None:
         if self.truncation <= lam:
@@ -101,8 +101,6 @@ class ContourSpec:
             )
         if self.half_height <= 0:
             raise ContourError("half_height must be positive")
-        if self.nodes_per_unit < 1 or self.halfcircle_nodes < 8:
-            raise ContourError("node counts too small (need >= 8 on the half-circle)")
 
 
 def choose_contour(
@@ -110,18 +108,17 @@ def choose_contour(
     n: int,
     k: int,
     lam: float,
-    quad_tol: float = QUAD_TOL,
 ) -> ContourSpec:
     """Pick a truncation making the discarded tail negligible.
 
-    T satisfies exp(-k (T - lambda)) (T^2 + 4 pi^2)^{n/2} < quad_tol and lies
+    T satisfies exp(-k (T - lambda)) (T^2 + 4 pi^2)^{n/2} < QUAD_TOL and lies
     beyond the spectrum of Delta.
     """
     eig_max = float(triple.delta_spec.eigenvalues[-1])
     t = max(lam + 1.0, 1.1 * eig_max + 1.0, HALF_HEIGHT)
     for _ in range(60):
         tail = math.exp(-k * (t - lam)) * (t * t + 4 * math.pi**2) ** (n / 2.0)
-        if tail < quad_tol:
+        if tail < QUAD_TOL:
             break
         t *= 1.3
     return ContourSpec(truncation=t)
@@ -157,10 +154,9 @@ def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Quadrature value with step-halving error estimate and pole data."""
+    """Quadrature value, its node count and pole data."""
 
     value: np.ndarray
-    estimated_error: float
     node_count: int
     pole_correction: np.ndarray  # the pole sum; corrected_value = value - pole_correction
     corrected_value: np.ndarray
@@ -241,14 +237,14 @@ def contour_apply(
     lam: float,
     psi,
     spec: ContourSpec | None = None,
-    quad_tol: float = QUAD_TOL,
 ) -> QuadratureResult:
     """Quadrature of the contour integral, refined by step halving.
 
-    The node count doubles until two successive Romberg extrapolants of the
-    midpoint values agree to quad_tol, or the evaluation cap is reached. The
-    returned pole correction is the enclosed-residue sum; subtracting it from
-    the raw value reproduces the spectral oracle.
+    Starting from NODES_PER_UNIT half-line nodes per unit of T and
+    HALFCIRCLE_NODES on the half-circle, the node counts double until two
+    successive Romberg extrapolants agree to QUAD_TOL or the evaluation cap
+    is reached. The returned pole correction is the enclosed-residue sum;
+    subtracting it from the raw value reproduces the spectral oracle.
     """
     if lam <= 0:
         raise ContourError(f"lambda must be positive, got {lam}")
@@ -256,7 +252,7 @@ def contour_apply(
         raise ContourError(f"power must be a nonnegative integer, got {n}")
     psi = np.asarray(psi, dtype=complex)
     if spec is None:
-        spec = choose_contour(triple, n, k, lam, quad_tol)
+        spec = choose_contour(triple, n, k, lam)
     spec.validate(lam)
     eig_max = float(triple.delta_spec.eigenvalues[-1])
     if eig_max >= spec.truncation:
@@ -265,11 +261,10 @@ def contour_apply(
         )
     # step-halving with one Romberg level: raw midpoint values are second
     # order in the step, the extrapolants (4 I(h/2) - I(h)) / 3 fourth order
-    n_line = max(8, int(spec.truncation * spec.nodes_per_unit))
-    n_circ = spec.halfcircle_nodes
+    n_line = max(8, int(spec.truncation * NODES_PER_UNIT))
+    n_circ = HALFCIRCLE_NODES
     raw_prev = contour_quadrature_fixed(triple, n, k, lam, psi, spec, n_line, n_circ)
     extrap_prev = None
-    nodes = 2 * n_line + n_circ
     err = math.inf
     while True:
         n_line *= 2
@@ -279,23 +274,21 @@ def contour_apply(
         extrap = (4.0 * raw - raw_prev) / 3.0
         if extrap_prev is not None:
             err = float(np.linalg.norm(extrap - extrap_prev))
-            if err < quad_tol:
+            if err < QUAD_TOL:
                 break
         if 2 * (2 * n_line + n_circ) > NODE_CAP:
             raise ContourError(
-                f"quadrature did not converge below {quad_tol:.1e} within the "
+                f"quadrature did not converge below {QUAD_TOL:.1e} within the "
                 f"node cap (last step change {err:.3e})"
             )
         raw_prev = raw
         extrap_prev = extrap
-    prev = extrap
     correction = pole_sum(triple, n, k, lam, psi, spec.half_height)
     return QuadratureResult(
-        value=prev,
-        estimated_error=err,
+        value=extrap,
         node_count=nodes,
         pole_correction=correction,
-        corrected_value=prev - correction,
+        corrected_value=extrap - correction,
     )
 
 
@@ -313,9 +306,7 @@ class SigmoidLimitRow:
 @dataclass(frozen=True)
 class SigmoidLimitResult:
     rows: list[SigmoidLimitRow]
-    k0: int | None          # first index from which the error is non-increasing
     final_error: float
-    gap: float
     passed: bool
 
 
@@ -324,7 +315,6 @@ def sigmoid_limit_check(
     n: int,
     lam: float,
     psi,
-    k_list=None,
 ) -> SigmoidLimitResult:
     """Convergence of Delta^n f_k(Delta) psi to the windowed Delta^n Theta(lambda - Delta) psi.
 
@@ -340,21 +330,19 @@ def sigmoid_limit_check(
         raise ContourError(
             f"lambda = {lam} is {gap:.3f} from the spectrum, closer than {LAMBDA_GAP}"
         )
-    if k_list is None:
-        k_max = int(math.ceil(40.0 / gap))
-        ks, k = [], 1
-        while k < k_max:
-            ks.append(k)
-            k *= 2
-        ks.append(k_max)
-        k_list = ks
+    k_max = int(math.ceil(40.0 / gap))
+    k_list, k = [], 1
+    while k < k_max:
+        k_list.append(k)
+        k *= 2
+    k_list.append(k_max)
     theta_vec = matrix_function(
         triple.delta_spec, lambda x: x**n * np.where(x < lam, 1.0, 0.0)
     ) @ psi
     rows = []
     for k in k_list:
-        approx = spectral_oracle(triple, n, int(k), lam, psi)
-        rows.append(SigmoidLimitRow(k=int(k), error=float(np.linalg.norm(approx - theta_vec))))
+        approx = spectral_oracle(triple, n, k, lam, psi)
+        rows.append(SigmoidLimitRow(k=k, error=float(np.linalg.norm(approx - theta_vec))))
     k0 = None
     for start in range(len(rows)):
         tail = rows[start:]
@@ -367,4 +355,4 @@ def sigmoid_limit_check(
             break
     final_error = rows[-1].error
     passed = k0 is not None and final_error <= SIGMOID_FINAL_TOL
-    return SigmoidLimitResult(rows=rows, k0=k0, final_error=final_error, gap=gap, passed=passed)
+    return SigmoidLimitResult(rows=rows, final_error=final_error, passed=passed)

@@ -211,7 +211,8 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-TIDY_CSV_COLUMNS = ["seed", "model", "d", "lambda1", "lambda2", "n", "measured", "bound", "ratio", "pass"]
+TIDY_CSV_COLUMNS = ["seed", "model", "d", "lambda1", "lambda2", "n", "family", "measured", "bound",
+                    "ratio", "pass"]
 CONTOUR_CSV_COLUMNS = ["seed", "model", "k", "n", "lambda", "nodes", "uncorrected_err",
                        "corrected_err", "pole_count", "pole_norm"]
 

@@ -18,8 +18,10 @@ from . import contour as ct
 from . import tidy as td
 from .algebra import bicommutant, membership_residual, mutual_projection_residual
 from .fixtures import Fixture, covering_windows, generate_fixture, parse_spec
-from .flow import analytic_flow, modular_flow, strip_growth_scan, tomita_check
-from .linalg import complex_power, frob, opnorm, rel_residual
+from .flow import (analytic_flow, commutator_ratio, modular_flow, strip_growth_scan,
+                   tomita_check)
+from .linalg import complex_power, frob, rel_residual
+from .linalg import opnorm  # noqa: F401  perfbench's tracer tests call modlab.suites.opnorm
 from .report import CheckSet, VerificationReport, environment_stamp
 
 ALL_SUITES = ("modular", "flow", "tidy", "resolvent", "density", "contour")
@@ -173,13 +175,13 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
     tol = tol_base * math.sqrt(t.kappa) * d
 
     for a in t.algebra.basis:
-        for row in tomita_check(t, a, FLOW_TIMES, tol_base):
+        for membership, commutator in tomita_check(t, a, FLOW_TIMES):
             checks.add("flow/membership",
                        "Delta^(-it) a Delta^(it) stays in the algebra",
-                       row.membership, row.tolerance)
+                       membership, tol)
             checks.add("flow/commutant-commutators",
                        "[Delta^(-it) a Delta^(it), b'] = 0",
-                       row.max_commutator, row.tolerance)
+                       commutator, tol)
 
     x = _random_element(t.algebra, rng)
     s, u = 0.4, -1.7
@@ -200,7 +202,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
     w0 = windows[int(rng.integers(len(windows)))]
     tidy0 = td.make_tidy(t, source, w0[0], w0[1])
 
-    scan = strip_growth_scan(t, tidy0.a, strip_n=3)
+    scan = strip_growth_scan(t, tidy0.a)
     by_re: dict[float, list[float]] = {}
     for s_ in scan:
         by_re.setdefault(s_.z.real, []).append(s_.norm)
@@ -220,18 +222,11 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
                    "Delta^(-n) a Delta^n equals the ladder solve",
                    rel_residual(f_n, lad), tol_n)
 
-    def worst_commutator(value, norm):
-        r = 0.0
-        for b in t.commutant.basis:
-            comm = value @ b - b @ value
-            r = max(r, opnorm(comm) / max(norm * opnorm(b), 1e-30))
-        return r
-
     for n in range(0, 7):
         sample = analytic_flow(t, tidy0.a, float(n))
         checks.add("flow/integer-commutators",
                    "[Delta^(-n) a Delta^n, b'] = 0 for n = 0..6",
-                   worst_commutator(sample.value, sample.norm),
+                   commutator_ratio(sample.value, sample.norm, t.commutant.basis),
                    tol_base * t.kappa ** ((n + 1) / 2.0) * d)
 
     worst_ratio, worst_tol = 0.0, tol
@@ -239,7 +234,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
         z = complex(rng.uniform(-4, 4), rng.uniform(-5, 5))
         sample = analytic_flow(t, tidy0.a, z)
         tol_z = tol_base * t.kappa ** ((abs(z.real) + 1) / 2.0) * d
-        r = worst_commutator(sample.value, sample.norm)
+        r = commutator_ratio(sample.value, sample.norm, t.commutant.basis)
         if r > worst_ratio:
             worst_ratio, worst_tol = r, tol_z
     checks.add("flow/analytic-commutators",
@@ -305,6 +300,7 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
                     "lambda1": row.lambda1,
                     "lambda2": row.lambda2,
                     "n": row.n,
+                    "family": row.family,
                     "measured": row.measured_norm,
                     "bound": row.bound_value,
                     "ratio": 0.0 if not math.isfinite(ratio) else ratio,
@@ -346,10 +342,11 @@ def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) ->
         z = _draw_offaxis_z(rng, w)
         a_prime = _random_element(t.commutant, rng)
         transfer = td.resolvent_transfer(t, a_prime, z)
+        # 1e-9 relative slack absorbs floating error in the norm measurement;
+        # the bound itself is an exact inequality (equality at z = -1, Delta = 1)
         checks.add("resolvent/transfer-bound",
                    "|a| <= |a'| / sqrt(2 (|z| - Re z))",
-                   transfer.measured_norm / transfer.bound, 1.0 + 1e-9,
-                   ok=transfer.satisfied)
+                   transfer.measured_norm / transfer.bound, 1.0 + 1e-9)
         a = _random_element(t.algebra, rng)
         z2 = _draw_offaxis_z(rng, 1.0 / w[::-1])
         mirror = td.resolvent_transfer(t, a, z2, mirror=True)
@@ -458,12 +455,7 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
 
     # truncation robustness
     base_spec = ct.choose_contour(t, 0, 1, lam)
-    doubled = ct.ContourSpec(
-        half_height=base_spec.half_height,
-        truncation=2 * base_spec.truncation,
-        nodes_per_unit=base_spec.nodes_per_unit,
-        halfcircle_nodes=base_spec.halfcircle_nodes,
-    )
+    doubled = ct.ContourSpec(base_spec.half_height, 2 * base_spec.truncation)
     r1 = ct.contour_apply(t, 0, 1, lam, psi, spec=base_spec)
     r2 = ct.contour_apply(t, 0, 1, lam, psi, spec=doubled)
     checks.add("contour/truncation-robustness",

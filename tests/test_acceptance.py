@@ -96,11 +96,10 @@ def test_criterion_03_flow_stays_in_algebra():
     worst_ratio = 0.0
     for fix in fixture_pool(50):
         t = fix.triple
+        tol = TOL_BASE * math.sqrt(t.kappa) * t.dim
         for a in t.algebra.basis:
-            for row in tomita_check(t, a, times, TOL_BASE):
-                worst_ratio = max(worst_ratio,
-                                  row.membership / row.tolerance,
-                                  row.max_commutator / row.tolerance)
+            for membership, commutator in tomita_check(t, a, times):
+                worst_ratio = max(worst_ratio, membership / tol, commutator / tol)
     _report(
         "criterion 3: modular flow keeps every basis element in the algebra",
         worst_ratio <= 1.0,
@@ -132,7 +131,7 @@ def test_criterion_04_resolvent_bound_zero_violations():
             comm = fix.triple.commutant
             c = rng.standard_normal(comm.dim) + 1j * rng.standard_normal(comm.dim)
             out = resolvent_transfer(fix.triple, comm.element(c), z)
-            if not out.satisfied:
+            if not out.measured_norm <= out.bound * (1 + 1e-9):
                 violations += 1
             done += 1
         total += done
@@ -208,7 +207,7 @@ def test_criterion_07_sigmoid_limit():
             runs += 1
             if not res.passed:
                 failures += 1
-            assert res.rows[-1].k == math.ceil(40.0 / res.gap)
+            assert res.rows[-1].k == math.ceil(40.0 / np.min(np.abs(w - lam)))
     _report(
         "criterion 7: sigmoid approximants converge to the spectral window",
         failures == 0 and runs == 75,
@@ -233,7 +232,7 @@ def test_criterion_08_residue_closure(tmp_path):
         lam = float(w[-1]) + 1.0
         for n in (0, 1, 2):
             for k in (1, 2, 4, 8):
-                q = contour_apply(t, n, k, lam, psi, quad_tol=quad_tol)
+                q = contour_apply(t, n, k, lam, psi)
                 oracle = spectral_oracle(t, n, k, lam, psi)
                 corrected = float(np.linalg.norm(q.corrected_value - oracle))
                 uncorrected = float(np.linalg.norm(q.value - oracle))
@@ -272,7 +271,7 @@ def test_criterion_09_growth_bound_audit(tmp_path):
                 rows.append({
                     "seed": fix.seed, "model": fix.spec.label(), "d": fix.dim,
                     "lambda1": r.lambda1, "lambda2": r.lambda2, "n": r.n,
-                    "measured": r.measured_norm, "bound": r.bound_value,
+                    "family": r.family, "measured": r.measured_norm, "bound": r.bound_value,
                     "ratio": ratio, "pass": r.passed,
                 })
     from modlab.report import render_csv, TIDY_CSV_COLUMNS, atomic_write_text

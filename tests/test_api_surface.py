@@ -6,6 +6,11 @@ property, defined in ``src/modlab`` must be referenced somewhere else in
 such as ``func=cmd_verify``). Imports alone do not count, and neither does a
 reference from inside the definition itself. References are matched by
 name, not by type, so a method that shares its name with a used one passes.
+
+Every public field of a ``@dataclass`` in ``src/modlab`` must be read as an
+attribute (``x.field`` in a load context) somewhere in ``src/``; filling it
+through the constructor does not count. Fields are matched by name as well,
+so a field read under the same name on another object passes.
 """
 
 import ast
@@ -61,6 +66,31 @@ def unreferenced(trees: dict) -> list[str]:
     return out
 
 
+def is_dataclass(node) -> bool:
+    for dec in node.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(func, ast.Name) and func.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(trees: dict) -> list[str]:
+    """Public dataclass fields, as module.Class.field, that no code in the trees reads."""
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or not is_dataclass(node):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")
+                        and item.target.id not in read):
+                    out.append(f"{module}.{node.name}.{item.target.id}")
+    return out
+
+
 def parse_src() -> dict:
     return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
@@ -76,6 +106,20 @@ def test_surface_check_flags_an_uncalled_function_and_method():
         "class Holder:\n    def unused_method(self):\n        return 1\n"
     )
     assert unreferenced(trees) == ["extra.orphan", "extra.Holder", "extra.Holder.unused_method"]
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert unread_fields(parse_src()) == []
+
+
+def test_field_check_flags_a_field_that_is_only_constructed():
+    trees = parse_src()
+    trees["extra"] = ast.parse(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    kept: int\n    orphan_field: int\n\n"
+        "def make():\n    p = Pair(kept=1, orphan_field=2)\n    return p.kept\n"
+    )
+    assert unread_fields(trees) == ["extra.Pair.orphan_field"]
 
 
 def test_allowlisted_names_exist_and_have_no_src_caller():

@@ -6,6 +6,7 @@ from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture
 from modlab.flow import (
     FlowDomainError,
     analytic_flow,
+    commutator_ratio,
     modular_flow,
     strip_growth_scan,
     tomita_check,
@@ -124,22 +125,40 @@ def test_membership_residual_in_flow_sample():
     assert membership_residual(sample.value, a) <= 1e-9 * np.sqrt(t.kappa) * 4
 
 
+def flow_tolerance(t):
+    """The flow suite's tolerance at the default base 1e-9."""
+    return 1e-9 * np.sqrt(t.kappa) * t.dim
+
+
+def test_commutator_ratio_matches_spectral_norm_oracle():
+    algebra = [np.kron(elementary(2, i, j), np.eye(2)) for i in range(2) for j in range(2)]
+    commutant = [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
+    x = np.kron(SX, np.eye(2))
+    norm_x = np.linalg.norm(x, 2)
+    assert commutator_ratio(x, norm_x, commutant) == 0.0
+    oracle = max(np.linalg.norm(x @ b - b @ x, 2) / (norm_x * np.linalg.norm(b, 2))
+                 for b in algebra)
+    assert oracle == pytest.approx(1.0)
+    assert commutator_ratio(x, norm_x, algebra) == pytest.approx(oracle, rel=1e-12)
+
+
 def test_tomita_check_abelian_trivial():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(5), seed=3)
-    rows = tomita_check(fix.triple, fix.triple.algebra.basis[2], (0.3, 1.0, np.pi, 10.0))
-    for r in rows:
-        assert r.passed
-        assert r.membership <= 1e-12
+    tol = flow_tolerance(fix.triple)
+    pairs = tomita_check(fix.triple, fix.triple.algebra.basis[2], (0.3, 1.0, np.pi, 10.0))
+    for membership, commutator in pairs:
+        assert membership <= tol and commutator <= tol
+        assert membership <= 1e-12
 
 
 def test_tomita_check_standard_fixture():
     _, _, t = two_qubit_fixture()
     x = np.kron(SX, np.eye(2))
-    rows = tomita_check(t, x, (0.3, 1.0, np.pi, 10.0))
-    for r in rows:
-        assert r.membership <= 1e-9
-        assert r.max_commutator <= 1e-9
-        assert r.passed
+    pairs = tomita_check(t, x, (0.3, 1.0, np.pi, 10.0))
+    for membership, commutator in pairs:
+        assert membership <= 1e-9
+        assert commutator <= 1e-9
+        assert membership <= flow_tolerance(t) and commutator <= flow_tolerance(t)
 
 
 def test_tomita_check_random_direct_sum_ensemble():
@@ -150,13 +169,14 @@ def test_tomita_check_random_direct_sum_ensemble():
         c = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
         x = a.element(c)
         tt = float(rng.uniform(-5, 5))
-        rows = tomita_check(fix.triple, x, (tt,))
-        assert rows[0].passed
+        [(membership, commutator)] = tomita_check(fix.triple, x, (tt,))
+        assert membership <= flow_tolerance(fix.triple)
+        assert commutator <= flow_tolerance(fix.triple)
 
 
 def test_strip_scan_identity_operator():
     _, _, t = two_qubit_fixture()
-    samples = strip_growth_scan(t, np.eye(4), strip_n=3)
+    samples = strip_growth_scan(t, np.eye(4))
     for s in samples:
         assert abs(s.norm - 1.0) <= 1e-10
 
@@ -168,7 +188,7 @@ def test_strip_scan_constant_along_imaginary_direction():
     src = a.element(c)
     wins = covering_windows(t)
     tidy = make_tidy(t, src, wins[0][0], wins[0][1])
-    samples = strip_growth_scan(t, tidy.a, strip_n=4)
+    samples = strip_growth_scan(t, tidy.a)
     by_re = {}
     for s in samples:
         by_re.setdefault(s.z.real, []).append(s.norm)

@@ -50,13 +50,14 @@ def test_render_json_deterministic_and_parseable():
 def test_render_csv_columns_exact():
     rows = [{
         "seed": 1, "model": "standard_factor(2)", "d": 4,
-        "lambda1": 0.3, "lambda2": 0.9, "n": -2,
+        "lambda1": 0.3, "lambda2": 0.9, "n": -2, "family": "a_prime",
         "measured": 1.25, "bound": 2.5, "ratio": 0.5, "pass": True,
     }]
     text = render_csv(TIDY_CSV_COLUMNS, rows)
     lines = text.strip().split("\n")
-    assert lines[0] == "seed,model,d,lambda1,lambda2,n,measured,bound,ratio,pass"
+    assert lines[0] == "seed,model,d,lambda1,lambda2,n,family,measured,bound,ratio,pass"
     assert lines[1].startswith("1,standard_factor(2),4,")
+    assert ",-2,a_prime," in lines[1]
     assert lines[1].endswith(",true")
 
 
@@ -254,6 +255,25 @@ def test_cli_exit_code_via_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("bad", [
+    ("--trials", "0"),
+    ("--pmin", "0.5"),
+    ("--model", "standard", "--factor-size", "0"),
+], ids=["trials-0", "pmin-0.5", "factor-size-0"])
+@pytest.mark.parametrize("command", ["verify", "audit-tidy-bound", "contour-study", "fixture"])
+def test_cli_bad_arguments_exit_2_without_output(tmp_path, monkeypatch, capsys, command, bad):
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *bad, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not (out / "report.json").exists()
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("modlab: error: ")
+
+
 def test_cli_audit_tidy_bound_subcommand(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MODLAB_OUT", raising=False)
     code = main(["audit-tidy-bound", "--model", "standard", "--factor-size", "2",
@@ -262,8 +282,12 @@ def test_cli_audit_tidy_bound_subcommand(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "fitted slope" in out
     lines = (tmp_path / "tidy_bounds.csv").read_text().strip().split("\n")
-    assert lines[0] == "seed,model,d,lambda1,lambda2,n,measured,bound,ratio,pass"
+    assert lines[0] == "seed,model,d,lambda1,lambda2,n,family,measured,bound,ratio,pass"
     assert len(lines) > 1
+    # each (window, n) has one algebra-side and one commutant-side row
+    keys = [tuple(line.split(",")[:7]) for line in lines[1:]]
+    assert len(set(keys)) == len(keys)
+    assert {key[6] for key in keys} == {"a", "a_prime"}
 
 
 def test_cli_contour_study_subcommand(tmp_path, monkeypatch):

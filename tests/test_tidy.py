@@ -229,7 +229,7 @@ def test_resolvent_bound_at_minus_one():
     src = comm.basis[1]
     out = resolvent_transfer(t, src, -1.0 + 0.0j)
     assert abs(out.bound - np.linalg.norm(src, 2) / 2.0) <= 1e-12
-    assert out.satisfied
+    assert out.measured_norm <= out.bound * (1 + 1e-9)
 
 
 def test_resolvent_bound_at_2pi_i():
@@ -263,7 +263,7 @@ def test_resolvent_transfer_ensemble_zero_violations():
             comm = fix.triple.commutant
             c = rng.standard_normal(comm.dim) + 1j * rng.standard_normal(comm.dim)
             out = resolvent_transfer(fix.triple, comm.element(c), z)
-            assert out.satisfied
+            assert out.measured_norm <= out.bound * (1 + 1e-9)
             done += 1
         checked += done
     assert checked >= 200
@@ -274,7 +274,7 @@ def test_resolvent_transfer_mirror_role_swap():
     src = np.kron(SX, np.eye(2))
     out = resolvent_transfer(t, src, 1j, mirror=True)
     assert membership_residual(out.a, comm) <= 1e-10
-    assert out.satisfied
+    assert out.measured_norm <= out.bound * (1 + 1e-9)
     # the commutant's modular operator is Delta^(-1)
     resolvent_vec = np.linalg.solve(1j * np.eye(4) - np.linalg.inv(t.delta), src @ omega)
     assert np.linalg.norm(out.a @ omega - resolvent_vec) <= 1e-10
