@@ -26,8 +26,17 @@ poles are conjugation-symmetric and the weights satisfy w(conj z) =
 -conj w(z). A node and its mirror image therefore add up to 2i Im of one
 term, and each eigencomponent is (1/pi) sum Im(g(z) w(z) / (z - w_j)) psi_j
 over the nodes with Im z <= 0 (a self-conjugate node at z = -half_height
-gets weight 1/2). Node counts (``node_count``, ``NODE_CAP``) count the nodes
-of the full rule, 2 n_line + n_circ, twice the number of evaluations.
+gets weight 1/2).
+
+``contour_apply`` refines by nested trapezoid levels. The trapezoid rule of
+step h/2 is the mean of the trapezoid and midpoint rules of step h, so each
+midpoint pass (``contour_quadrature_fixed``) turns the current level into the
+next one and every node is evaluated once. A Romberg table over the levels
+extrapolates away the even powers of the step; refinement stops when two
+successive diagonal entries agree to QUAD_TOL. ``node_count`` is the full
+rule of the last level, 2 n_line + n_circ (intervals on the two half-lines
+and the half-circle); ``NODE_CAP`` bounds the evaluations of one integral,
+all levels together.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ QUAD_TOL = 1e-8
 HALF_HEIGHT = 2.0 * math.pi  # Im z of the default half-lines, where exp(+-2 pi i k) = 1
 SIGMOID_FINAL_TOL = 1e-6  # sigmoid-limit error required at the largest k
 LAMBDA_GAP = 0.05  # smallest distance of lambda from spec(Delta) in the sigmoid limit
-NODE_CAP = 2**20  # total evaluations per integral
+NODE_CAP = 2**20  # cumulative evaluations per integral
 NODES_PER_UNIT = 8  # starting half-line nodes per unit of truncation
 HALFCIRCLE_NODES = 64  # starting half-circle nodes
 POLE_NODE_GAP = 1e-8
@@ -124,32 +133,69 @@ def choose_contour(
     return ContourSpec(truncation=t)
 
 
-def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int):
-    """Midpoint nodes and weights on the lower half of the contour.
+def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool):
+    """Nodes and weights of a composite rule on the lower half of the contour.
 
-    The full rule puts n_line midpoint nodes on each half-line and n_circ on
-    the half-circle, at half-offsets so the corner points are never
-    evaluated; it is mapped onto itself by conjugation, with w(conj z) =
-    -conj w(z). Returned here are its nodes with Im z <= 0 and their weights:
-    the bottom half-line z = u - ih (dz = +du) first, then the half-circle
-    z = h e^{i theta} (dz = i h e^{i theta} dtheta) for theta in [pi, 3 pi/2).
-    An odd n_circ puts a node on theta = pi, its own mirror image; its
-    weight is halved.
+    The full rule splits each half-line into n_line intervals and the
+    half-circle into n_circ; it is mapped onto itself by conjugation, with
+    w(conj z) = -conj w(z). The midpoint rule evaluates the interval
+    midpoints, never the corners; the trapezoid rule evaluates the interval
+    ends, with weight 1/2 at u = 0, u = T and theta = 3 pi/2 (the corner
+    z = -ih, one node shared by the half-line and the half-circle).
+    Returned are the nodes with Im z <= 0, their weights and the number of
+    half-line nodes: the bottom half-line z = u - ih (dz = +du) first, then
+    the half-circle z = h e^{i theta} (dz = i h e^{i theta} dtheta) for theta
+    in [pi, 3 pi/2). A node on theta = pi is its own mirror image; its weight
+    is halved.
     """
     h = spec.half_height
     t = spec.truncation
+    shift = 0.5 if midpoint else 0.0  # node offset in units of the step
     du = t / n_line
-    u = (np.arange(n_line) + 0.5) * du
+    u = (np.arange(n_line + (not midpoint)) + shift) * du
     z_line = u - 1j * h
-    w_line = np.full(n_line, du, dtype=complex)
+    w_line = np.full(u.size, du, dtype=complex)
     dth = math.pi / n_circ
-    theta = math.pi / 2 + (np.arange(n_circ // 2, n_circ) + 0.5) * dth
+    first = math.ceil(n_circ / 2 - shift)  # the first node with theta >= pi
+    theta = math.pi / 2 + (np.arange(first, n_circ) + shift) * dth
     rot = np.exp(1j * theta)
     z_circ = h * rot
     w_circ = 1j * h * rot * dth
-    if n_circ % 2:
+    if first + shift == n_circ / 2:
         w_circ[0] *= 0.5
-    return np.concatenate([z_line, z_circ]), np.concatenate([w_line, w_circ])
+    if not midpoint:
+        # i h e^{3 pi i/2} dtheta = h dtheta: the half-circle's share of the corner
+        w_line[0] = 0.5 * (du + h * dth)
+        w_line[-1] *= 0.5
+    return np.concatenate([z_line, z_circ]), np.concatenate([w_line, w_circ]), u.size
+
+
+def _half_rule(triple: ModularTriple, n: int, k: int, lam: float, psi: np.ndarray,
+               spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool) -> np.ndarray:
+    """Evaluate one composite rule of ``_contour_nodes`` on the lower half.
+
+    Eigencomponent j is (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j.
+    Raises NodeCollisionError when a sigmoid pole lies on a node.
+    """
+    z, wts, n_on_line = _contour_nodes(spec, n_line, n_circ, midpoint)
+    poles = sigmoid_poles(k, lam, spec.half_height)
+    if poles.size:
+        # the line nodes share Im z = -h and the poles Re z = lambda, so
+        # their nearest pair is separable; the half-circle nodes are few
+        line_gap = math.hypot(np.min(np.abs(z[:n_on_line].real - lam)),
+                              np.min(np.abs(spec.half_height - np.abs(poles.imag))))
+        circ_gap = np.min(np.abs(z[n_on_line:, None] - poles[None, :]))
+        if min(line_gap, circ_gap) < POLE_NODE_GAP:
+            raise NodeCollisionError(
+                f"a sigmoid pole lies within {POLE_NODE_GAP:.1e} of a quadrature "
+                "node; choose a different node count or half_height"
+            )
+    w_eig = triple.delta_spec.eigenvalues
+    u = triple.delta_spec.eigenvectors
+    psi_eig = u.conj().T @ psi
+    integrand = z**n * sigmoid(z, k, lam) * wts
+    comps = (integrand[:, None] / (z[:, None] - w_eig[None, :])).imag.sum(axis=0)
+    return (u @ (comps * psi_eig)) / math.pi
 
 
 @dataclass(frozen=True)
@@ -203,31 +249,25 @@ def contour_quadrature_fixed(
     n_line: int,
     n_circ: int,
 ) -> np.ndarray:
-    """Single-pass quadrature at a fixed resolution, without pole correction.
+    """Single-pass midpoint rule at a fixed resolution, without pole correction.
 
     Evaluates the lower half of the contour only (see the module docstring):
     eigencomponent j is (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j.
     """
     psi = np.asarray(psi, dtype=complex)
-    z, wts = _contour_nodes(spec, n_line, n_circ)
-    poles = sigmoid_poles(k, lam, spec.half_height)
-    if poles.size:
-        # the line nodes share Im z = -h and the poles Re z = lambda, so
-        # their nearest pair is separable; the half-circle nodes are few
-        line_gap = math.hypot(np.min(np.abs(z[:n_line].real - lam)),
-                              np.min(np.abs(spec.half_height - np.abs(poles.imag))))
-        circ_gap = np.min(np.abs(z[n_line:, None] - poles[None, :]))
-        if min(line_gap, circ_gap) < POLE_NODE_GAP:
-            raise NodeCollisionError(
-                f"a sigmoid pole lies within {POLE_NODE_GAP:.1e} of a quadrature "
-                "node; choose a different node count or half_height"
-            )
-    w_eig = triple.delta_spec.eigenvalues
-    u = triple.delta_spec.eigenvectors
-    psi_eig = u.conj().T @ psi
-    integrand = z**n * sigmoid(z, k, lam) * wts
-    comps = (integrand[:, None] / (z[:, None] - w_eig[None, :])).imag.sum(axis=0)
-    return (u @ (comps * psi_eig)) / math.pi
+    return _half_rule(triple, n, k, lam, psi, spec, n_line, n_circ, midpoint=True)
+
+
+def _romberg_row(prev: list, trapezoid):
+    """Row j of the Romberg table from row j - 1 and the trapezoid value T_j.
+
+    R(j, 0) = T_j and R(j, m) = R(j, m-1) + (R(j, m-1) - R(j-1, m-1)) / (4^m - 1):
+    entry m is exact for errors in h^2, ..., h^{2m}.
+    """
+    row = [trapezoid]
+    for m in range(1, len(prev) + 1):
+        row.append(row[m - 1] + (row[m - 1] - prev[m - 1]) / (4**m - 1))
+    return row
 
 
 def contour_apply(
@@ -238,13 +278,21 @@ def contour_apply(
     psi,
     spec: ContourSpec | None = None,
 ) -> QuadratureResult:
-    """Quadrature of the contour integral, refined by step halving.
+    """Quadrature of the contour integral, refined by nested trapezoid levels.
 
-    Starting from NODES_PER_UNIT half-line nodes per unit of T and
-    HALFCIRCLE_NODES on the half-circle, the node counts double until two
-    successive Romberg extrapolants agree to QUAD_TOL or the evaluation cap
-    is reached. The returned pole correction is the enclosed-residue sum;
-    subtracting it from the raw value reproduces the spectral oracle.
+    Level 0 is the trapezoid rule T(h) on NODES_PER_UNIT half-line intervals
+    per unit of T and HALFCIRCLE_NODES half-circle intervals. Each pass adds
+    the midpoint rule M(h) of ``contour_quadrature_fixed``, whose nodes are
+    exactly the ones T(h/2) adds, so T(h/2) = (T(h) + M(h)) / 2 and no node
+    is evaluated twice; then both counts double. Every level extends a
+    Romberg table R(j, m) = R(j, m-1) + (R(j, m-1) - R(j-1, m-1)) / (4^m - 1),
+    and refinement stops once two successive diagonal entries R(j, j) differ
+    by less than QUAD_TOL, comparing no earlier than level 2. ContourError is
+    raised when the next pass would take the evaluations of the integral past
+    NODE_CAP. The returned value is the last diagonal entry, its node count
+    the full rule of the last level, 2 n_line + n_circ. The pole correction
+    is the enclosed-residue sum; subtracting it from the value reproduces the
+    spectral oracle.
     """
     if lam <= 0:
         raise ContourError(f"lambda must be positive, got {lam}")
@@ -259,36 +307,35 @@ def contour_apply(
         raise ContourError(
             f"spectrum not enclosed: max eigenvalue {eig_max:.3e} >= T = {spec.truncation:.3e}"
         )
-    # step-halving with one Romberg level: raw midpoint values are second
-    # order in the step, the extrapolants (4 I(h/2) - I(h)) / 3 fourth order
     n_line = max(8, int(spec.truncation * NODES_PER_UNIT))
     n_circ = HALFCIRCLE_NODES
-    raw_prev = contour_quadrature_fixed(triple, n, k, lam, psi, spec, n_line, n_circ)
-    extrap_prev = None
+    prev = [_half_rule(triple, n, k, lam, psi, spec, n_line, n_circ, midpoint=False)]
+    evaluations = n_line + 1 + n_circ // 2
     err = math.inf
     while True:
-        n_line *= 2
-        n_circ *= 2
-        raw = contour_quadrature_fixed(triple, n, k, lam, psi, spec, n_line, n_circ)
-        nodes = 2 * n_line + n_circ
-        extrap = (4.0 * raw - raw_prev) / 3.0
-        if extrap_prev is not None:
-            err = float(np.linalg.norm(extrap - extrap_prev))
-            if err < QUAD_TOL:
-                break
-        if 2 * (2 * n_line + n_circ) > NODE_CAP:
+        step = n_line + n_circ // 2  # midpoint nodes of one pass, n_circ even
+        if evaluations + step > NODE_CAP:
             raise ContourError(
                 f"quadrature did not converge below {QUAD_TOL:.1e} within the "
-                f"node cap (last step change {err:.3e})"
+                f"node cap (last diagonal change {err:.3e})"
             )
-        raw_prev = raw
-        extrap_prev = extrap
+        mid = contour_quadrature_fixed(triple, n, k, lam, psi, spec, n_line, n_circ)
+        evaluations += step
+        n_line *= 2
+        n_circ *= 2
+        row = _romberg_row(prev, 0.5 * (prev[0] + mid))  # T(h/2) = (T(h) + M(h)) / 2
+        if len(row) > 2:  # level 2 or later
+            err = float(np.linalg.norm(row[-1] - prev[-1]))
+            if err < QUAD_TOL:
+                break
+        prev = row
+    value = row[-1]
     correction = pole_sum(triple, n, k, lam, psi, spec.half_height)
     return QuadratureResult(
-        value=extrap,
-        node_count=nodes,
+        value=value,
+        node_count=2 * n_line + n_circ,
         pole_correction=correction,
-        corrected_value=extrap - correction,
+        corrected_value=value - correction,
     )
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from modlab import contour
 from modlab.algebra import commutant, subspace_orthonormalize
 from modlab.contour import (
     NODES_PER_UNIT,
+    QUAD_TOL,
     ContourError,
     ContourSpec,
     NodeCollisionError,
@@ -181,6 +183,79 @@ def test_eigenvector_with_power_oracle():
     assert np.linalg.norm(q.corrected_value - scalar * psi) <= 1e-7
 
 
+@pytest.mark.parametrize("spec", [
+    AlgebraSpec.standard_factor(2),
+    AlgebraSpec.standard_factor(3),
+    AlgebraSpec.direct_sum([(2, 2), (1, 1)]),  # degenerate spectrum
+    AlgebraSpec.maximal_abelian(4),
+], ids=lambda s: s.label())
+def test_residue_closure_across_models(spec):
+    t = generate_fixture(spec, seed=43).triple
+    rng = np.random.default_rng(44)
+    w = t.delta_spec.eigenvalues
+    lam = float(np.sqrt(w[0] * w[-1]))
+    for n in (0, 1, 2):
+        for k in (1, 2, 4, 8):
+            psi = rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)
+            psi /= np.linalg.norm(psi)
+            q = contour_apply(t, n, k, lam, psi)
+            oracle = spectral_oracle(t, n, k, lam, psi)
+            assert np.linalg.norm(q.corrected_value - oracle) <= 10 * QUAD_TOL
+
+
+def test_trapezoid_level_is_mean_of_trapezoid_and_midpoint():
+    # T(h/2) = (T(h) + M(h)) / 2: the grid of step h/2 is the grid of step h
+    # plus the midpoint nodes of step h, with the same weights halved
+    t = two_qubit_triple()
+    rng = np.random.default_rng(45)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    for n, k, lam in ((0, 1, 3.0), (2, 8, 1.3)):
+        spec = choose_contour(t, n, k, lam)
+        n_line = max(8, int(spec.truncation * NODES_PER_UNIT))
+        n_circ = 64
+        coarse = contour._half_rule(t, n, k, lam, psi, spec, n_line, n_circ, midpoint=False)
+        mid = contour_quadrature_fixed(t, n, k, lam, psi, spec, n_line, n_circ)
+        ref = contour._half_rule(t, n, k, lam, psi, spec, 2 * n_line, 2 * n_circ,
+                                 midpoint=False)
+        err = np.linalg.norm(0.5 * (coarse + mid) - ref)
+        assert err <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def test_contour_apply_passes_double_and_never_repeat(monkeypatch):
+    t = two_qubit_triple()
+    passes = []
+    fixed = contour.contour_quadrature_fixed
+
+    def recording(triple, n, k, lam, psi, spec, n_line, n_circ):
+        passes.append((n_line, n_circ))
+        return fixed(triple, n, k, lam, psi, spec, n_line, n_circ)
+
+    monkeypatch.setattr(contour, "contour_quadrature_fixed", recording)
+    q = contour_apply(t, 2, 8, 1.3, np.ones(4))
+    assert len(passes) >= 2 and len(set(passes)) == len(passes)
+    for (l0, c0), (l1, c1) in zip(passes, passes[1:]):
+        assert (l1, c1) == (2 * l0, 2 * c0)
+    # the last level is the trapezoid rule of step half the last pass
+    assert q.node_count == 2 * (2 * passes[-1][0]) + 2 * passes[-1][1]
+    # a zero vector agrees at once, but the first comparison is at level 2
+    passes.clear()
+    contour_apply(t, 2, 8, 1.3, np.zeros(4))
+    assert len(passes) == 2
+
+
+def test_romberg_row_removes_even_powers_of_the_step():
+    # T(h) = I + a h^2 + b h^4 + c h^6: the diagonal entry of row m is exact
+    # once m >= the number of error terms
+    exact, coeffs = 0.7, (0.3, -1.1, 2.5)
+    rows = []
+    for j in range(4):
+        h = 0.5**j
+        trapezoid = exact + sum(c * h ** (2 * i + 2) for i, c in enumerate(coeffs))
+        rows.append(contour._romberg_row(rows[-1] if rows else [], trapezoid))
+    assert abs(rows[2][2] - exact) > 1e-6  # two levels of extrapolation leave h^6
+    assert abs(rows[3][3] - exact) <= 1e-14
+
+
 def test_uncorrected_discrepancy_equals_pole_norm():
     # value - oracle = pole_sum up to quadrature error: the uncorrected
     # mismatch is exactly the enclosed-pole contribution
@@ -209,19 +284,30 @@ def test_convergence_order_at_least_three():
     assert d1 / d2 >= 3.0
 
 
-def _full_rule(triple, n, k, lam, psi, spec, n_line, n_circ):
-    """The midpoint rule on the whole contour, by an N x d broadcast.
+def _full_rule(triple, n, k, lam, psi, spec, n_line, n_circ, midpoint=True):
+    """The midpoint or trapezoid rule on the whole contour, by an N x d broadcast.
 
     Top half-line from T toward the axis, left half-circle, bottom half-line
     outward; (1/2 pi i) sum z^n f_k(z) w(z) / (z - w_j) psi_j per eigencomponent.
+    The trapezoid rule evaluates each piece's end points, the two corners twice.
     """
     h, t = spec.half_height, spec.truncation
+
+    def piece(count):
+        if midpoint:
+            return np.arange(count) + 0.5, np.ones(count)
+        ends = np.ones(count + 1)
+        ends[[0, -1]] = 0.5
+        return np.arange(count + 1.0), ends
+
+    s_line, c_line = piece(n_line)
+    s_circ, c_circ = piece(n_circ)
     du = t / n_line
-    u = (np.arange(n_line) + 0.5) * du
-    theta = math.pi / 2 + (np.arange(n_circ) + 0.5) * (math.pi / n_circ)
+    u = s_line * du
+    theta = math.pi / 2 + s_circ * (math.pi / n_circ)
     z = np.concatenate([(t - u) + 1j * h, h * np.exp(1j * theta), u - 1j * h])
-    w = np.concatenate([np.full(n_line, -du), 1j * h * np.exp(1j * theta) * math.pi / n_circ,
-                        np.full(n_line, du)])
+    w = np.concatenate([-du * c_line, 1j * h * np.exp(1j * theta) * math.pi / n_circ * c_circ,
+                        du * c_line])
     eig, vec = triple.delta_spec.eigenvalues, triple.delta_spec.eigenvectors
     comps = (z**n * sigmoid(z, k, lam) * w)[:, None] / (z[:, None] - eig[None, :])
     return vec @ (comps.sum(axis=0) * (vec.conj().T @ psi)) / (2j * math.pi)
@@ -245,9 +331,14 @@ def test_half_contour_rule_equals_full_rule(spec):
         for k in (1, 2, 4, 8):
             cspec = choose_contour(t, n, k, lam)
             n_line = max(8, int(cspec.truncation * NODES_PER_UNIT))
-            for n_circ in (64, 65):  # an odd count has a node on the real axis
-                ref = _full_rule(t, n, k, lam, psi, cspec, n_line, n_circ)
-                half = contour_quadrature_fixed(t, n, k, lam, psi, cspec, n_line, n_circ)
+            # an odd midpoint count, an even trapezoid count puts a node on the real axis
+            for n_circ, midpoint in ((64, True), (65, True), (64, False), (65, False)):
+                ref = _full_rule(t, n, k, lam, psi, cspec, n_line, n_circ, midpoint)
+                if midpoint:
+                    half = contour_quadrature_fixed(t, n, k, lam, psi, cspec, n_line, n_circ)
+                else:
+                    half = contour._half_rule(t, n, k, lam, psi, cspec, n_line, n_circ,
+                                              midpoint=False)
                 err = np.linalg.norm(half - ref) / max(1.0, np.linalg.norm(ref))
                 worst = max(worst, err)
     assert worst <= 1e-12
@@ -281,6 +372,17 @@ def test_node_collision_pole_next_to_line_node():
 
 def test_node_collision_near_miss_does_not_raise():
     assert np.isfinite(_line_node_case(1e-6)).all()
+
+
+@pytest.mark.parametrize("lam", [1e-9, 7 * 10.0 / 80, 10.0 - 1e-9],
+                         ids=["corner", "grid-abscissa", "truncation-end"])
+def test_node_collision_pole_on_trapezoid_grid_node(lam):
+    # level 0 has 80 line intervals of 0.125 on T = 10: each lambda puts the
+    # pole lambda - i pi next to a grid node that no midpoint pass evaluates
+    t = two_qubit_triple()
+    spec = ContourSpec(half_height=math.pi + 1e-10, truncation=10.0)
+    with pytest.raises(NodeCollisionError):
+        contour_apply(t, 0, 1, lam, np.ones(4), spec=spec)
 
 
 def test_truncation_robustness():

@@ -301,6 +301,25 @@ def test_cli_contour_study_subcommand(tmp_path, monkeypatch):
     assert len(lines) == 1 + 12  # n in {0,1,2} x k in {1,2,4,8}
 
 
+def test_contour_error_becomes_a_fail_record(tmp_path, monkeypatch):
+    # an exhausted node cap inside the contour suite fails the record and
+    # still writes the report, instead of ending the run with a traceback
+    from modlab import contour
+
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    monkeypatch.setattr(contour, "NODE_CAP", 16)
+    code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
+                 "--suite", "contour", "--out", str(tmp_path)])
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    closure = checks["contour/residue-closure"]
+    assert closure["status"] == "fail" and closure["nonfinite"] == closure["samples"] == 12
+    assert checks["contour/uncorrected-discrepancy"]["nonfinite"] == 12
+    assert checks["contour/truncation-robustness"]["status"] == "fail"
+    lines = (tmp_path / "contour_convergence.csv").read_text().strip().split("\n")
+    assert len(lines) == 1  # header only: a failed call writes no row
+
+
 def test_cli_contour_rows_name_their_fixture(tmp_path, monkeypatch):
     import csv
 
