@@ -178,17 +178,13 @@ def bicommutant(a: OperatorSubspace) -> OperatorSubspace:
 
 
 def mutual_projection_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:
-    """Largest distance of a basis element of either subspace from the other."""
+    """Largest distance of a basis element of either subspace from the other (NaN if any is)."""
     if a.dim != b.dim:
         return 1.0
     if a.dim == 0:
         return 0.0
-    res = 0.0
-    for x in a.basis:
-        res = max(res, frob(x - b.project(x)))
-    for y in b.basis:
-        res = max(res, frob(y - a.project(y)))
-    return res
+    return float(np.max([frob(x - b.project(x)) for x in a.basis]
+                        + [frob(y - a.project(y)) for y in b.basis]))
 
 
 def numerical_rank(sv: np.ndarray) -> int:

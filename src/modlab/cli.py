@@ -8,6 +8,9 @@ Subcommands:
   summary on stdout.
 - ``contour-study``: contour-quadrature convergence study only.
 - ``fixture``: generate one fixture and write its JSON snapshot.
+- ``diff-report A B``: compare two reports check by check (each argument is
+  a report.json or a directory holding one); exit 1 when a check id or a
+  status differs, 0 otherwise.
 
 Exit codes: 0 when every must-pass check passes, 1 when one fails, and 2
 for bad arguments, which are rejected before any fixture is built. The
@@ -17,11 +20,12 @@ environment variable MODLAB_OUT, when set, overrides ``--out``.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 from .fixtures import AlgebraSpec, generate_fixture, parse_spec, save_fixture
-from .report import emit
+from .report import diff_reports, emit
 from .suites import ALL_SUITES, DEFAULT_MODELS, RunConfig, run_suites
 
 
@@ -118,6 +122,28 @@ def cmd_fixture(args) -> int:
     return 0
 
 
+def _load_report(path: str) -> dict:
+    if os.path.isdir(path):
+        path = os.path.join(path, "report.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def cmd_diff_report(args) -> int:
+    try:
+        a, b = _load_report(args.a), _load_report(args.b)
+        lines, breaking = diff_reports(a, b)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"modlab diff-report: cannot compare: {exc!r}", file=sys.stderr)
+        return 2
+    for line in lines:
+        print(line)
+    ids = {c["id"] for c in a["checks"]} | {c["id"] for c in b["checks"]}
+    print(f"{len(ids)} check ids, {len(lines)} differ"
+          f"{'; ids or statuses differ' if breaking else ''}")
+    return 1 if breaking else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modlab",
@@ -143,16 +169,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_fix)
     p_fix.set_defaults(func=cmd_fixture, suite=None)
 
+    p_diff = sub.add_parser("diff-report", help="compare two reports check by check")
+    p_diff.add_argument("a", help="report.json, or the directory holding it")
+    p_diff.add_argument("b", help="report.json, or the directory holding it")
+    p_diff.set_defaults(func=cmd_diff_report)
+
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.config = _config(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.command != "diff-report":
+        try:
+            args.config = _config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     code = args.func(args)
     if argv is None:
         sys.exit(code)

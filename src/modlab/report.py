@@ -239,6 +239,44 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _moved(a, b) -> str:
+    """``a -> b`` for two max_residual values, with their ratio and difference."""
+    if a is None or b is None:
+        return f"{a} -> {b}"
+    ratio = b / a if a != 0 else math.inf
+    return f"{a:.6e} -> {b:.6e} (x{ratio:.6g}, {b - a:+.3e})"
+
+
+def diff_reports(a: dict, b: dict) -> tuple[list[str], bool]:
+    """Per-check differences between two report bodies; ``environment`` is ignored.
+
+    Returns one line per check id that is in one report only, flips status,
+    or changes max_residual, tolerance, samples or nonfinite, and whether any
+    id or status differs.
+    """
+    recs_a = {c["id"]: c for c in a["checks"]}
+    recs_b = {c["id"]: c for c in b["checks"]}
+    lines, breaking = [], False
+    for cid in sorted(recs_a.keys() | recs_b.keys()):
+        if cid not in recs_b or cid not in recs_a:
+            lines.append(f"{cid}: only in {'A' if cid in recs_a else 'B'}")
+            breaking = True
+            continue
+        x, y = recs_a[cid], recs_b[cid]
+        parts = []
+        if x["status"] != y["status"]:
+            parts.append(f"status {x['status']} -> {y['status']}")
+            breaking = True
+        if x["max_residual"] != y["max_residual"]:
+            parts.append(f"max_residual {_moved(x['max_residual'], y['max_residual'])}")
+        for key in ("tolerance", "samples", "nonfinite"):
+            if x[key] != y[key]:
+                parts.append(f"{key} {x[key]} -> {y[key]}")
+        if parts:
+            lines.append(f"{cid}: " + "; ".join(parts))
+    return lines, breaking
+
+
 def emit(report: VerificationReport, out_dir, tidy_rows=None, contour_rows=None) -> dict:
     """Write report.json and any CSV audit tables atomically; return the paths."""
     out_dir = os.fspath(out_dir)

@@ -374,3 +374,65 @@ def test_cli_exit_nonzero_on_must_pass_failure(tmp_path, monkeypatch):
     assert code == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["summary"]["fail"] == 1
+
+
+# ---------------------------------------------------------------------------
+# diff-report
+# ---------------------------------------------------------------------------
+
+
+def _small_report(tmp_path, name):
+    report, _, _ = run_suites(RunConfig(models=("standard_factor(2)",), trials=1,
+                                        suites=("modular",)))
+    emit(report, tmp_path / name)
+    return json.loads((tmp_path / name / "report.json").read_text())
+
+
+def _write(tmp_path, name, body):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def test_diff_report_identical_reports_exit_0(tmp_path, capsys):
+    a = _small_report(tmp_path, "a")
+    b = dict(a, environment={"python": "another"})  # the environment is ignored
+    assert main(["diff-report", str(tmp_path / "a"), _write(tmp_path, "b", b)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{len(a['checks'])} check ids, 0 differ"]
+
+
+def test_diff_report_flags_a_status_flip_and_a_missing_id(tmp_path, capsys):
+    a = _small_report(tmp_path, "a")
+    flipped = json.loads(json.dumps(a))
+    rec = next(c for c in flipped["checks"] if c["id"] == "modular/s-on-algebra")
+    rec["status"], rec["max_residual"] = "fail", 2 * rec["max_residual"]
+    assert main(["diff-report", _write(tmp_path, "a", a), _write(tmp_path, "f", flipped)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("modular/s-on-algebra: status pass -> fail; max_residual ")
+    assert "(x2," in out[0]
+
+    missing = json.loads(json.dumps(a))
+    missing["checks"] = [c for c in missing["checks"] if c["id"] != "modular/j-involution"]
+    assert main(["diff-report", _write(tmp_path, "a", a), _write(tmp_path, "m", missing)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "modular/j-involution: only in A"
+    assert main(["diff-report", _write(tmp_path, "m", missing), _write(tmp_path, "a", a)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "modular/j-involution: only in B"
+
+
+def test_diff_report_lists_moved_numbers_without_failing(tmp_path, capsys):
+    a = _small_report(tmp_path, "a")
+    moved = json.loads(json.dumps(a))
+    rec = next(c for c in moved["checks"] if c["id"] == "modular/polar-s")
+    rec["tolerance"], rec["samples"], rec["nonfinite"] = 1.0, 7, 0
+    assert main(["diff-report", _write(tmp_path, "a", a), _write(tmp_path, "v", moved)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("modular/polar-s: tolerance ")
+    assert "-> 1.0; samples 1 -> 7" in line and "max_residual" not in line
+
+
+def test_diff_report_unreadable_input_exits_2(tmp_path, capsys):
+    assert main(["diff-report", str(tmp_path / "absent"), str(tmp_path / "absent")]) == 2
+    assert "cannot compare" in capsys.readouterr().err
