@@ -37,9 +37,7 @@ def _model_labels(args) -> tuple[str, ...]:
         return (AlgebraSpec.standard_factor(n).label(),)
     if args.model == "abelian":
         return (AlgebraSpec.maximal_abelian(n).label(),)
-    if args.model == "direct-sum":
-        return (AlgebraSpec.direct_sum([(n, n), (1, 1)]).label(),)
-    raise SystemExit(f"unknown model {args.model!r}")
+    return (AlgebraSpec.direct_sum([(n, n), (1, 1)]).label(),)  # "direct-sum"
 
 
 def _out_dir(args) -> str:
@@ -85,29 +83,30 @@ def _print_report(report) -> None:
 
 
 def cmd_verify(args) -> int:
-    report, tidy_rows, contour_rows = run_suites(args.config)
-    paths = emit(report, _out_dir(args), tidy_rows=tidy_rows, contour_rows=contour_rows)
+    report = run_suites(args.config)
+    paths = emit(report, _out_dir(args))
     _print_report(report)
     print(f"wrote {paths['report']}")
     return 0 if report.must_pass_ok else 1
 
 
 def cmd_audit_tidy_bound(args) -> int:
-    report, tidy_rows, _ = run_suites(args.config)
-    emit(report, _out_dir(args), tidy_rows=tidy_rows)
+    report = run_suites(args.config)
+    emit(report, _out_dir(args), tables=("tidy_bounds",))
     for c in report.checks:
         if c.id.startswith("tidy/growth-slope"):
             print(f"{c.id}: fitted slope {_residual(c, '.4f')} vs bound rate {c.tolerance:.4f}")
-    violations = sum(1 for r in tidy_rows if not r["pass"])
-    print(f"{len(tidy_rows)} audit rows, {violations} above the closed-form bound")
+    rows = report.rows["tidy_bounds"]
+    violations = sum(1 for r in rows if not r["pass"])
+    print(f"{len(rows)} audit rows, {violations} above the closed-form bound")
     return 0 if report.must_pass_ok else 1
 
 
 def cmd_contour_study(args) -> int:
-    report, _, contour_rows = run_suites(args.config)
-    emit(report, _out_dir(args), contour_rows=contour_rows)
+    report = run_suites(args.config)
+    emit(report, _out_dir(args), tables=("contour_convergence",))
     _print_report(report)
-    print(f"{len(contour_rows)} convergence rows")
+    print(f"{len(report.rows['contour_convergence'])} convergence rows")
     return 0 if report.must_pass_ok else 1
 
 

@@ -253,20 +253,15 @@ def covering_windows(
 # ---------------------------------------------------------------------------
 
 
-def _complex_matrix_to_json(m: np.ndarray):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+def _to_pairs(a: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs of a complex array, bit for bit."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
-def _complex_vector_to_json(v: np.ndarray):
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
-def _vector_from_json(items) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in items], dtype=complex)
+def _from_pairs(items) -> np.ndarray:
+    """The complex array of nested lists of [re, im] pairs, bit for bit."""
+    return np.ascontiguousarray(items, dtype=float).view(complex)[..., 0]
 
 
 def fixture_to_json(fix: Fixture) -> dict:
@@ -277,14 +272,14 @@ def fixture_to_json(fix: Fixture) -> dict:
         "model": fix.spec.label(),
         "seed": fix.seed,
         "dim": fix.dim,
-        "omega": _complex_vector_to_json(t.omega),
-        "algebra_basis": [_complex_matrix_to_json(b) for b in t.algebra.basis],
-        "commutant_basis": [_complex_matrix_to_json(b) for b in t.commutant.basis],
-        "s_matrix": _complex_matrix_to_json(t.s.matrix),
-        "j_matrix": _complex_matrix_to_json(t.j.matrix),
-        "delta": _complex_matrix_to_json(t.delta),
+        "omega": _to_pairs(t.omega),
+        "algebra_basis": _to_pairs(t.algebra.basis),
+        "commutant_basis": _to_pairs(t.commutant.basis),
+        "s_matrix": _to_pairs(t.s.matrix),
+        "j_matrix": _to_pairs(t.j.matrix),
+        "delta": _to_pairs(t.delta),
         "delta_eigenvalues": [float(x) for x in t.delta_spec.eigenvalues],
-        "delta_eigenvectors": _complex_matrix_to_json(t.delta_spec.eigenvectors),
+        "delta_eigenvectors": _to_pairs(t.delta_spec.eigenvectors),
         "kappa": float(t.kappa),
         "block_weights": [float(x) for x in fix.block_weights],
         "block_probs": [[float(x) for x in q] for q in fix.block_probs],
@@ -299,19 +294,19 @@ def fixture_from_json(doc: dict) -> Fixture:
     d = int(doc["dim"])
     algebra = OperatorSubspace(
         d,
-        np.stack([_matrix_from_json(b) for b in doc["algebra_basis"]]),
+        _from_pairs(doc["algebra_basis"]),
     )
     comm = OperatorSubspace(
         d,
-        np.stack([_matrix_from_json(b) for b in doc["commutant_basis"]]),
+        _from_pairs(doc["commutant_basis"]),
     )
-    omega = _vector_from_json(doc["omega"])
-    delta = _matrix_from_json(doc["delta"])
+    omega = _from_pairs(doc["omega"])
+    delta = _from_pairs(doc["delta"])
     triple = ModularTriple(
         orbit=orbit(algebra, omega),
         commutant_orbit=orbit(comm, omega),
-        s=AntilinearMap(_matrix_from_json(doc["s_matrix"])),
-        j=AntilinearMap(_matrix_from_json(doc["j_matrix"])),
+        s=AntilinearMap(_from_pairs(doc["s_matrix"])),
+        j=AntilinearMap(_from_pairs(doc["j_matrix"])),
         delta=delta,
         delta_spec=hermitian_eig(delta),
         kappa=float(doc["kappa"]),

@@ -72,13 +72,11 @@ def commutator_ratio(x: np.ndarray, norm_x: float, basis) -> float:
     """Largest relative commutator |[x, b]| / (|x| |b|) over the basis elements b.
 
     norm_x is the caller's operator norm of x; a floor of 1e-30 on the scale
-    keeps zero elements from dividing by zero.
+    keeps zero elements from dividing by zero. A NaN ratio is returned, not
+    dropped as the builtin ``max`` would drop it.
     """
-    worst = 0.0
-    for b in basis:
-        comm = x @ b - b @ x
-        worst = max(worst, opnorm(comm) / max(norm_x * opnorm(b), 1e-30))
-    return worst
+    ratios = [opnorm(x @ b - b @ x) / max(norm_x * opnorm(b), 1e-30) for b in basis]
+    return float(np.max(ratios, initial=0.0))
 
 
 def tomita_check(

@@ -21,6 +21,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,12 +57,16 @@ def as_square_array(a, name: str = "matrix") -> np.ndarray:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Operator norm (largest singular value).
+    """Operator norm (largest singular value), or NaN when the SVD fails.
 
     The same bits as ``np.linalg.norm(a, 2)``, which takes this SVD too, in
-    half the time on small matrices.
+    half the time on small matrices. A non-finite entry makes the SVD raise;
+    the NaN lets the check that asked record a failed sample instead.
     """
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    try:
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    except np.linalg.LinAlgError:
+        return math.nan
 
 
 def frob(a: np.ndarray) -> float:

@@ -15,14 +15,19 @@ The report schema (schema_version "1") is::
       "environment": {...}            # stamp block, excluded from determinism
     }
 
-Numbers are serialized as decimals with 17 significant digits through a small
-hand-rolled JSON writer, so identical runs produce byte-identical files apart
-from the environment stamp. Files are written atomically (write then rename).
+The JSON is written with sorted keys and Python's shortest round-trip float
+repr, so identical runs produce byte-identical files apart from the
+environment stamp; a non-finite number makes ``emit`` raise ValueError. The
+audit tables go to CSV files, one per ``CSV_COLUMNS`` entry, where a
+non-finite cell reads ``nan`` or ``inf``. Files are written atomically
+(write then rename).
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 import os
 import platform
@@ -36,6 +41,14 @@ import numpy as np
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_AUDIT = "audit"
+
+# audit table -> its CSV columns; a run's rows are written to <table>.csv
+CSV_COLUMNS = {
+    "tidy_bounds": ["seed", "model", "d", "lambda1", "lambda2", "n", "family", "measured",
+                    "bound", "ratio", "pass"],
+    "contour_convergence": ["seed", "model", "k", "n", "lambda", "nodes", "uncorrected_err",
+                            "corrected_err", "pole_count", "pole_norm"],
+}
 
 
 @dataclass
@@ -69,10 +82,12 @@ class CheckRecord:
 
 
 class CheckSet:
-    """Accumulates samples into uniquely-identified check records."""
+    """Accumulates samples into uniquely-identified check records, and the
+    suites' audit table rows into ``rows[table]``."""
 
     def __init__(self):
         self._records: dict[str, CheckRecord] = {}
+        self.rows: dict[str, list[dict]] = {table: [] for table in CSV_COLUMNS}
 
     def add(self, check_id: str, ref: str, residual: float, tolerance: float,
             audit: bool = False, ok: bool | None = None) -> None:
@@ -95,6 +110,7 @@ class CheckSet:
 class VerificationReport:
     config: dict
     checks: list[CheckRecord]
+    rows: dict[str, list[dict]]  # audit table -> rows, as CheckSet.rows
     environment: dict = field(default_factory=dict)
 
     @property
@@ -144,56 +160,15 @@ def environment_stamp() -> dict:
 
 
 def format_number(x) -> str:
-    """Decimal rendering with 17 significant digits (round-trip exact)."""
+    """Text of a CSV cell: decimals with 17 significant digits (round-trip
+    exact; a non-finite float reads nan or inf), true/false for booleans."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite number {x!r} cannot enter a report")
-    return format(x, ".17g")
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON with sorted keys and 17-digit numbers."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return _escape(value)
-    if isinstance(value, (bool, int, float, np.integer, np.floating)):
-        return format_number(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{_escape(str(k))}: {render_json(value[k], indent + 2)}"
-            for k in sorted(value)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{render_json(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -211,31 +186,12 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-TIDY_CSV_COLUMNS = ["seed", "model", "d", "lambda1", "lambda2", "n", "family", "measured", "bound",
-                    "ratio", "pass"]
-CONTOUR_CSV_COLUMNS = ["seed", "model", "k", "n", "lambda", "nodes", "uncorrected_err",
-                       "corrected_err", "pole_count", "pole_norm"]
-
-
 def render_csv(columns: list[str], rows: list[dict]) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        rendered = []
-        for col in columns:
-            v = row[col]
-            if isinstance(v, bool):
-                rendered.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                rendered.append(str(int(v)))
-            elif isinstance(v, (float, np.floating)):
-                rendered.append(format_number(float(v)))
-            else:
-                rendered.append(str(v))
-        writer.writerow(rendered)
+        writer.writerow([format_number(row[col]) for col in columns])
     return buf.getvalue()
 
 
@@ -277,20 +233,13 @@ def diff_reports(a: dict, b: dict) -> tuple[list[str], bool]:
     return lines, breaking
 
 
-def emit(report: VerificationReport, out_dir, tidy_rows=None, contour_rows=None) -> dict:
-    """Write report.json and any CSV audit tables atomically; return the paths."""
+def emit(report: VerificationReport, out_dir, tables=tuple(CSV_COLUMNS)) -> dict:
+    """Write report.json and the named audit tables' CSVs atomically; return the paths."""
     out_dir = os.fspath(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    report_path = os.path.join(out_dir, "report.json")
-    atomic_write_text(report_path, render_json(report.to_dict()) + "\n")
-    paths["report"] = report_path
-    if tidy_rows is not None:
-        p = os.path.join(out_dir, "tidy_bounds.csv")
-        atomic_write_text(p, render_csv(TIDY_CSV_COLUMNS, tidy_rows))
-        paths["tidy_bounds"] = p
-    if contour_rows is not None:
-        p = os.path.join(out_dir, "contour_convergence.csv")
-        atomic_write_text(p, render_csv(CONTOUR_CSV_COLUMNS, contour_rows))
-        paths["contour_convergence"] = p
+    paths = {"report": os.path.join(out_dir, "report.json")}
+    atomic_write_text(paths["report"], json.dumps(
+        report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    for table in tables:
+        paths[table] = os.path.join(out_dir, f"{table}.csv")
+        atomic_write_text(paths[table], render_csv(CSV_COLUMNS[table], report.rows[table]))
     return paths

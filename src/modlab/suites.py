@@ -10,7 +10,7 @@ status ``audit`` and never fail a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,49 +24,12 @@ from .linalg import complex_power, frob, rel_residual
 from .linalg import opnorm  # noqa: F401  perfbench's tracer tests call modlab.suites.opnorm
 from .report import CheckSet, VerificationReport, environment_stamp
 
-ALL_SUITES = ("modular", "flow", "tidy", "resolvent", "density", "contour")
 DEFAULT_MODELS = ("standard_factor(2)", "standard_factor(3)")
 AUDIT_WINDOWS = ((0.3, 0.9), (0.9, 1.5), (1.5, 2.5))
 FLOW_TIMES = (0.3, -0.3, 1.0, -1.0, math.pi, -math.pi, 10.0, -10.0)
 RANDOM_ELEMENTS = 100  # random elements per side beyond the basis in the S and S* checks
 LADDER_RANGE = 3  # ladder identities are checked for n = -LADDER_RANGE..LADDER_RANGE
 RESOLVENT_SAMPLES = 8  # off-axis points per fixture and role
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Configuration of a verification run; fully determines the report body."""
-
-    seed: int = 20260809
-    models: tuple[str, ...] = DEFAULT_MODELS
-    trials: int = 25
-    tol_base: float = 1e-9
-    p_min: float = 0.01
-    suites: tuple[str, ...] = ALL_SUITES
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.tol_base <= 0:
-            raise ValueError("tol_base must be positive")
-        unknown = set(self.suites) - set(ALL_SUITES)
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-        for label in self.models:
-            parse_spec(label)
-        dmax = max(parse_spec(label).dim for label in self.models)
-        if not (0.0 < self.p_min <= 1.0 / dmax):
-            raise ValueError(f"p_min must lie in (0, 1/d] = (0, {1.0 / dmax:.4f}]")
-
-    def echo(self) -> dict:
-        return {
-            "seed": self.seed,
-            "models": list(self.models),
-            "trials": self.trials,
-            "tol_base": self.tol_base,
-            "p_min": self.p_min,
-            "suites": sorted(self.suites),
-        }
 
 
 def _fixture_seed(base_seed: int, model_idx: int, trial: int) -> int:
@@ -258,8 +221,7 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
 # ---------------------------------------------------------------------------
 
 
-def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
-                   tidy_rows: list | None = None) -> None:
+def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
     t = fix.triple
     d = t.dim
     tol = tol_base * math.sqrt(t.kappa) * d
@@ -299,34 +261,35 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
         checks.add("tidy/power-conjugation",
                    "Delta^n a Delta^(-n) b omega = a_n b omega", res, tol_n)
 
-    if tidy_rows is not None:
-        for (l1, l2) in AUDIT_WINDOWS:
-            audit = td.growth_audit(t, source, l1, l2, n_max=6)
-            for row in audit.rows:
-                ratio = row.ratio if row.bound_value > 0 else (0.0 if row.measured_norm == 0 else math.inf)
-                tidy_rows.append({
-                    "seed": fix.seed,
-                    "model": fix.spec.label(),
-                    "d": d,
-                    "lambda1": row.lambda1,
-                    "lambda2": row.lambda2,
-                    "n": row.n,
-                    "family": row.family,
-                    "measured": row.measured_norm,
-                    "bound": row.bound_value,
-                    "ratio": 0.0 if not math.isfinite(ratio) else ratio,
-                    "pass": row.passed,
-                })
-                checks.add("tidy/growth-bound",
-                           "ladder norms vs closed-form exponential bound",
-                           0.0 if not math.isfinite(ratio) else ratio, 1.0,
-                           audit=True)
-            checks.add(f"tidy/growth-slope[{l1:g},{l2:g}]",
-                       "fitted log-growth rate vs bound rate (n >= 0)",
-                       audit.slope_pos, audit.bound_slope_pos, audit=True)
-            checks.add(f"tidy/growth-slope-neg[{l1:g},{l2:g}]",
-                       "fitted log-growth rate vs mirrored bound rate (n <= 0)",
-                       audit.slope_neg, audit.bound_slope_neg, audit=True)
+    for (l1, l2) in AUDIT_WINDOWS:
+        audit = td.growth_audit(t, source, l1, l2)
+        for row in audit.rows:
+            # an empty window (0 measured against a 0 bound) reads 0; any other
+            # non-finite ratio is a broken sample, which fails the record
+            ratio = row.ratio if row.bound_value > 0 else (
+                0.0 if row.measured_norm == 0 == row.bound_value else math.inf)
+            checks.rows["tidy_bounds"].append({
+                "seed": fix.seed,
+                "model": fix.spec.label(),
+                "d": d,
+                "lambda1": row.lambda1,
+                "lambda2": row.lambda2,
+                "n": row.n,
+                "family": row.family,
+                "measured": row.measured_norm,
+                "bound": row.bound_value,
+                "ratio": ratio,
+                "pass": row.passed,
+            })
+            checks.add("tidy/growth-bound",
+                       "ladder norms vs closed-form exponential bound",
+                       ratio, 1.0, audit=True)
+        checks.add(f"tidy/growth-slope[{l1:g},{l2:g}]",
+                   "fitted log-growth rate vs bound rate (n >= 0)",
+                   audit.slope_pos, audit.bound_slope_pos, audit=True)
+        checks.add(f"tidy/growth-slope-neg[{l1:g},{l2:g}]",
+                   "fitted log-growth rate vs mirrored bound rate (n <= 0)",
+                   audit.slope_neg, audit.bound_slope_neg, audit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +376,7 @@ def _spectrum_avoiding_lambdas(t):
     return candidates[:3]
 
 
-def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
-                      contour_rows: list | None = None) -> None:
+def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
     t = fix.triple
     d = t.dim
     lambdas = _spectrum_avoiding_lambdas(t)
@@ -439,8 +401,8 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
             checks.add("contour/uncorrected-discrepancy",
                        "quadrature vs oracle without pole correction",
                        uncorrected, 10 * ct.QUAD_TOL, audit=True)
-            if result is not None and contour_rows is not None:
-                contour_rows.append({
+            if result is not None:
+                checks.rows["contour_convergence"].append({
                     "seed": fix.seed,
                     "model": fix.spec.label(),
                     "k": k,
@@ -494,37 +456,65 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float,
 # run orchestration
 # ---------------------------------------------------------------------------
 
-_SUITE_TAGS = {name: i for i, name in enumerate(ALL_SUITES)}
+# name -> suite; a name's position is the tag that keys the suite's random
+# stream, so each suite draws the same samples whichever suites run beside it
+SUITES = {
+    "modular": run_modular_suite,
+    "flow": run_flow_suite,
+    "tidy": run_tidy_suite,
+    "resolvent": run_resolvent_suite,
+    "density": run_density_suite,
+    "contour": run_contour_suite,
+}
+ALL_SUITES = tuple(SUITES)
 
 
-def run_suites(config: RunConfig) -> tuple[VerificationReport, list, list]:
-    """Execute the configured suites and return (report, tidy rows, contour rows)."""
+@dataclass(frozen=True)
+class RunConfig:
+    """Configuration of a verification run; fully determines the report body."""
+
+    seed: int = 20260809
+    models: tuple[str, ...] = DEFAULT_MODELS
+    trials: int = 25
+    tol_base: float = 1e-9
+    p_min: float = 0.01
+    suites: tuple[str, ...] = ALL_SUITES
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.tol_base <= 0:
+            raise ValueError("tol_base must be positive")
+        unknown = set(self.suites) - set(ALL_SUITES)
+        if unknown:
+            raise ValueError(f"unknown suites: {sorted(unknown)}")
+        for label in self.models:
+            parse_spec(label)
+        dmax = max(parse_spec(label).dim for label in self.models)
+        if not (0.0 < self.p_min <= 1.0 / dmax):
+            raise ValueError(f"p_min must lie in (0, 1/d] = (0, {1.0 / dmax:.4f}]")
+
+    def echo(self) -> dict:
+        return {**asdict(self), "suites": sorted(self.suites)}
+
+
+def run_suites(config: RunConfig) -> VerificationReport:
+    """Execute the configured suites; the report carries the audit table rows."""
     checks = CheckSet()
-    tidy_rows: list = []
-    contour_rows: list = []
-    selected = [s for s in ALL_SUITES if s in config.suites]
     for model_idx, label in enumerate(config.models):
         spec = parse_spec(label)
         for trial in range(config.trials):
             fix = generate_fixture(spec, _fixture_seed(config.seed, model_idx, trial),
                                    p_min=config.p_min)
-            for suite in selected:
-                rng = _rng(config.seed, model_idx, trial, _SUITE_TAGS[suite])
-                if suite == "modular":
-                    run_modular_suite(fix, rng, checks, config.tol_base)
-                elif suite == "flow":
-                    run_flow_suite(fix, rng, checks, config.tol_base)
-                elif suite == "tidy":
-                    run_tidy_suite(fix, rng, checks, config.tol_base, tidy_rows)
-                elif suite == "resolvent":
-                    run_resolvent_suite(fix, rng, checks, config.tol_base)
-                elif suite == "density":
-                    run_density_suite(fix, rng, checks, config.tol_base)
-                elif suite == "contour":
-                    run_contour_suite(fix, rng, checks, config.tol_base, contour_rows)
-    report = VerificationReport(
+            for tag, name in enumerate(ALL_SUITES):
+                if name in config.suites:
+                    # looked up by module name, so a wrapper rebound there (such as
+                    # perfbench's per-suite span) is the one that runs
+                    suite = globals()[SUITES[name].__name__]
+                    suite(fix, _rng(config.seed, model_idx, trial, tag), checks, config.tol_base)
+    return VerificationReport(
         config=config.echo(),
         checks=checks.records(),
+        rows=checks.rows,
         environment=environment_stamp(),
     )
-    return report, tidy_rows, contour_rows

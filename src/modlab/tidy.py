@@ -36,6 +36,7 @@ from .linalg import as_square_array, complex_power, matrix_function, opnorm
 from .tomita import ModularTriple, IllConditionedError, COND_CAP
 
 N_CAP = 8  # |n| cap from the kappa <= 1e4 conditioning budget
+GROWTH_N_MAX = 6  # ladder range |n| <= 6 of the growth audit, within N_CAP
 BOUNDARY_EPS = 1e-9
 
 
@@ -250,9 +251,8 @@ def growth_audit(
     source,
     lambda1: float,
     lambda2: float,
-    n_max: int,
 ) -> GrowthAudit:
-    """Measure ladder norms against the closed-form bounds for n = -N..N.
+    """Measure ladder norms against the closed-form bounds for |n| <= GROWTH_N_MAX.
 
     Both solve families share the windowed vector. The bound paired with each
     row is the sign-appropriate closed form: the lambda_2 formula (source norm
@@ -266,14 +266,12 @@ def growth_audit(
     multiplies the slack by roughly 2 pi. The exponential growth rate itself
     is confirmed by the fitted slopes.
     """
-    if n_max > N_CAP:
-        raise WindowError(f"N = {n_max} exceeds the conditioning cap {N_CAP}")
     base = make_tidy(triple, source, lambda1, lambda2)
     norm_a0 = opnorm(base.a)
     norm_a0p = opnorm(base.a_prime)
     rows: list[BoundAuditRow] = []
     logs_pos, logs_neg = [], []
-    for n in range(-n_max, n_max + 1):
+    for n in range(-GROWTH_N_MAX, GROWTH_N_MAX + 1):
         an = ladder(triple, triple.orbit, base, n)
         apn = ladder(triple, triple.commutant_orbit, base, n)
         if n >= 0:
@@ -307,10 +305,11 @@ def growth_audit(
 
 
 def _fit_slope(points: list[tuple[int, float]]) -> float:
-    if len(points) < 2:
-        return 0.0
+    """Least-squares slope; NaN when a point is not finite (a broken norm)."""
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
+    if not np.all(np.isfinite(ys)):
+        return math.nan
     return float(np.polyfit(xs, ys, 1)[0])
 
 
@@ -323,7 +322,7 @@ def dagger_ladder_check(
     triple: ModularTriple,
     tidy: TidyOperator,
     n: int,
-    tol_base: float = 1e-9,
+    tol_base: float,
 ) -> tuple[float, float]:
     """Residual of the adjoint-ladder identity (a'_{n+1})^* omega = (a_n)^* omega.
 
@@ -353,7 +352,7 @@ def powers_check(
     tidy_a: TidyOperator,
     tidy_b: TidyOperator,
     n: int,
-    tol_base: float = 1e-9,
+    tol_base: float,
 ) -> tuple[float, float]:
     """Residual of Delta^n a Delta^{-n} b omega = a_n b omega.
 

@@ -217,7 +217,7 @@ def test_criterion_07_sigmoid_limit():
 
 def test_criterion_08_residue_closure(tmp_path):
     from modlab.contour import sigmoid_poles
-    from modlab.report import CONTOUR_CSV_COLUMNS, atomic_write_text, render_csv
+    from modlab.report import CSV_COLUMNS, atomic_write_text, render_csv
 
     quad_tol = 1e-8
     rows = []
@@ -246,7 +246,7 @@ def test_criterion_08_residue_closure(tmp_path):
                 })
     # the as-stated (uncorrected) discrepancy is tabulated, never asserted
     atomic_write_text(tmp_path / "contour_convergence.csv",
-                      render_csv(CONTOUR_CSV_COLUMNS, rows))
+                      render_csv(CSV_COLUMNS["contour_convergence"], rows))
     _report(
         "criterion 8: residue-corrected quadrature matches the spectral oracle",
         worst <= 10 * quad_tol and len(rows) == 24,
@@ -264,7 +264,7 @@ def test_criterion_09_growth_bound_audit(tmp_path):
         a = fix.triple.algebra
         src = a.element(rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim))
         for (l1, l2) in AUDIT_WINDOWS:
-            audit = growth_audit(fix.triple, src, l1, l2, n_max=6)
+            audit = growth_audit(fix.triple, src, l1, l2)
             slopes.setdefault((l1, l2), []).append((audit.slope_pos, audit.slope_neg))
             for r in audit.rows:
                 ratio = r.measured_norm / r.bound_value if r.bound_value > 0 else 0.0
@@ -274,9 +274,9 @@ def test_criterion_09_growth_bound_audit(tmp_path):
                     "family": r.family, "measured": r.measured_norm, "bound": r.bound_value,
                     "ratio": ratio, "pass": r.passed,
                 })
-    from modlab.report import render_csv, TIDY_CSV_COLUMNS, atomic_write_text
+    from modlab.report import render_csv, CSV_COLUMNS, atomic_write_text
     path = tmp_path / "tidy_bounds.csv"
-    atomic_write_text(path, render_csv(TIDY_CSV_COLUMNS, rows))
+    atomic_write_text(path, render_csv(CSV_COLUMNS["tidy_bounds"], rows))
     n_values = {r["n"] for r in rows}
     for (l1, l2), pairs in sorted(slopes.items()):
         sp = np.mean([p[0] for p in pairs])
@@ -295,8 +295,7 @@ def test_criterion_10_determinism(tmp_path):
                        suites=("modular", "tidy"))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        report, tidy_rows, contour_rows = run_suites(config)
-        emit(report, out, tidy_rows=tidy_rows, contour_rows=contour_rows)
+        emit(run_suites(config), out)
     text_a = (out_a / "report.json").read_text()
     text_b = (out_b / "report.json").read_text()
     strip = re.compile(r'"environment": \{[^}]*\},?\n(\s*)')
@@ -304,7 +303,7 @@ def test_criterion_10_determinism(tmp_path):
     same_bytes = strip.sub(r"\1", text_a) == strip.sub(r"\1", text_b)
     same_csv = (out_a / "tidy_bounds.csv").read_bytes() == (out_b / "tidy_bounds.csv").read_bytes()
     # exit semantics: a clean report maps to exit code 0 through the CLI path
-    report, _, _ = run_suites(config)
+    report = run_suites(config)
     code_ok = report.must_pass_ok
     _report(
         "criterion 10: byte-identical reports modulo the environment stamp",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,15 +10,16 @@ import pytest
 
 from modlab.cli import main
 from modlab.report import (
+    CSV_COLUMNS,
     CheckSet,
     VerificationReport,
     emit,
     format_number,
     render_csv,
-    render_json,
-    TIDY_CSV_COLUMNS,
 )
 from modlab.suites import RunConfig, run_suites
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # ---------------------------------------------------------------------------
@@ -32,19 +34,30 @@ def test_format_number_17_digits_round_trip():
         assert float(s) == x
 
 
-def test_format_number_rejects_non_finite():
-    with pytest.raises(ValueError):
-        format_number(float("nan"))
-    with pytest.raises(ValueError):
-        format_number(float("inf"))
+def test_format_number_writes_non_finite_cells():
+    # a CSV cell may record a broken sample; report.json refuses one (below)
+    assert [format_number(x) for x in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
+    assert format_number(np.float64(0.1)) == "0.10000000000000001"
 
 
-def test_render_json_deterministic_and_parseable():
-    doc = {"b": [1, 2.5, "x"], "a": {"nested": True, "v": 1 / 7}}
-    s1 = render_json(doc)
-    s2 = render_json(doc)
-    assert s1 == s2
-    assert json.loads(s1) == {"b": [1, 2.5, "x"], "a": {"nested": True, "v": 1 / 7}}
+def test_report_json_deterministic_and_parseable(tmp_path):
+    xs = [1 / 3, 2.0 ** -52, 1.2339999999999999e-10, 9.87e300, 0.1]
+    cs = CheckSet()
+    for i, x in enumerate(xs):
+        cs.add(f"x{i}", "r", x, 1.0)
+    rep = VerificationReport(config={"tol_base": 1 / 7}, checks=cs.records(), rows=cs.rows)
+    for name in ("a", "b"):
+        emit(rep, tmp_path / name, tables=())
+    text = (tmp_path / "a" / "report.json").read_text()
+    assert text == (tmp_path / "b" / "report.json").read_text()
+    doc = json.loads(text)
+    assert doc["config"]["tol_base"] == 1 / 7
+    assert [c["max_residual"] for c in doc["checks"]] == xs
+    cs.add("y", "r", 1e-12, math.nan)  # a NaN tolerance cannot enter the file
+    with pytest.raises(ValueError):
+        emit(VerificationReport(config={}, checks=cs.records(), rows=cs.rows),
+             tmp_path / "nan", tables=())
+    assert not (tmp_path / "nan" / "report.json").exists()
 
 
 def test_render_csv_columns_exact():
@@ -53,7 +66,7 @@ def test_render_csv_columns_exact():
         "lambda1": 0.3, "lambda2": 0.9, "n": -2, "family": "a_prime",
         "measured": 1.25, "bound": 2.5, "ratio": 0.5, "pass": True,
     }]
-    text = render_csv(TIDY_CSV_COLUMNS, rows)
+    text = render_csv(CSV_COLUMNS["tidy_bounds"], rows)
     lines = text.strip().split("\n")
     assert lines[0] == "seed,model,d,lambda1,lambda2,n,family,measured,bound,ratio,pass"
     assert lines[1].startswith("1,standard_factor(2),4,")
@@ -94,7 +107,7 @@ def test_nonfinite_first_sample_still_writes_a_report(tmp_path, monkeypatch, cap
         cs = CheckSet()
         cs.add("x", "r", float("nan"), 1e-9)
         cs.add("x", "r", float("inf"), 1e-9)
-        return VerificationReport(config=config.echo(), checks=cs.records()), [], []
+        return VerificationReport(config=config.echo(), checks=cs.records(), rows=cs.rows)
 
     monkeypatch.delenv("MODLAB_OUT", raising=False)
     monkeypatch.setattr(cli_mod, "run_suites", rigged)
@@ -122,10 +135,10 @@ def test_nonfinite_sample_after_finite_one_is_counted():
 def test_report_must_pass_flag():
     cs = CheckSet()
     cs.add("ok", "r", 1e-12, 1e-9)
-    rep = VerificationReport(config={}, checks=cs.records())
+    rep = VerificationReport(config={}, checks=cs.records(), rows=cs.rows)
     assert rep.must_pass_ok
     cs.add("bad", "r", 1.0, 1e-9)
-    rep = VerificationReport(config={}, checks=cs.records())
+    rep = VerificationReport(config={}, checks=cs.records(), rows=cs.rows)
     assert not rep.must_pass_ok
     assert rep.summary["fail"] == 1
 
@@ -133,9 +146,9 @@ def test_report_must_pass_flag():
 def test_emit_atomic_and_complete(tmp_path):
     cs = CheckSet()
     cs.add("ok", "r", 1e-12, 1e-9)
-    rep = VerificationReport(config={"seed": 1}, checks=cs.records(),
+    rep = VerificationReport(config={"seed": 1}, checks=cs.records(), rows=cs.rows,
                              environment={"python": "x"})
-    paths = emit(rep, tmp_path, tidy_rows=[], contour_rows=[])
+    paths = emit(rep, tmp_path)
     assert os.path.exists(paths["report"])
     assert os.path.exists(paths["tidy_bounds"])
     assert os.path.exists(paths["contour_convergence"])
@@ -160,21 +173,20 @@ SMALL = RunConfig(
 
 
 def test_run_suites_small_all_pass():
-    report, tidy_rows, contour_rows = run_suites(SMALL)
+    report = run_suites(SMALL)
     assert report.must_pass_ok
     ids = {c.id for c in report.checks}
     assert "modular/s-on-algebra" in ids
     assert "resolvent/transfer-bound" in ids
-    assert tidy_rows == [] and contour_rows == []
+    assert report.rows == {"tidy_bounds": [], "contour_convergence": []}
 
 
 def test_run_suites_deterministic_body():
-    r1, _, _ = run_suites(SMALL)
-    r2, _, _ = run_suites(SMALL)
+    r1, r2 = run_suites(SMALL), run_suites(SMALL)
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1.pop("environment")
     d2.pop("environment")
-    assert render_json(d1) == render_json(d2)
+    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
 def test_config_validation():
@@ -243,9 +255,17 @@ def test_cli_report_body_independent_of_out_dir(tmp_path, monkeypatch):
     assert bodies[0] == bodies[1]
 
 
-def test_cli_exit_code_via_subprocess(tmp_path):
-    env = dict(os.environ)
+def _child_env(**extra) -> dict:
+    """Environment of a ``python -m modlab.cli`` child: MODLAB_OUT unset, and
+    src/ on its path, as pyproject.toml puts it on pytest's."""
+    env = dict(os.environ, **extra)
     env.pop("MODLAB_OUT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_exit_code_via_subprocess(tmp_path):
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "modlab.cli", "verify", "--model", "abelian",
          "--factor-size", "3", "--trials", "1", "--seed", "2",
@@ -320,6 +340,75 @@ def test_contour_error_becomes_a_fail_record(tmp_path, monkeypatch):
     assert len(lines) == 1  # header only: a failed call writes no row
 
 
+def _nan_power(monkeypatch, module, at):
+    """Replace module.complex_power by one whose power at the exponent ``at``
+    has a NaN entry."""
+    power = module.complex_power
+
+    def rigged(dec, z):
+        p = power(dec, z)
+        if z == at:
+            p = p.copy()
+            p[0, 0] = np.nan
+        return p
+
+    monkeypatch.setattr(module, "complex_power", rigged)
+
+
+def test_nan_flowed_operator_fails_the_flow_records(tmp_path, monkeypatch):
+    # the NaN reaches opnorm's SVD, which cannot converge; the run records
+    # failed samples and writes its report instead of ending in a traceback
+    from modlab import flow
+
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    _nan_power(monkeypatch, flow, -10j)  # Delta^(-10i), the flow at t = 10
+    code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
+                 "--suite", "flow", "--out", str(tmp_path)])
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    for cid in ("flow/membership", "flow/commutant-commutators"):
+        # one NaN sample per algebra basis element, at the one time t = 10
+        assert checks[cid]["status"] == "fail" and checks[cid]["nonfinite"] == 4, cid
+    assert checks["flow/group-law"]["status"] == "pass"
+
+
+def test_nan_ladder_norm_fails_the_growth_audit(tmp_path, monkeypatch):
+    import csv
+
+    from modlab import tidy
+
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    _nan_power(monkeypatch, tidy, 2)  # Delta^2, the ladder's power at n = 2
+    code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
+                 "--suite", "tidy", "--out", str(tmp_path)])
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    assert checks["tidy/growth-bound"]["status"] == "fail"
+    assert checks["tidy/growth-bound"]["nonfinite"] >= 1
+    slopes = [cid for cid in checks if cid.startswith("tidy/growth-slope[")]
+    assert len(slopes) == 3
+    for cid in slopes:  # each fit takes the n = 2 algebra-side norm
+        assert checks[cid]["status"] == "fail" and checks[cid]["nonfinite"] == 1, cid
+    with open(tmp_path / "tidy_bounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    broken = [r for r in rows if r["measured"] == "nan"]
+    assert broken and all(r["n"] == "2" for r in broken)
+    assert not any(math.isfinite(float(r["ratio"])) for r in broken)
+
+
+@pytest.mark.parametrize("command, files", [
+    (["verify", "--suite", "modular"],
+     {"report.json", "tidy_bounds.csv", "contour_convergence.csv"}),
+    (["audit-tidy-bound"], {"report.json", "tidy_bounds.csv"}),
+    (["contour-study"], {"report.json", "contour_convergence.csv"}),
+], ids=["verify", "audit-tidy-bound", "contour-study"])
+def test_cli_run_commands_write_their_file_sets(tmp_path, monkeypatch, command, files):
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    assert main([*command, "--model", "standard", "--factor-size", "2", "--trials", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert set(os.listdir(tmp_path)) == files
+
+
 def test_cli_contour_rows_name_their_fixture(tmp_path, monkeypatch):
     import csv
 
@@ -343,8 +432,7 @@ def test_report_body_identical_across_processes(tmp_path):
     bodies = []
     out = tmp_path / "out"
     for hashseed in ("1", "977"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
-        env.pop("MODLAB_OUT", None)
+        env = _child_env(PYTHONHASHSEED=hashseed)
         proc = subprocess.run(
             [sys.executable, "-m", "modlab.cli", "verify", "--model", "abelian",
              "--factor-size", "3", "--trials", "1", "--seed", "8",
@@ -365,7 +453,7 @@ def test_cli_exit_nonzero_on_must_pass_failure(tmp_path, monkeypatch):
     def rigged(config):
         cs = CheckSet()
         cs.add("rigged/check", "forced failure", 1.0, 1e-9)
-        return VerificationReport(config=config.echo(), checks=cs.records()), [], []
+        return VerificationReport(config=config.echo(), checks=cs.records(), rows=cs.rows)
 
     monkeypatch.delenv("MODLAB_OUT", raising=False)
     monkeypatch.setattr(cli_mod, "run_suites", rigged)
@@ -382,8 +470,8 @@ def test_cli_exit_nonzero_on_must_pass_failure(tmp_path, monkeypatch):
 
 
 def _small_report(tmp_path, name):
-    report, _, _ = run_suites(RunConfig(models=("standard_factor(2)",), trials=1,
-                                        suites=("modular",)))
+    report = run_suites(RunConfig(models=("standard_factor(2)",), trials=1,
+                                  suites=("modular",)))
     emit(report, tmp_path / name)
     return json.loads((tmp_path / name / "report.json").read_text())
 

@@ -217,3 +217,15 @@ def test_mutual_projection_residual_propagates_nan():
     broken = dataclasses.replace(a, basis=basis)
     assert math.isnan(mutual_projection_residual(a, broken))
     assert math.isnan(mutual_projection_residual(broken, a))
+
+
+@pytest.mark.parametrize("label", ["standard_factor(2)", "direct_sum(2:2,1:1)"])
+def test_each_suite_draws_the_same_stream_alone_as_beside_the_others(label):
+    config = suites.RunConfig(seed=20260809, models=(label,), trials=2)
+    together = suites.run_suites(config)
+    alone = {name: suites.run_suites(dataclasses.replace(config, suites=(name,)))
+             for name in suites.ALL_SUITES}
+    for name, report in alone.items():
+        assert report.checks == [c for c in together.checks if c.id.startswith(f"{name}/")]
+    assert alone["tidy"].rows["tidy_bounds"] == together.rows["tidy_bounds"]
+    assert alone["contour"].rows["contour_convergence"] == together.rows["contour_convergence"]

@@ -342,7 +342,7 @@ def test_mirrored_bound_matches_displayed_formula():
 def test_growth_audit_trivial_delta_constant_norms():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=2)
     src = fix.triple.algebra.basis[1]
-    audit = growth_audit(fix.triple, src, 0.5, 2.0, n_max=4)
+    audit = growth_audit(fix.triple, src, 0.5, 2.0)
     norms = [r.measured_norm for r in audit.rows if r.family == "a"]
     assert max(norms) - min(norms) <= 1e-10 * max(norms)
     assert all(r.passed for r in audit.rows)
@@ -353,7 +353,7 @@ def test_growth_audit_single_eigenvalue_window_scales_exactly():
     # a factor 2 in operator norm per step
     a, comm, omega, t = two_qubit()
     src = np.kron(SX, np.eye(2))
-    audit = growth_audit(t, src, 1.5, 2.5, n_max=3)
+    audit = growth_audit(t, src, 1.5, 2.5)
     a_rows = {r.n: r for r in audit.rows if r.family == "a"}
     for n in range(-3, 3):
         assert abs(a_rows[n + 1].measured_norm - 2.0 * a_rows[n].measured_norm) \
@@ -366,7 +366,7 @@ def test_growth_audit_rows_and_bound_sides():
     rng = np.random.default_rng(3)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     src = fix.triple.algebra.element(c)
-    audit = growth_audit(fix.triple, src, 0.9, 1.5, n_max=6)
+    audit = growth_audit(fix.triple, src, 0.9, 1.5)
     assert len(audit.rows) == 2 * 13
     families = {r.family for r in audit.rows}
     assert families == {"a", "a_prime"}
@@ -387,7 +387,7 @@ def test_growth_audit_n0_constant_is_violated_on_reference_instance():
     # small, consistent with the enclosed-pole gap in the contour identity
     a, comm, omega, t = two_qubit()
     src = np.kron(SX, np.eye(2))
-    audit = growth_audit(t, src, 1.5, 2.5, n_max=1)
+    audit = growth_audit(t, src, 1.5, 2.5)
     row = next(r for r in audit.rows if r.family == "a" and r.n == 0)
     assert abs(row.measured_norm - 1.0) <= 1e-10
     assert abs(row.bound_value - tidy_bound(2.5, 0, 1 / math.sqrt(2))) <= 1e-12
@@ -404,7 +404,7 @@ def test_dagger_ladder_trivial_delta():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=4)
     wins = covering_windows(fix.triple)
     tidy = make_tidy(fix.triple, fix.triple.algebra.basis[2], wins[0][0], wins[0][1])
-    res, tol = dagger_ladder_check(fix.triple, tidy, 0)
+    res, tol = dagger_ladder_check(fix.triple, tidy, 0, 1e-9)
     assert res <= max(tol, 1e-12)
     # abelian case: a' = a and the identity holds exactly
     assert rel_residual(tidy.a, tidy.a_prime) <= 1e-10
@@ -416,7 +416,7 @@ def test_dagger_ladder_two_qubit_range():
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     tidy = make_tidy(t, a.element(c), 0.4, 2.6)
     for n in (0, 1, 2, -1, -2):
-        res, tol = dagger_ladder_check(t, tidy, n)
+        res, tol = dagger_ladder_check(t, tidy, n, 1e-9)
         assert res <= max(tol, 1e-9)
 
 
@@ -427,7 +427,7 @@ def test_powers_check_zero_is_exact():
                        0.4, 2.6)
     tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        0.4, 2.6)
-    res, tol = powers_check(t, tidy_a, tidy_b, 0)
+    res, tol = powers_check(t, tidy_a, tidy_b, 0, 1e-9)
     assert res <= 1e-12
 
 
@@ -439,7 +439,7 @@ def test_powers_check_range():
     tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        1.5, 2.5)
     for n in (1, 2, 3, -1, -3):
-        res, tol = powers_check(t, tidy_a, tidy_b, n)
+        res, tol = powers_check(t, tidy_a, tidy_b, n, 1e-9)
         assert res <= max(tol, 1e-9)
 
 
