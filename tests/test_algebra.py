@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import modlab.algebra as algebra
 from modlab.algebra import (
+    PAIR_MIN_DIM,
     RANK_TOL,
     AlgebraError,
     _commutator_stack,
@@ -16,7 +18,12 @@ from modlab.algebra import (
     separating_report,
     subspace_orthonormalize,
 )
-from modlab.fixtures import AlgebraSpec, algebra_basis_matrices, commutant_basis_matrices
+from modlab.fixtures import (
+    AlgebraSpec,
+    algebra_basis_matrices,
+    commutant_basis_matrices,
+    generate_fixture,
+)
 from modlab.linalg import hermitian_eig
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -189,6 +196,7 @@ KERNEL_SPECS = (
     AlgebraSpec.standard_factor(4),
     AlgebraSpec.direct_sum([(2, 2), (1, 1)]),
     AlgebraSpec.maximal_abelian(4),
+    AlgebraSpec.maximal_abelian(9),
 )
 
 
@@ -255,26 +263,91 @@ def test_commutant_commutes_with_unitary_conjugation(mats, closed):
     assert mutual_projection_residual(got, expected) <= 1e-9
 
 
-def test_commutant_memory_is_stack_plus_one_copy():
-    a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(4)))
-    d = a.dim_space
-    stack_bytes = a.dim * d**4 * 16  # 16 MiB; the stack's left singular factor is 256 MiB
+def traced_commutant(a):
     tracemalloc.start()
     try:
-        commutant(a)
+        c = commutant(a)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * stack_bytes
+    return c, peak
+
+
+def test_commutant_memory_is_stack_plus_one_copy():
+    a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(4)))
+    d = a.dim_space
+    assert a.dim >= PAIR_MIN_DIM
+    pair_stack_bytes = 2 * d**4 * 16  # 2 MiB; the full stack would be 16 MiB
+    _, peak = traced_commutant(a)
+    assert peak <= 4 * pair_stack_bytes
 
 
 def test_commutant_at_d25_equals_closed_form():
-    # the top of the supported range: standard_factor(5), d = 25, A' = 1 (x) M_5
+    # standard_factor(5), d = 25, A' = 1 (x) M_5
     spec = AlgebraSpec.standard_factor(5)
     a = subspace_orthonormalize(algebra_basis_matrices(spec))
     c = commutant(a)
     assert c.dim == 25 and membership_residual(np.eye(25), c) <= 1e-10
     assert mutual_projection_residual(c, subspace_orthonormalize(commutant_basis_matrices(spec))) <= 1e-9
+
+
+def test_commutant_at_d36_equals_closed_form():
+    # the top of the supported range: standard_factor(6), d = 36, A' = 1 (x) M_6,
+    # within four pair stacks (51 MiB each)
+    spec = AlgebraSpec.standard_factor(6)
+    a = subspace_orthonormalize(algebra_basis_matrices(spec))
+    c, peak = traced_commutant(a)
+    assert peak <= 4 * 2 * 36**4 * 16
+    assert c.dim == 36 and membership_residual(np.eye(36), c) <= 1e-10
+    assert mutual_projection_residual(c, subspace_orthonormalize(commutant_basis_matrices(spec))) <= 1e-9
+
+
+def nilpotent_corner() -> list:
+    # S = {[[0, X], [0, 0]] : X in M_3}: any two elements multiply to 0, so two
+    # generic ones generate only span{1, x1, x2}, whose commutant (dim 12) is
+    # larger than S' (dim 10: x_11 = x_22 blocks, x_12 free, x_21 = 0)
+    return [np.kron(elementary(2, 0, 1), elementary(3, i, j)) for i in range(3) for j in range(3)]
+
+
+def count_stacks(monkeypatch) -> list:
+    """Record the dimension of every subspace whose commutator stack is built."""
+    stacks = []
+
+    def counting_stack(space):
+        stacks.append(space.dim)
+        return _commutator_stack(space)
+
+    monkeypatch.setattr(algebra, "_commutator_stack", counting_stack)
+    return stacks
+
+
+def test_commutant_falls_back_to_full_stack_when_pair_certificate_fails(monkeypatch):
+    a = subspace_orthonormalize(nilpotent_corner())
+    assert a.dim >= PAIR_MIN_DIM
+    stacks = count_stacks(monkeypatch)
+    got = commutant(a)
+    assert stacks == [2, a.dim]
+    ref = reference_commutant(a)
+    assert got.dim == ref.dim == 10
+    assert mutual_projection_residual(got, ref) <= 1e-12
+
+
+def test_commutant_falls_back_to_full_stack_below_the_gap_margin(monkeypatch):
+    # the gap is at most 1, so a margin of 2 rejects every pair
+    a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(3)))
+    monkeypatch.setattr(algebra, "PAIR_GAP_MIN", 2.0)
+    stacks = count_stacks(monkeypatch)
+    got = commutant(a)
+    assert stacks == [2, 9]
+    assert mutual_projection_residual(got, reference_commutant(a)) <= 1e-12
+
+
+def test_commutant_is_deterministic():
+    a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(3)))
+    assert a.dim >= PAIR_MIN_DIM
+    assert np.array_equal(commutant(a).basis, commutant(a).basis)
+    fix = generate_fixture(AlgebraSpec.standard_factor(3), seed=5)
+    assert np.array_equal(commutant(fix.triple.algebra).basis, fix.triple.commutant.basis)
 
 
 # ---------------------------------------------------------------------------
