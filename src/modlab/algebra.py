@@ -154,8 +154,8 @@ def commutant(a: OperatorSubspace) -> OperatorSubspace:
     algebra.
     """
     d = a.dim_space
-    if a.dim == 0:
-        return subspace_orthonormalize(_full_basis(d))
+    if a.dim == 0:  # nothing to commute with: all of M_d, spanned by the E_ij
+        return subspace_orthonormalize(list(np.eye(d * d, dtype=complex).reshape(-1, d, d)))
     if a.dim >= PAIR_MIN_DIM:
         # unit-norm but not orthogonal: only the commutator stack reads it
         pair = np.tensordot(_pair_coefficients(a.dim), a.basis, axes=(1, 0))
@@ -208,16 +208,6 @@ def _commutator_stack(a: OperatorSubspace) -> np.ndarray:
     for c in range(d):
         stack[:, :, c, :, c] -= a.basis
     return stack.reshape(k * d * d, d * d)
-
-
-def _full_basis(d: int):
-    out = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            out.append(e)
-    return out
 
 
 def bicommutant(a: OperatorSubspace) -> OperatorSubspace:

@@ -5,8 +5,10 @@ norms; continued to complex z it becomes Delta^{-z} a Delta^{z}, which for
 well-prepared (tidy) operators stays uniformly bounded on vertical lines and
 grows at most exponentially along the real axis. The checks here measure the
 two facts that make the whole construction work at desk scale: flowed algebra
-elements stay in the algebra, and their commutators with the commutant vanish
-(one kernel, :func:`commutator_ratio`, sweeps them for real and complex times).
+elements stay in the algebra, and their commutators with the commutant vanish.
+Both run on stacks: :func:`tomita_check` flows the whole algebra basis at all
+times at once, and one kernel, :func:`commutator_ratio`, takes the norms of a
+stack's commutators with one batched SVD, for real and complex times alike.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import membership_residual
-from .linalg import as_square_array, complex_power, opnorm
+from .linalg import as_square_array, complex_power, opnorm, opnorm_stack
 from .tomita import ModularTriple
 
 RE_Z_CAP = 12.0  # overflow guard: kappa <= 1e4 keeps kappa^12 inside double range
@@ -68,39 +69,36 @@ def analytic_flow(
     return FlowSample(z=z, value=value, norm=opnorm(value))
 
 
-def commutator_ratio(x: np.ndarray, norm_x: float, basis) -> float:
-    """Largest relative commutator |[x, b]| / (|x| |b|) over the basis elements b.
+def commutator_ratio(xs: np.ndarray, norms_x, basis: np.ndarray, basis_norms) -> np.ndarray:
+    """Largest relative commutator |[x, b]| / (|x| |b|) over the basis, per x of an (n, d, d) stack.
 
-    norm_x is the caller's operator norm of x; a floor of 1e-30 on the scale
-    keeps zero elements from dividing by zero. A NaN ratio is returned, not
-    dropped as the builtin ``max`` would drop it.
+    norms_x (n of them, or one for all) and basis_norms are the caller's
+    operator norms; a floor of 1e-30 on each scale keeps zero elements from
+    dividing by zero. One batched SVD takes all commutator norms, and a NaN
+    norm stays in its own sample's ratio.
     """
-    ratios = [opnorm(x @ b - b @ x) / max(norm_x * opnorm(b), 1e-30) for b in basis]
-    return float(np.max(ratios, initial=0.0))
+    x = xs[:, None]
+    scale = np.maximum(np.multiply.outer(norms_x, basis_norms), 1e-30)
+    return np.max(opnorm_stack(x @ basis - basis @ x) / scale, axis=1, initial=0.0)
 
 
-def tomita_check(
-    triple: ModularTriple,
-    a,
-    t_samples,
-) -> list[tuple[float, float]]:
-    """Measure algebra invariance of the flow of a at the given times.
+def tomita_check(triple: ModularTriple, basis: np.ndarray, t_samples):
+    """Membership residuals and largest commutator ratios of the flowed basis, (k, T) each.
 
-    For each t the flowed operator is tested for membership in the algebra and
-    for vanishing commutators with every commutant basis element, relative to
-    the operator norms involved. Returns one (membership residual, largest
-    commutator ratio) pair per time; the caller sets the tolerance.
+    Each Delta^{-it} a Delta^{it} is projected onto the algebra (the residual
+    of ``membership_residual``) and commuted with every commutant basis
+    element, relative to the operator norms involved; the caller sets the
+    tolerance. Commutators are taken one a at a time, T dim(A') matrices.
     """
-    m = as_square_array(a)
-    norm_a = opnorm(m)
-    pairs = []
-    for t in t_samples:
-        flowed = modular_flow(triple, m, float(t))
-        pairs.append((
-            membership_residual(flowed, triple.algebra),
-            commutator_ratio(flowed, norm_a, triple.commutant.basis),
-        ))
-    return pairs
+    u = np.stack([complex_power(triple.delta_spec, -1j * float(t)) for t in t_samples])
+    flowed = u @ basis[:, None] @ u.conj().transpose(0, 2, 1)  # (k, T, d, d)
+    x = flowed.reshape(-1, triple.dim ** 2)
+    f = triple.algebra.flat()
+    membership = (np.linalg.norm(x - (x @ f.conj().T) @ f, axis=1)
+                  / np.maximum(np.linalg.norm(x, axis=1), 1e-30))
+    commutator = [commutator_ratio(fa, norm_a, triple.commutant.basis, triple.commutant_norms)
+                  for fa, norm_a in zip(flowed, opnorm_stack(basis))]
+    return membership.reshape(len(basis), len(u)), np.array(commutator)
 
 
 def strip_growth_scan(triple: ModularTriple, a) -> list[FlowSample]:

@@ -69,6 +69,18 @@ def opnorm(a: np.ndarray) -> float:
         return math.nan
 
 
+def opnorm_stack(a: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix of a (..., d, d) stack: opnorm's bits, one SVD call.
+
+    A batched SVD raises on one non-finite matrix, so only the finite ones are
+    decomposed; each other one reads NaN, as opnorm gives it.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    out = np.full(finite.shape, math.nan)
+    out[finite] = np.linalg.svd(a[finite], compute_uv=False)[..., 0]
+    return out
+
+
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 

@@ -272,27 +272,18 @@ def growth_audit(
     rows: list[BoundAuditRow] = []
     logs_pos, logs_neg = [], []
     for n in range(-GROWTH_N_MAX, GROWTH_N_MAX + 1):
-        an = ladder(triple, triple.orbit, base, n)
-        apn = ladder(triple, triple.commutant_orbit, base, n)
+        norm_an = opnorm(ladder(triple, triple.orbit, base, n))
+        norm_apn = opnorm(ladder(triple, triple.commutant_orbit, base, n))
         if n >= 0:
             bound = tidy_bound(lambda2, n, norm_a0p)
+            logs_pos.append((n, math.log(max(norm_an, 1e-300))))
         else:
             bound = mirrored_tidy_bound(lambda1, n, norm_a0)
-        for family, op in (("a", an), ("a_prime", apn)):
-            rows.append(
-                BoundAuditRow(
-                    lambda1=lambda1,
-                    lambda2=lambda2,
-                    n=n,
-                    family=family,
-                    measured_norm=opnorm(op),
-                    bound_value=bound,
-                )
-            )
-        if n >= 0:
-            logs_pos.append((n, math.log(max(opnorm(an), 1e-300))))
         if n <= 0:
-            logs_neg.append((-n, math.log(max(opnorm(apn), 1e-300))))
+            logs_neg.append((-n, math.log(max(norm_apn, 1e-300))))
+        rows += [BoundAuditRow(lambda1=lambda1, lambda2=lambda2, n=n, family=family,
+                               measured_norm=norm, bound_value=bound)
+                 for family, norm in (("a", norm_an), ("a_prime", norm_apn))]
     slope_pos = _fit_slope(logs_pos)
     slope_neg = _fit_slope(logs_neg)
     return GrowthAudit(

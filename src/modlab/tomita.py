@@ -13,6 +13,7 @@ J Delta J = Delta^(-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .linalg import (
     AntilinearMap,
     SpectralDecomposition,
     hermitian_eig,
+    opnorm_stack,
     polar_antilinear,
 )
 
@@ -82,6 +84,13 @@ class ModularTriple:
     @property
     def commutant(self) -> OperatorSubspace:
         return self.commutant_orbit.space
+
+    @cached_property
+    def commutant_norms(self) -> np.ndarray:
+        """Operator norms of the commutant's basis elements, taken once per triple, read-only."""
+        norms = opnorm_stack(self.commutant.basis)
+        norms.flags.writeable = False
+        return norms
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modlab.algebra import membership_residual, subspace_orthonormalize
-from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture
+from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture, parse_spec
 from modlab.flow import (
     FlowDomainError,
     analytic_flow,
@@ -11,7 +11,7 @@ from modlab.flow import (
     strip_growth_scan,
     tomita_check,
 )
-from modlab.linalg import rel_residual
+from modlab.linalg import opnorm, opnorm_stack, rel_residual
 from modlab.tidy import ladder, make_tidy, tidy_bound
 from modlab.tomita import modular_data
 
@@ -131,34 +131,90 @@ def flow_tolerance(t):
 
 
 def test_commutator_ratio_matches_spectral_norm_oracle():
-    algebra = [np.kron(elementary(2, i, j), np.eye(2)) for i in range(2) for j in range(2)]
-    commutant = [np.kron(np.eye(2), elementary(2, i, j)) for i in range(2) for j in range(2)]
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    algebra = np.array([np.kron(elementary(2, i, j), np.eye(2)) for i, j in pairs])
+    commutant = np.array([np.kron(np.eye(2), elementary(2, i, j)) for i, j in pairs])
     x = np.kron(SX, np.eye(2))
     norm_x = np.linalg.norm(x, 2)
-    assert commutator_ratio(x, norm_x, commutant) == 0.0
+    [ratio] = commutator_ratio(x[None], [norm_x], commutant, opnorm_stack(commutant))
+    assert ratio == 0.0
     oracle = max(np.linalg.norm(x @ b - b @ x, 2) / (norm_x * np.linalg.norm(b, 2))
                  for b in algebra)
     assert oracle == pytest.approx(1.0)
-    assert commutator_ratio(x, norm_x, algebra) == pytest.approx(oracle, rel=1e-12)
+    [ratio] = commutator_ratio(x[None], [norm_x], algebra, opnorm_stack(algebra))
+    assert ratio == pytest.approx(oracle, rel=1e-12)
+
+
+def test_commutator_ratio_keeps_a_nan_sample_to_itself():
+    a, _, t = two_qubit_fixture()
+    xs = np.array([modular_flow(t, a.basis[1], tt) for tt in (0.3, 1.0, 2.0)])
+    norms = opnorm_stack(xs)
+    xs[1, 0, 0] = np.nan
+    ratios = commutator_ratio(xs, norms, t.commutant.basis, t.commutant_norms)
+    assert np.isnan(ratios[1])
+    assert np.all(ratios[[0, 2]] <= 1e-12)
+
+
+def loop_tomita_check(t, basis, times):
+    """tomita_check one (a, t, b') triple at a time: modular_flow,
+    membership_residual and opnorm on single matrices."""
+    membership, commutator = [], []
+    for a in basis:
+        norm_a = opnorm(a)
+        for tt in times:
+            x = modular_flow(t, a, tt)
+            membership.append(membership_residual(x, t.algebra))
+            commutator.append(max(opnorm(x @ b - b @ x) / max(norm_a * opnorm(b), 1e-30)
+                                  for b in t.commutant.basis))
+    return membership, commutator
+
+
+def rotated_triple(seed):
+    """standard_factor(2) conjugated by a seeded unitary, so that its bases are
+    complex, unlike those of the block models."""
+    t = generate_fixture(parse_spec("standard_factor(2)"), seed).triple
+    g = np.random.default_rng(seed).standard_normal((2, 4, 4))
+    q, _ = np.linalg.qr(g[0] + 1j * g[1])
+
+    def rotate(space):
+        return subspace_orthonormalize([q @ b @ q.conj().T for b in space.basis])
+
+    return modular_data(rotate(t.algebra), q @ t.omega, rotate(t.commutant))
+
+
+@pytest.mark.parametrize("label", ["standard_factor(2)", "standard_factor(3)",
+                                   "direct_sum(2:2,1:1)", "rotated"])
+def test_tomita_check_matches_the_per_triple_loop(label):
+    t = rotated_triple(4) if label == "rotated" else generate_fixture(parse_spec(label), 2).triple
+    # the algebra's basis, whose residuals sit at rounding level, then three
+    # elements off the algebra, whose residuals and ratios are of order one
+    g = np.random.default_rng(5).standard_normal((2, 3, t.dim, t.dim))
+    basis = np.concatenate([t.algebra.basis, g[0] + 1j * g[1]])
+    times = (0.3, -1.0, np.pi, 10.0)
+    membership, commutator = tomita_check(t, basis, times)
+    assert membership.shape == commutator.shape == (len(basis), len(times))
+    loop_membership, loop_commutator = loop_tomita_check(t, basis, times)
+    assert np.min(loop_membership[-12:]) > 0.1 and np.min(loop_commutator[-12:]) > 0.1
+    assert np.max(np.abs(membership.ravel() - loop_membership)) <= 1e-15
+    assert np.max(np.abs(commutator.ravel() - loop_commutator)) <= 1e-15
 
 
 def test_tomita_check_abelian_trivial():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(5), seed=3)
     tol = flow_tolerance(fix.triple)
-    pairs = tomita_check(fix.triple, fix.triple.algebra.basis[2], (0.3, 1.0, np.pi, 10.0))
-    for membership, commutator in pairs:
-        assert membership <= tol and commutator <= tol
-        assert membership <= 1e-12
+    membership, commutator = tomita_check(fix.triple, fix.triple.algebra.basis[2:3],
+                                          (0.3, 1.0, np.pi, 10.0))
+    assert np.all(membership <= tol) and np.all(commutator <= tol)
+    assert np.all(membership <= 1e-12)
 
 
 def test_tomita_check_standard_fixture():
     _, _, t = two_qubit_fixture()
     x = np.kron(SX, np.eye(2))
-    pairs = tomita_check(t, x, (0.3, 1.0, np.pi, 10.0))
-    for membership, commutator in pairs:
-        assert membership <= 1e-9
-        assert commutator <= 1e-9
-        assert membership <= flow_tolerance(t) and commutator <= flow_tolerance(t)
+    membership, commutator = tomita_check(t, x[None], (0.3, 1.0, np.pi, 10.0))
+    assert np.all(membership <= 1e-9)
+    assert np.all(commutator <= 1e-9)
+    assert np.all(membership <= flow_tolerance(t)) and np.all(commutator <= flow_tolerance(t))
 
 
 def test_tomita_check_random_direct_sum_ensemble():
@@ -169,7 +225,7 @@ def test_tomita_check_random_direct_sum_ensemble():
         c = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
         x = a.element(c)
         tt = float(rng.uniform(-5, 5))
-        [(membership, commutator)] = tomita_check(fix.triple, x, (tt,))
+        [[membership]], [[commutator]] = tomita_check(fix.triple, x[None], (tt,))
         assert membership <= flow_tolerance(fix.triple)
         assert commutator <= flow_tolerance(fix.triple)
 

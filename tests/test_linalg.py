@@ -14,6 +14,7 @@ from modlab.linalg import (
     hermitian_eig,
     matrix_function,
     opnorm,
+    opnorm_stack,
     polar_antilinear,
 )
 
@@ -191,6 +192,25 @@ def test_opnorm_bits_equal_numpy_two_norm():
     mats += [np.outer(random_complex(rng, d), random_complex(rng, d).conj()) for d in (1, 3, 9)]
     for m in mats:
         assert opnorm(m) == float(np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("d", [4, 9, 16])
+def test_opnorm_stack_bits_equal_opnorm_loop(d):
+    stack = random_complex(np.random.default_rng(d), 3, 5, d, d)
+    norms = opnorm_stack(stack)
+    assert norms.shape == (3, 5)
+    assert np.array_equal(norms, [[opnorm(m) for m in row] for row in stack])
+
+
+def test_opnorm_stack_keeps_a_nan_matrix_to_its_own_index():
+    stack = random_complex(np.random.default_rng(5), 6, 4, 4)
+    stack[2, 1, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):  # what the batch would do unmasked
+        np.linalg.svd(stack, compute_uv=False)
+    norms = opnorm_stack(stack)
+    assert np.isnan(norms[2]) and np.isnan(opnorm(stack[2]))
+    finite = [0, 1, 3, 4, 5]
+    assert np.array_equal(norms[finite], [opnorm(stack[i]) for i in finite])
 
 
 # ---------------------------------------------------------------------------

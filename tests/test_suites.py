@@ -183,15 +183,18 @@ def test_nan_commutator_ratio_fails_analytic_commutators(monkeypatch):
     calls = []
 
     def wrap(ratio):
-        # seven integer-commutator calls come first; the eighth is the first
-        # analytic sample, and the five after it are finite
-        def rigged(x, norm_x, basis):
-            calls.append(None)
-            return math.nan if len(calls) == 8 else ratio(x, norm_x, basis)
+        # one call takes the stack: seven integer samples first, then the six
+        # analytic ones; the first analytic sample reads NaN, the five after it
+        # are finite
+        def rigged(xs, norms_x, basis, basis_norms):
+            out = ratio(xs, norms_x, basis, basis_norms)
+            calls.append(len(out))
+            out[7] = math.nan
+            return out
         return rigged
 
     recs = _flow_records(monkeypatch, "commutator_ratio", wrap)
-    assert len(calls) == 13
+    assert calls == [13]
     rec = recs["flow/analytic-commutators"]
     assert rec.status == "fail" and rec.nonfinite == 1
     assert recs["flow/integer-commutators"].nonfinite == 0
