@@ -9,8 +9,9 @@ Subcommands:
 - ``contour-study``: contour-quadrature convergence study only.
 - ``fixture``: generate one fixture and write its JSON snapshot.
 - ``diff-report A B``: compare two reports check by check (each argument is
-  a report.json or a directory holding one); exit 1 when a check id or a
-  status differs, 0 otherwise.
+  a report.json or a directory holding one), and when both are directories
+  their audit CSVs row by row; exit 1 when a check id, a status, a CSV row
+  count or a CSV key cell differs, 0 otherwise.
 
 Exit codes: 0 when every must-pass check passes, 1 when one fails, and 2
 for bad arguments, which are rejected before any fixture is built. The
@@ -25,7 +26,7 @@ import os
 import sys
 
 from .fixtures import AlgebraSpec, generate_fixture, parse_spec, save_fixture
-from .report import diff_reports, emit
+from .report import diff_reports, diff_tables, emit
 from .suites import ALL_SUITES, DEFAULT_MODELS, RunConfig, run_suites
 
 
@@ -132,6 +133,9 @@ def cmd_diff_report(args) -> int:
     try:
         a, b = _load_report(args.a), _load_report(args.b)
         lines, breaking = diff_reports(a, b)
+        tables, tables_breaking = (diff_tables(args.a, args.b)
+                                   if os.path.isdir(args.a) and os.path.isdir(args.b)
+                                   else ([], False))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"modlab diff-report: cannot compare: {exc!r}", file=sys.stderr)
         return 2
@@ -140,7 +144,9 @@ def cmd_diff_report(args) -> int:
     ids = {c["id"] for c in a["checks"]} | {c["id"] for c in b["checks"]}
     print(f"{len(ids)} check ids, {len(lines)} differ"
           f"{'; ids or statuses differ' if breaking else ''}")
-    return 1 if breaking else 0
+    for line in tables:
+        print(line)
+    return 1 if breaking or tables_breaking else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,21 +28,28 @@ term, and each eigencomponent is (1/pi) sum Im(g(z) w(z) / (z - w_j)) psi_j
 over the nodes with Im z <= 0 (a self-conjugate node at z = -half_height
 gets weight 1/2).
 
-``contour_apply`` refines by nested trapezoid levels. The trapezoid rule of
-step h/2 is the mean of the trapezoid and midpoint rules of step h, so each
-midpoint pass (``contour_quadrature_fixed``) turns the current level into the
-next one and every node is evaluated once. A Romberg table over the levels
-extrapolates away the even powers of the step; refinement stops when two
-successive diagonal entries agree to QUAD_TOL. ``node_count`` is the full
-rule of the last level, 2 n_line + n_circ (intervals on the two half-lines
-and the half-circle); ``NODE_CAP`` bounds the evaluations of one integral,
-all levels together.
+``contour_apply`` evaluates a family of integrals (n, k, contour) that share
+Delta, lambda and psi. Integrals on the same contour share its node sets:
+each rule's nodes, pole-gap check (per k) and resolvent table 1/(z - w_j)
+are built once, and one matmul takes every integral's eigencomponents,
+Im(g C) = Re g Im C + Im g Re C. Each integral is refined by nested
+trapezoid levels: the trapezoid rule of step h/2 is the mean of the
+trapezoid and midpoint rules of step h, so each midpoint pass turns the
+current level into the next one and every node is evaluated once. Each keeps
+its own Romberg table over the levels, which extrapolates away the even
+powers of the step, and leaves the family once two successive diagonal
+entries agree to QUAD_TOL. ``node_count`` is the full rule of its last
+level, 2 n_line + n_circ (intervals on the two half-lines and the
+half-circle); ``NODE_CAP`` bounds the evaluations of one integral, all
+levels together. A failed integral (a pole on a node, the node cap reached)
+gets its ContourError in its own slot, and the others finish.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -57,6 +64,8 @@ NODE_CAP = 2**20  # cumulative evaluations per integral
 NODES_PER_UNIT = 8  # starting half-line nodes per unit of truncation
 HALFCIRCLE_NODES = 64  # starting half-circle nodes
 POLE_NODE_GAP = 1e-8
+COLLISION = (f"a sigmoid pole lies within {POLE_NODE_GAP:.1e} of a quadrature node; "
+             "choose a different node count or half_height")
 
 
 class ContourError(ValueError):
@@ -67,16 +76,25 @@ class NodeCollisionError(ContourError):
     """A sigmoid pole sits on (or numerically on) a quadrature node."""
 
 
-def sigmoid(z, k: int, lam: float):
+def _check_steepness(k) -> None:
+    """Refuse a steepness that is not a positive integer (or an array of them)."""
+    if isinstance(k, (int, np.integer)) and k >= 1:
+        return
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu" or not ks.size or ks.min() < 1:
+        raise ContourError(f"sigmoid steepness must be a positive integer, got {k!r}")
+
+
+def sigmoid(z, k, lam: float):
     """Overflow-safe sigmoid 1 / (1 + exp(k (z - lambda))), elementwise.
 
-    Takes a scalar or an array of points and returns the same shape, complex.
-    k must be a positive integer: only then do the half-lines at Im z = +-2 pi
+    Takes a scalar or an array of points, and an integer k or an integer array
+    that broadcasts against them, and returns the broadcast shape, complex.
+    k must be positive: only then do the half-lines at Im z = +-2 pi
     reproduce the real-axis values (exp(+-2 pi i k) = 1) and stay clear of the
     poles.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ContourError(f"sigmoid steepness must be a positive integer, got {k!r}")
+    _check_steepness(k)
     w = k * (np.asarray(z, dtype=complex) - lam)
     pos = w.real > 0.0
     # exp is taken of the argument with nonpositive real part only
@@ -170,32 +188,35 @@ def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool):
     return np.concatenate([z_line, z_circ]), np.concatenate([w_line, w_circ]), u.size
 
 
-def _half_rule(triple: ModularTriple, n: int, k: int, lam: float, psi: np.ndarray,
-               spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool) -> np.ndarray:
-    """Evaluate one composite rule of ``_contour_nodes`` on the lower half.
+def _half_rule(triple: ModularTriple, integrands, lam: float, psi_eig: np.ndarray,
+               spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool):
+    """Evaluate one composite rule of ``_contour_nodes`` for a family of (n, k).
 
-    Eigencomponent j is (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j.
-    Raises NodeCollisionError when a sigmoid pole lies on a node.
+    psi_eig holds the eigencomponents U^dag psi. Eigencomponent j of
+    integrand (n, k) is (1/pi) sum Im(g(z) / (z - w_j)) psi_j with
+    g = z^n f_k(z) w(z); the nodes and the resolvent table are shared.
+    Returns the (m', d) values of the integrands whose sigmoid poles keep
+    POLE_NODE_GAP from every node, and the (m,) mask that selects them.
     """
     z, wts, n_on_line = _contour_nodes(spec, n_line, n_circ, midpoint)
-    poles = sigmoid_poles(k, lam, spec.half_height)
-    if poles.size:
-        # the line nodes share Im z = -h and the poles Re z = lambda, so
-        # their nearest pair is separable; the half-circle nodes are few
-        line_gap = math.hypot(np.min(np.abs(z[:n_on_line].real - lam)),
-                              np.min(np.abs(spec.half_height - np.abs(poles.imag))))
-        circ_gap = np.min(np.abs(z[n_on_line:, None] - poles[None, :]))
-        if min(line_gap, circ_gap) < POLE_NODE_GAP:
-            raise NodeCollisionError(
-                f"a sigmoid pole lies within {POLE_NODE_GAP:.1e} of a quadrature "
-                "node; choose a different node count or half_height"
-            )
-    w_eig = triple.delta_spec.eigenvalues
-    u = triple.delta_spec.eigenvectors
-    psi_eig = u.conj().T @ psi
-    integrand = z**n * sigmoid(z, k, lam) * wts
-    comps = (integrand[:, None] / (z[:, None] - w_eig[None, :])).imag.sum(axis=0)
-    return (u @ (comps * psi_eig)) / math.pi
+    h = spec.half_height
+    # the line nodes share Im z = -h and the poles Re z = lambda, so their
+    # nearest pair is separable; the half-circle nodes are few
+    line_re_gap = np.abs(z[:n_on_line].real - lam).min()
+    clear = {}
+    for k in {k for _, k in integrands}:
+        poles = sigmoid_poles(k, lam, h)
+        clear[k] = not poles.size or min(
+            math.hypot(line_re_gap, np.abs(h - np.abs(poles.imag)).min()),
+            np.abs(z[n_on_line:, None] - poles).min()) >= POLE_NODE_GAP
+    ok = np.array([clear[k] for _, k in integrands], dtype=bool)
+    kept = list(compress(integrands, ok))
+    powers = {n: z**n for n, _ in kept}
+    sigmoids = {k: sigmoid(z, k, lam) for _, k in kept}
+    g = np.array([powers[n] * sigmoids[k] * wts for n, k in kept]).reshape(len(kept), z.size)
+    resolvent = 1.0 / (z[:, None] - triple.delta_spec.eigenvalues)
+    comps = g.real @ resolvent.imag + g.imag @ resolvent.real
+    return (comps * psi_eig) @ triple.delta_spec.eigenvectors.T / math.pi, ok
 
 
 @dataclass(frozen=True)
@@ -208,13 +229,17 @@ class QuadratureResult:
     corrected_value: np.ndarray
 
 
-def spectral_oracle(triple: ModularTriple, n: int, k: int, lam: float, psi) -> np.ndarray:
-    """Reference value Delta^n f_k(Delta) psi, computed via eigendata only."""
+def spectral_oracle(triple: ModularTriple, n: int, k, lam: float, psi) -> np.ndarray:
+    """Reference value Delta^n f_k(Delta) psi, computed via eigendata only.
+
+    k is an integer, or an integer array of shape (K, 1) for the K vectors of
+    a steepness ladder as the rows of a (K, d) array.
+    """
     psi = np.asarray(psi, dtype=complex)
     w = triple.delta_spec.eigenvalues.astype(complex)
     vals = w**n * sigmoid(w, k, lam)
     u = triple.delta_spec.eigenvectors
-    return (u * vals) @ (u.conj().T @ psi)
+    return (vals * (u.conj().T @ psi)) @ u.T
 
 
 def pole_sum(
@@ -229,8 +254,7 @@ def pole_sum(
 
     Summed in the eigenbasis of Delta, one resolvent per pole and eigenvalue.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ContourError(f"steepness must be a positive integer, got {k!r}")
+    _check_steepness(k)
     psi = np.asarray(psi, dtype=complex)
     poles = sigmoid_poles(k, lam, half_height)
     w = triple.delta_spec.eigenvalues
@@ -253,9 +277,13 @@ def contour_quadrature_fixed(
 
     Evaluates the lower half of the contour only (see the module docstring):
     eigencomponent j is (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j.
+    Raises NodeCollisionError when a sigmoid pole lies on a node.
     """
-    psi = np.asarray(psi, dtype=complex)
-    return _half_rule(triple, n, k, lam, psi, spec, n_line, n_circ, midpoint=True)
+    psi_eig = triple.delta_spec.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
+    values, ok = _half_rule(triple, [(n, k)], lam, psi_eig, spec, n_line, n_circ, midpoint=True)
+    if not ok[0]:
+        raise NodeCollisionError(COLLISION)
+    return values[0]
 
 
 def _romberg_row(prev: list, trapezoid):
@@ -270,35 +298,13 @@ def _romberg_row(prev: list, trapezoid):
     return row
 
 
-def contour_apply(
-    triple: ModularTriple,
-    n: int,
-    k: int,
-    lam: float,
-    psi,
-    spec: ContourSpec | None = None,
-) -> QuadratureResult:
-    """Quadrature of the contour integral, refined by nested trapezoid levels.
-
-    Level 0 is the trapezoid rule T(h) on NODES_PER_UNIT half-line intervals
-    per unit of T and HALFCIRCLE_NODES half-circle intervals. Each pass adds
-    the midpoint rule M(h) of ``contour_quadrature_fixed``, whose nodes are
-    exactly the ones T(h/2) adds, so T(h/2) = (T(h) + M(h)) / 2 and no node
-    is evaluated twice; then both counts double. Every level extends a
-    Romberg table R(j, m) = R(j, m-1) + (R(j, m-1) - R(j-1, m-1)) / (4^m - 1),
-    and refinement stops once two successive diagonal entries R(j, j) differ
-    by less than QUAD_TOL, comparing no earlier than level 2. ContourError is
-    raised when the next pass would take the evaluations of the integral past
-    NODE_CAP. The returned value is the last diagonal entry, its node count
-    the full rule of the last level, 2 n_line + n_circ. The pole correction
-    is the enclosed-residue sum; subtracting it from the value reproduces the
-    spectral oracle.
-    """
+def _checked_spec(triple: ModularTriple, n, k, lam: float, spec: ContourSpec | None):
+    """The contour of one integral (``choose_contour``'s when spec is None), validated."""
     if lam <= 0:
         raise ContourError(f"lambda must be positive, got {lam}")
     if n < 0:
         raise ContourError(f"power must be a nonnegative integer, got {n}")
-    psi = np.asarray(psi, dtype=complex)
+    _check_steepness(k)
     if spec is None:
         spec = choose_contour(triple, n, k, lam)
     spec.validate(lam)
@@ -307,36 +313,90 @@ def contour_apply(
         raise ContourError(
             f"spectrum not enclosed: max eigenvalue {eig_max:.3e} >= T = {spec.truncation:.3e}"
         )
+    return spec
+
+
+def _refine(triple: ModularTriple, family: list, lam: float, psi: np.ndarray,
+            spec: ContourSpec) -> dict:
+    """Refine the integrals (n, k) on one contour together; (n, k) -> result or error.
+
+    Each level's Romberg row holds one (m, d) entry per column, a row of it
+    per integral still refining; a done or failed integral leaves the rows.
+    """
     n_line = max(8, int(spec.truncation * NODES_PER_UNIT))
     n_circ = HALFCIRCLE_NODES
-    prev = [_half_rule(triple, n, k, lam, psi, spec, n_line, n_circ, midpoint=False)]
+    psi_eig = triple.delta_spec.eigenvectors.conj().T @ psi
+    level0, ok = _half_rule(triple, family, lam, psi_eig, spec, n_line, n_circ, midpoint=False)
+    out = {nk: NodeCollisionError(COLLISION) for nk in compress(family, ~ok)}
+    family, prev = list(compress(family, ok)), [level0]
     evaluations = n_line + 1 + n_circ // 2
-    err = math.inf
-    while True:
+    err = np.full(len(family), math.inf)
+    while family:
         step = n_line + n_circ // 2  # midpoint nodes of one pass, n_circ even
         if evaluations + step > NODE_CAP:
-            raise ContourError(
-                f"quadrature did not converge below {QUAD_TOL:.1e} within the "
-                f"node cap (last diagonal change {err:.3e})"
-            )
-        mid = contour_quadrature_fixed(triple, n, k, lam, psi, spec, n_line, n_circ)
+            out.update((nk, ContourError(f"quadrature did not converge below {QUAD_TOL:.1e} "
+                                         f"within the node cap (last diagonal change {e:.3e})"))
+                       for nk, e in zip(family, err))
+            break
+        mid, ok = _half_rule(triple, family, lam, psi_eig, spec, n_line, n_circ, midpoint=True)
         evaluations += step
         n_line *= 2
         n_circ *= 2
+        out.update((nk, NodeCollisionError(COLLISION)) for nk in compress(family, ~ok))
+        family, prev, err = list(compress(family, ok)), [p[ok] for p in prev], err[ok]
         row = _romberg_row(prev, 0.5 * (prev[0] + mid))  # T(h/2) = (T(h) + M(h)) / 2
         if len(row) > 2:  # level 2 or later
-            err = float(np.linalg.norm(row[-1] - prev[-1]))
-            if err < QUAD_TOL:
-                break
+            err = np.linalg.norm(row[-1] - prev[-1], axis=1)
+            done = err < QUAD_TOL
+            for (n, k), value in zip(compress(family, done), row[-1][done]):
+                poles = pole_sum(triple, n, k, lam, psi, spec.half_height)
+                out[n, k] = QuadratureResult(value, 2 * n_line + n_circ, poles, value - poles)
+            family, row, err = list(compress(family, ~done)), [r[~done] for r in row], err[~done]
         prev = row
-    value = row[-1]
-    correction = pole_sum(triple, n, k, lam, psi, spec.half_height)
-    return QuadratureResult(
-        value=value,
-        node_count=2 * n_line + n_circ,
-        pole_correction=correction,
-        corrected_value=value - correction,
-    )
+    return out
+
+
+def contour_apply(
+    triple: ModularTriple,
+    integrands,
+    lam: float,
+    psi,
+) -> list[QuadratureResult | ContourError]:
+    """Quadratures of a family of contour integrals, refined by nested trapezoid levels.
+
+    integrands is a sequence of (n, k, spec), spec a ContourSpec or None for
+    ``choose_contour``'s; all share Delta, lambda and psi. Returned is one
+    slot per integrand, in order: its QuadratureResult, or the ContourError
+    that stopped it. Integrals on one contour are refined together and
+    identical integrands are evaluated once.
+
+    Level 0 is the trapezoid rule T(h) on NODES_PER_UNIT half-line intervals
+    per unit of T and HALFCIRCLE_NODES half-circle intervals. Each pass adds
+    the midpoint rule M(h), whose nodes are exactly the ones T(h/2) adds, so
+    T(h/2) = (T(h) + M(h)) / 2 and no node is evaluated twice; then both
+    counts double. Every level extends each integral's Romberg table
+    R(j, m) = R(j, m-1) + (R(j, m-1) - R(j-1, m-1)) / (4^m - 1), and an
+    integral is done once two successive diagonal entries R(j, j) differ by
+    less than QUAD_TOL, comparing no earlier than level 2. It fails with
+    ContourError when the next pass would take its evaluations past
+    NODE_CAP, and with NodeCollisionError when a sigmoid pole lies on a node.
+    The value is the last diagonal entry, its node count the full rule of the
+    last level, 2 n_line + n_circ. The pole correction is the
+    enclosed-residue sum; subtracting it from the value reproduces the
+    spectral oracle.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    slots, families = [], {}  # contour -> its distinct (n, k), in order (dict keys)
+    for n, k, spec in integrands:
+        try:
+            spec = _checked_spec(triple, n, k, lam, spec)
+        except ContourError as exc:
+            slots.append(exc)
+            continue
+        slots.append((spec, (n, k)))
+        families.setdefault(spec, {})[n, k] = None
+    done = {spec: _refine(triple, list(f), lam, psi, spec) for spec, f in families.items()}
+    return [s if isinstance(s, ContourError) else done[s[0]][s[1]] for s in slots]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +428,8 @@ def sigmoid_limit_check(
     lambda must keep a distance of at least LAMBDA_GAP from the spectrum. The
     error sequence must be non-increasing from some k0 on (an absolute floor
     of 1e-14 absorbs rounding jitter near machine precision) and must end
-    below SIGMOID_FINAL_TOL at k_max = ceil(40 / gap).
+    below SIGMOID_FINAL_TOL at k_max = ceil(40 / gap). The whole k ladder is
+    evaluated as one (K, d) array.
     """
     psi = np.asarray(psi, dtype=complex)
     w = triple.delta_spec.eigenvalues
@@ -386,10 +447,9 @@ def sigmoid_limit_check(
     theta_vec = matrix_function(
         triple.delta_spec, lambda x: x**n * np.where(x < lam, 1.0, 0.0)
     ) @ psi
-    rows = []
-    for k in k_list:
-        approx = spectral_oracle(triple, n, k, lam, psi)
-        rows.append(SigmoidLimitRow(k=k, error=float(np.linalg.norm(approx - theta_vec))))
+    approx = spectral_oracle(triple, n, np.array(k_list)[:, None], lam, psi)
+    errors = np.linalg.norm(approx - theta_vec, axis=1)
+    rows = [SigmoidLimitRow(k=k, error=float(e)) for k, e in zip(k_list, errors)]
     k0 = None
     for start in range(len(rows)):
         tail = rows[start:]

@@ -233,6 +233,53 @@ def diff_reports(a: dict, b: dict) -> tuple[list[str], bool]:
     return lines, breaking
 
 
+# audit-table columns that identify a row (its fixture, sample and node count)
+KEY_COLUMNS = ("seed", "model", "k", "n", "family", "nodes", "pole_count")
+
+
+def _cell_move(a: str, b: str) -> float:
+    """Absolute move between two CSV cells (true/false read 1/0); inf when one is nan."""
+    x, y = (1.0 if c == "true" else 0.0 if c == "false" else float(c) for c in (a, b))
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return math.inf if math.isnan(x) or math.isnan(y) else abs(x - y)
+
+
+def _read_csv(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def diff_tables(dir_a, dir_b) -> tuple[list[str], bool]:
+    """Row-by-row comparison of the audit CSVs that two run directories hold.
+
+    Returns one line per table present in either directory, with the row
+    counts, whether the KEY_COLUMNS cells agree exactly, and the largest
+    absolute move of every other column; and whether a table is in one
+    directory only, its row counts differ, or a key cell differs.
+    """
+    lines, breaking = [], False
+    for table, columns in CSV_COLUMNS.items():
+        paths = [os.path.join(d, f"{table}.csv") for d in (dir_a, dir_b)]
+        if not any(map(os.path.exists, paths)):
+            continue
+        if not all(map(os.path.exists, paths)):
+            lines.append(f"{table}.csv: only in {'A' if os.path.exists(paths[0]) else 'B'}")
+            breaking = True
+            continue
+        rows_a, rows_b = map(_read_csv, paths)
+        keys = [c for c in columns if c in KEY_COLUMNS]
+        differ = sum(any(x[c] != y[c] for c in keys) for x, y in zip(rows_a, rows_b))
+        breaking = breaking or differ > 0 or len(rows_a) != len(rows_b)
+        moves = ", ".join(
+            f"{c} {max((_cell_move(x[c], y[c]) for x, y in zip(rows_a, rows_b)), default=0.0):.3e}"
+            for c in columns if c not in KEY_COLUMNS)
+        lines.append(f"{table}.csv: {len(rows_a)} -> {len(rows_b)} rows; key columns "
+                     f"({', '.join(keys)}) {f'differ in {differ} rows' if differ else 'equal'}; "
+                     f"largest move: {moves}")
+    return lines, breaking
+
+
 def emit(report: VerificationReport, out_dir, tables=tuple(CSV_COLUMNS)) -> dict:
     """Write report.json and the named audit tables' CSVs atomically; return the paths."""
     out_dir = os.fspath(out_dir)

@@ -176,31 +176,26 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
     w0 = windows[int(rng.integers(len(windows)))]
     tidy0 = td.make_tidy(t, source, w0[0], w0[1])
 
-    scan = strip_growth_scan(t, tidy0.a)
-    by_re: dict[float, list[float]] = {}
-    for s_ in scan:
-        by_re.setdefault(s_.z.real, []).append(s_.norm)
-    # a zero line is skipped; a NaN norm is not, so it reaches the record
-    spreads = [np.ptp(norms) / norms[0] for norms in by_re.values() if not norms[0] <= 1e-300]
+    # one row of norms per vertical line: a zero line is skipped; a NaN norm
+    # is not, so it reaches the record
+    spreads = [np.ptp(norms) / norms[0] for norms in strip_growth_scan(t, tidy0.a).norm
+               if not norms[0] <= 1e-300]
     worst = np.max(spreads, initial=0.0)
     checks.add("flow/strip-constancy",
                "|Delta^(-z) a Delta^z| constant along vertical lines", worst, 1e-10 * d)
 
-    for n in (1, 2, 3):
-        f_n = analytic_flow(t, tidy0.a, n).value
-        lad = td.ladder(t, t.orbit, tidy0, -n)
+    # seven integer samples n = 0..6, then six drawn from the plane, in one stack
+    zs = [float(n) for n in range(7)] + [complex(rng.uniform(-4, 4), rng.uniform(-5, 5))
+                                         for _ in range(6)]
+    samples = analytic_flow(t, tidy0.a, zs)
+    ladders = td.ladder(t, t.orbit, tidy0, [-1, -2, -3])
+    for n, f_n, lad in zip((1, 2, 3), samples.value[1:4], ladders):
         tol_n = tol_base * t.kappa ** ((n + 1) / 2.0) * d
         checks.add("flow/integer-ladder-match",
                    "Delta^(-n) a Delta^n equals the ladder solve",
                    rel_residual(f_n, lad), tol_n)
 
-    # seven integer samples n = 0..6, then six drawn from the plane, in one stack
-    zs = [float(n) for n in range(7)] + [complex(rng.uniform(-4, 4), rng.uniform(-5, 5))
-                                         for _ in range(6)]
-    samples = [analytic_flow(t, tidy0.a, z) for z in zs]
-    ratios = commutator_ratio(np.stack([s_.value for s_ in samples]),
-                              np.array([s_.norm for s_ in samples]),
-                              t.commutant.basis, t.commutant_norms)
+    ratios = commutator_ratio(samples.value, samples.norm, t.commutant.basis, t.commutant_norms)
     for n, r in enumerate(ratios[:7]):
         checks.add("flow/integer-commutators",
                    "[Delta^(-n) a Delta^n, b'] = 0 for n = 0..6",
@@ -249,15 +244,17 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
     checks.add("tidy/solve-roundtrip",
                "operator_from_vector inverts a -> a omega", round_trip, 1e-10 * math.sqrt(t.kappa) * d)
 
-    for n in range(-LADDER_RANGE, LADDER_RANGE + 1):
-        res, tol_n = td.dagger_ladder_check(t, tidy0, n, tol_base)
+    # a_n and a'_(n+1) of tidy0, solved once for both ladder identities
+    ns = np.arange(-LADDER_RANGE, LADDER_RANGE + 1)
+    a_n = td.ladder(t, t.orbit, tidy0, ns)
+    for res, tol_n in zip(*td.dagger_ladder_check(
+            t, tidy0, a_n, td.ladder(t, t.commutant_orbit, tidy0, ns + 1), tol_base)):
         checks.add("tidy/dagger-ladder",
                    "(a'_(n+1))* omega = (a_n)* omega", res, tol_n)
 
     w1 = windows[int(rng.integers(len(windows)))]
     tidy_b = td.make_tidy(t, _random_element(t.algebra, rng), w1[0], w1[1])
-    for n in range(-LADDER_RANGE, LADDER_RANGE + 1):
-        res, tol_n = td.powers_check(t, tidy_a=tidy0, tidy_b=tidy_b, n=n, tol_base=tol_base)
+    for res, tol_n in zip(*td.powers_check(t, tidy0, tidy_b, ns, a_n, tol_base)):
         checks.add("tidy/power-conjugation",
                    "Delta^n a Delta^(-n) b omega = a_n b omega", res, tol_n)
 
@@ -312,21 +309,22 @@ def _draw_offaxis_z(rng, w) -> complex:
 def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
     t = fix.triple
     w = t.delta_spec.eigenvalues
-    for _ in range(RESOLVENT_SAMPLES):
-        z = _draw_offaxis_z(rng, w)
-        a_prime = _random_element(t.commutant, rng)
-        transfer = td.resolvent_transfer(t, a_prime, z)
+    # per sample, in stream order: z, a' in A', a in A, then z2 for the mirror
+    draws = [(_draw_offaxis_z(rng, w), _random_element(t.commutant, rng),
+              _random_element(t.algebra, rng), _draw_offaxis_z(rng, 1.0 / w[::-1]))
+             for _ in range(RESOLVENT_SAMPLES)]
+    zs, sources, mirror_sources, mirror_zs = (np.array(x) for x in zip(*draws))
+    transfer = td.resolvent_transfer(t, sources, zs)
+    mirror = td.resolvent_transfer(t, mirror_sources, mirror_zs, mirror=True)
+    for r, r_mirror in zip(transfer.measured_norm / transfer.bound,
+                           mirror.measured_norm / mirror.bound):
         # 1e-9 relative slack absorbs floating error in the norm measurement;
         # the bound itself is an exact inequality (equality at z = -1, Delta = 1)
         checks.add("resolvent/transfer-bound",
-                   "|a| <= |a'| / sqrt(2 (|z| - Re z))",
-                   transfer.measured_norm / transfer.bound, 1.0 + 1e-9)
-        a = _random_element(t.algebra, rng)
-        z2 = _draw_offaxis_z(rng, 1.0 / w[::-1])
-        mirror = td.resolvent_transfer(t, a, z2, mirror=True)
+                   "|a| <= |a'| / sqrt(2 (|z| - Re z))", r, 1.0 + 1e-9)
         checks.add("resolvent/transfer-bound-mirrored",
                    "role-swapped transfer (source in A, modular operator inverted)",
-                   mirror.measured_norm / mirror.bound, 1.0 + 1e-9, audit=True)
+                   r_mirror, 1.0 + 1e-9, audit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,37 +381,40 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
     lam = lambdas[0]
     psi = _random_unit_vector(d, rng)
 
-    for n in (0, 1, 2):
-        for k in (1, 2, 4, 8):
-            try:
-                result = ct.contour_apply(t, n, k, lam, psi)
-            except ct.ContourError:
-                # node cap exhausted or a pole on a node: failed samples, no row
-                result = None
-                corrected = uncorrected = math.nan
-            else:
-                oracle = ct.spectral_oracle(t, n, k, lam, psi)
-                corrected = float(np.linalg.norm(result.corrected_value - oracle))
-                uncorrected = float(np.linalg.norm(result.value - oracle))
-            checks.add("contour/residue-closure",
-                       "quadrature = spectral oracle + pole sum",
-                       corrected, 10 * ct.QUAD_TOL)
-            checks.add("contour/uncorrected-discrepancy",
-                       "quadrature vs oracle without pole correction",
-                       uncorrected, 10 * ct.QUAD_TOL, audit=True)
-            if result is not None:
-                checks.rows["contour_convergence"].append({
-                    "seed": fix.seed,
-                    "model": fix.spec.label(),
-                    "k": k,
-                    "n": n,
-                    "lambda": lam,
-                    "nodes": result.node_count,
-                    "uncorrected_err": uncorrected,
-                    "corrected_err": corrected,
-                    "pole_count": len(ct.sigmoid_poles(k, lam, ct.HALF_HEIGHT)),
-                    "pole_norm": float(np.linalg.norm(result.pole_correction)),
-                })
+    # the twelve (n, k) integrals, then the truncation pair, as one family; the
+    # first of the pair repeats the (0, 1) integral and is evaluated once
+    pairs = [(n, k) for n in (0, 1, 2) for k in (1, 2, 4, 8)]
+    base_spec = ct.choose_contour(t, 0, 1, lam)
+    doubled = ct.ContourSpec(base_spec.half_height, 2 * base_spec.truncation)
+    *results, r1, r2 = ct.contour_apply(
+        t, [(n, k, None) for n, k in pairs] + [(0, 1, base_spec), (0, 1, doubled)], lam, psi)
+
+    for (n, k), result in zip(pairs, results):
+        if isinstance(result, ct.ContourError):
+            # node cap exhausted or a pole on a node: failed samples, no row
+            corrected = uncorrected = math.nan
+        else:
+            oracle = ct.spectral_oracle(t, n, k, lam, psi)
+            corrected = float(np.linalg.norm(result.corrected_value - oracle))
+            uncorrected = float(np.linalg.norm(result.value - oracle))
+            checks.rows["contour_convergence"].append({
+                "seed": fix.seed,
+                "model": fix.spec.label(),
+                "k": k,
+                "n": n,
+                "lambda": lam,
+                "nodes": result.node_count,
+                "uncorrected_err": uncorrected,
+                "corrected_err": corrected,
+                "pole_count": len(ct.sigmoid_poles(k, lam, ct.HALF_HEIGHT)),
+                "pole_norm": float(np.linalg.norm(result.pole_correction)),
+            })
+        checks.add("contour/residue-closure",
+                   "quadrature = spectral oracle + pole sum",
+                   corrected, 10 * ct.QUAD_TOL)
+        checks.add("contour/uncorrected-discrepancy",
+                   "quadrature vs oracle without pole correction",
+                   uncorrected, 10 * ct.QUAD_TOL, audit=True)
 
     # convergence order on one fixed pair of resolutions
     n, k = 1, 2
@@ -433,14 +434,8 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
                    d2 / d1, 1.0 / 3.0)
 
     # truncation robustness
-    base_spec = ct.choose_contour(t, 0, 1, lam)
-    doubled = ct.ContourSpec(base_spec.half_height, 2 * base_spec.truncation)
-    try:
-        r1 = ct.contour_apply(t, 0, 1, lam, psi, spec=base_spec)
-        r2 = ct.contour_apply(t, 0, 1, lam, psi, spec=doubled)
-        moved = float(np.linalg.norm(r1.value - r2.value))
-    except ct.ContourError:
-        moved = math.nan
+    failed = isinstance(r1, ct.ContourError) or isinstance(r2, ct.ContourError)
+    moved = math.nan if failed else float(np.linalg.norm(r1.value - r2.value))
     checks.add("contour/truncation-robustness",
                "doubling the truncation moves the result by < quad_tol",
                moved, ct.QUAD_TOL)

@@ -1,12 +1,18 @@
-"""Tidy operators: spectral windows, basis solves, and the transfer bounds.
+"""Tidy operators: spectral windows, stacked orbit solves, and the transfer bounds.
 
 A tidy operator is an algebra element whose vector a omega is confined to a
 bounded spectral window of the modular operator: for a window
 0 < lambda_1 < lambda_2 and an integer power n, the vector
 ``Delta^n Theta(lambda_2 - Delta) Theta(Delta - lambda_1) (source) omega``
 is realized both by an element of the algebra and by an element of the
-commutant (two independent solves that must agree on the vector). On top of
-the construction sit the quantitative checks:
+commutant (two independent solves that must agree on the vector).
+
+One function, :func:`operator_from_vector`, solves the orbit map
+a -> a omega of either side, for one vector or for a (d, m) block of them in
+one LAPACK call. The ladder, the growth audit, the resolvent transfer and
+the density checks each hand it all their vectors at once, and take the
+norms of what comes back with one batched SVD. On top of the construction
+sit the quantitative checks:
 
 - the resolvent transfer bound |a| <= |a'| / sqrt(2(|z| - Re z)) for the
   solve a omega = (z - Delta)^{-1} a' omega,
@@ -32,7 +38,8 @@ from .algebra import (
     numerical_rank,
     subspace_orthonormalize,
 )
-from .linalg import as_square_array, complex_power, matrix_function, opnorm
+from .linalg import (LinalgError, as_square_array, complex_power, matrix_function, opnorm,
+                     opnorm_stack)
 from .tomita import ModularTriple, IllConditionedError, COND_CAP
 
 N_CAP = 8  # |n| cap from the kappa <= 1e4 conditioning budget
@@ -77,9 +84,12 @@ def spectral_window(
 def operator_from_vector(v, orb: Orbit) -> np.ndarray:
     """The unique element a of the orbit's subspace with a omega = v.
 
-    Existence and uniqueness come from omega being cyclic and separating (the
-    orbit matrix B with columns b_i omega is square and invertible); the map
-    v -> a is linear. Solves with cond(B) beyond the global cap are refused.
+    v is one vector (d,) or a block of them, (d, m) or (d, ...), one per
+    column; the result holds one element per vector, shape v.shape[1:] +
+    (d, d), from one solve. Existence and uniqueness come from omega being
+    cyclic and separating (the orbit matrix B with columns b_i omega is
+    square and invertible); the map v -> a is linear. Solves with cond(B)
+    beyond the global cap are refused.
     """
     v = np.asarray(v, dtype=complex)
     b = orb.matrix
@@ -89,8 +99,10 @@ def operator_from_vector(v, orb: Orbit) -> np.ndarray:
         )
     if orb.cond > COND_CAP:
         raise IllConditionedError(orb.cond)
-    coeffs = np.linalg.solve(b, v)
-    return orb.space.element(coeffs)
+    d = orb.space.dim_space
+    coeffs = np.linalg.solve(b, v.reshape(d, -1))
+    # np.dot, as OperatorSubspace.element: one coefficient row per element
+    return np.dot(coeffs.T, orb.space.flat()).reshape(*v.shape[1:], d, d)
 
 
 @dataclass(frozen=True)
@@ -124,12 +136,18 @@ def ladder(
     triple: ModularTriple,
     orb: Orbit,
     tidy: TidyOperator,
-    n: int,
+    n,
 ) -> np.ndarray:
-    """Ladder element a_n on the orbit's side, solving a_n omega = Delta^n (a omega)."""
-    if abs(n) > N_CAP:
-        raise WindowError(f"|n| = {abs(n)} exceeds the conditioning cap {N_CAP}")
-    v = complex_power(triple.delta_spec, n) @ tidy.vector
+    """Ladder element a_n on the orbit's side, solving a_n omega = Delta^n (a omega).
+
+    n is an integer, or an integer array for the stack of its elements
+    (shape n.shape + (d, d)), solved in one call.
+    """
+    ns = np.asarray(n)
+    if np.any(np.abs(ns) > N_CAP):
+        raise WindowError(f"|n| = {np.max(np.abs(ns))} exceeds the conditioning cap {N_CAP}")
+    powers = np.array([complex_power(triple.delta_spec, m) for m in ns.ravel().tolist()])
+    v = (powers @ tidy.vector).T.reshape(triple.dim, *ns.shape)
     return operator_from_vector(v, orb)
 
 
@@ -142,48 +160,58 @@ AXIS_GAP = 1e-6  # |z| - Re(z) floor; the bound degenerates on the positive real
 
 @dataclass(frozen=True)
 class ResolventTransfer:
-    """The solved element a, its norm, and the transfer bound |a'| / sqrt(2 (|z| - Re z))."""
+    """The solved elements a, their norms, and the transfer bounds |a'| / sqrt(2 (|z| - Re z)).
+
+    One entry per sample, in the shape of the z's the transfer was given.
+    """
 
     a: np.ndarray
-    measured_norm: float
-    bound: float
+    measured_norm: np.ndarray
+    bound: np.ndarray
 
 
 def resolvent_transfer(
     triple: ModularTriple,
     source,
-    z: complex,
+    z,
     mirror: bool = False,
 ) -> ResolventTransfer:
-    """Solve a omega = (z - Delta)^{-1} a' omega and audit the transfer bound.
+    """Solve a omega = (z - Delta)^{-1} a' omega and audit the transfer bound, per sample.
 
-    By default the source a' is expected in the commutant and the solve runs
-    in the algebra. With ``mirror`` the roles swap: the source lies in the
-    algebra and the solve runs in the commutant, whose modular operator is
-    Delta^{-1}, so the resolvent is that of Delta^{-1}. z must lie outside the
-    spectrum of the operator used, with |z| - Re(z) > AXIS_GAP.
+    z is one complex number or an array of them, and source the matching
+    (d, d) element or (..., d, d) stack; one solve takes every sample and one
+    batched SVD every norm. By default the source a' is expected in the
+    commutant and the solve runs in the algebra. With ``mirror`` the roles
+    swap: the source lies in the algebra and the solve runs in the commutant,
+    whose modular operator is Delta^{-1}, so the resolvent is that of
+    Delta^{-1}. Each z must lie outside the spectrum of the operator used,
+    with |z| - Re(z) > AXIS_GAP.
     """
-    z = complex(z)
-    src = as_square_array(source)
-    if abs(z) - z.real <= AXIS_GAP:
-        raise ResolventDomainError(
-            f"z = {z} is too close to the positive real axis (|z| - Re z <= {AXIS_GAP})"
-        )
+    zs = np.asarray(z, dtype=complex)
+    src = np.asarray(source, dtype=complex)
+    d = triple.dim
+    if src.shape != zs.shape + (d, d) or not np.isfinite(src).all():
+        raise LinalgError(f"sources must be finite {zs.shape + (d, d)}, got shape {src.shape}")
+    zf, sources = zs.reshape(-1, 1), src.reshape(-1, d, d)
+    gap = np.abs(zf) - zf.real
+    if np.any(gap <= AXIS_GAP):
+        raise ResolventDomainError(f"z = {zf[gap <= AXIS_GAP][0]} is too close to the positive "
+                                   f"real axis (|z| - Re z <= {AXIS_GAP})")
+    w = triple.delta_spec.eigenvalues
     if mirror:
-        name, orb = "Delta^(-1)", triple.commutant_orbit
-        spectrum = 1.0 / triple.delta_spec.eigenvalues
-        f = lambda x: 1.0 / (z - 1.0 / x)  # noqa: E731
+        name, orb, spectrum = "Delta^(-1)", triple.commutant_orbit, 1.0 / w
     else:
-        name, orb = "Delta", triple.orbit
-        spectrum = triple.delta_spec.eigenvalues
-        f = lambda x: 1.0 / (z - x)  # noqa: E731
-    if np.min(np.abs(z - spectrum)) <= AXIS_GAP:
-        raise ResolventDomainError(f"z = {z} is inside the spectrum of {name}")
-    v = matrix_function(triple.delta_spec, f) @ (src @ triple.omega)
-    a = operator_from_vector(v, orb)
-    return ResolventTransfer(
-        a=a, measured_norm=opnorm(a), bound=opnorm(src) / math.sqrt(2.0 * (abs(z) - z.real))
-    )
+        name, orb, spectrum = "Delta", triple.orbit, w
+    inside = np.any(np.abs(zf - spectrum) <= AXIS_GAP, axis=1)
+    if inside.any():
+        raise ResolventDomainError(f"z = {zf[inside, 0][0]} is inside the spectrum of {name}")
+    u = triple.delta_spec.eigenvectors
+    # row i: U diag(1 / (z_i - spectrum)) U^dag a'_i omega
+    v = ((sources @ triple.omega) @ u.conj() / (zf - spectrum)) @ u.T
+    a = operator_from_vector(v.T, orb)
+    norms = opnorm_stack(np.concatenate([a, sources])).reshape(2, *zs.shape)
+    return ResolventTransfer(a=a.reshape(src.shape), measured_norm=norms[0][()],
+                             bound=(norms[1] / np.sqrt(2.0 * gap.reshape(zs.shape)))[()])
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +292,20 @@ def growth_audit(
     measurements show its n = 0 constant can be exceeded (by a factor up to
     about 1.6 on these fixture families) while each step away from n = 0
     multiplies the slack by roughly 2 pi. The exponential growth rate itself
-    is confirmed by the fitted slopes.
+    is confirmed by the fitted slopes. Each side's ladder is one stacked
+    solve, and one batched SVD takes all 2 + 2 (2 GROWTH_N_MAX + 1) norms.
     """
     base = make_tidy(triple, source, lambda1, lambda2)
-    norm_a0 = opnorm(base.a)
-    norm_a0p = opnorm(base.a_prime)
+    ns = np.arange(-GROWTH_N_MAX, GROWTH_N_MAX + 1)
+    norms = opnorm_stack(np.concatenate([
+        np.stack([base.a, base.a_prime]),
+        ladder(triple, triple.orbit, base, ns),
+        ladder(triple, triple.commutant_orbit, base, ns),
+    ])).tolist()
+    norm_a0, norm_a0p = norms[:2]
     rows: list[BoundAuditRow] = []
     logs_pos, logs_neg = [], []
-    for n in range(-GROWTH_N_MAX, GROWTH_N_MAX + 1):
-        norm_an = opnorm(ladder(triple, triple.orbit, base, n))
-        norm_apn = opnorm(ladder(triple, triple.commutant_orbit, base, n))
+    for n, norm_an, norm_apn in zip(ns.tolist(), norms[2:2 + ns.size], norms[2 + ns.size:]):
         if n >= 0:
             bound = tidy_bound(lambda2, n, norm_a0p)
             logs_pos.append((n, math.log(max(norm_an, 1e-300))))
@@ -312,67 +344,69 @@ def _fit_slope(points: list[tuple[int, float]]) -> float:
 def dagger_ladder_check(
     triple: ModularTriple,
     tidy: TidyOperator,
-    n: int,
+    a_n: np.ndarray,
+    ap_next: np.ndarray,
     tol_base: float,
-) -> tuple[float, float]:
-    """Residual of the adjoint-ladder identity (a'_{n+1})^* omega = (a_n)^* omega.
+):
+    """Residuals of the adjoint-ladder identity (a'_{n+1})^* omega = (a_n)^* omega.
 
-    Returns (residual, tolerance). The tolerance scales with the ladder vector
-    magnitude: solve errors in double precision are relative to the solved
-    vectors, which grow like |Delta|^n.
+    a_n and ap_next are the caller's ladder solves of tidy on the algebra
+    side at n and on the commutant side at n + 1, one (d, d) pair or two
+    (m, d, d) stacks. Returns (residuals, tolerances), one per pair. The
+    tolerance scales with the ladder vector magnitude: solve errors in
+    double precision are relative to the solved vectors, which grow like
+    |Delta|^n.
     """
-    if abs(n) + 1 > N_CAP:
-        raise WindowError(f"|n| + 1 = {abs(n) + 1} exceeds the conditioning cap {N_CAP}")
-    a_n = ladder(triple, triple.orbit, tidy, n)
-    ap_n1 = ladder(triple, triple.commutant_orbit, tidy, n + 1)
-    lhs = ap_n1.conj().T @ triple.omega
-    rhs = a_n.conj().T @ triple.omega
-    residual = float(np.linalg.norm(lhs - rhs))
-    scale = max(
-        float(np.linalg.norm(lhs)),
-        float(np.linalg.norm(rhs)),
-        float(np.linalg.norm(tidy.vector)),
-        1e-30,
-    )
-    tol = tol_base * math.sqrt(triple.kappa) * triple.dim * scale
-    return residual, tol
+    lhs = ap_next.conj().swapaxes(-1, -2) @ triple.omega
+    rhs = a_n.conj().swapaxes(-1, -2) @ triple.omega
+    residual = np.linalg.norm(lhs - rhs, axis=-1)
+    scale = np.maximum(np.maximum(np.linalg.norm(lhs, axis=-1), np.linalg.norm(rhs, axis=-1)),
+                       max(float(np.linalg.norm(tidy.vector)), 1e-30))
+    return residual, tol_base * math.sqrt(triple.kappa) * triple.dim * scale
 
 
 def powers_check(
     triple: ModularTriple,
     tidy_a: TidyOperator,
     tidy_b: TidyOperator,
-    n: int,
+    ns,
+    a_n: np.ndarray,
     tol_base: float,
-) -> tuple[float, float]:
-    """Residual of Delta^n a Delta^{-n} b omega = a_n b omega.
+):
+    """Residuals of Delta^n a Delta^{-n} b omega = a_n b omega, one per n of ns.
 
-    The two sides travel independent paths: matrix powers of Delta on the
-    left, a ladder solve on the right. Tolerance carries the kappa^{|n|/2}
-    amplification of the power sandwich.
+    a_n is the caller's (len(ns), d, d) ladder stack of tidy_a on the algebra
+    side. The two sides travel independent paths: matrix powers of Delta on
+    the left, a ladder solve on the right. Returns (residuals, tolerances);
+    each tolerance carries the kappa^{|n|/2} amplification of the power
+    sandwich.
     """
-    if abs(n) > 6:
-        raise WindowError(f"|n| = {abs(n)} exceeds the power-identity cap 6")
-    d_pow = complex_power(triple.delta_spec, n)
-    d_neg = complex_power(triple.delta_spec, -n)
+    ns = np.asarray(ns)
+    if np.any(np.abs(ns) > 6):
+        raise WindowError(f"|n| = {np.max(np.abs(ns))} exceeds the power-identity cap 6")
+    spec = triple.delta_spec
     b_omega = tidy_b.vector
-    lhs = d_pow @ (tidy_a.a @ (d_neg @ b_omega))
-    a_n = ladder(triple, triple.orbit, tidy_a, n)
+    lhs = np.array([complex_power(spec, n) @ (tidy_a.a @ (complex_power(spec, -n) @ b_omega))
+                    for n in ns.tolist()])
     rhs = a_n @ b_omega
-    residual = float(np.linalg.norm(lhs - rhs))
-    scale = max(
-        float(np.linalg.norm(lhs)),
-        float(np.linalg.norm(rhs)),
-        opnorm(tidy_a.a) * float(np.linalg.norm(b_omega)),
-        1e-30,
-    )
-    tol = tol_base * triple.kappa ** ((abs(n) + 1) / 2.0) * triple.dim * scale
-    return residual, tol
+    residual = np.linalg.norm(lhs - rhs, axis=-1)
+    scale = np.maximum(np.maximum(np.linalg.norm(lhs, axis=-1), np.linalg.norm(rhs, axis=-1)),
+                       max(opnorm(tidy_a.a) * float(np.linalg.norm(b_omega)), 1e-30))
+    return residual, tol_base * triple.kappa ** ((np.abs(ns) + 1) / 2.0) * triple.dim * scale
 
 
 # ---------------------------------------------------------------------------
 # Density checks
 # ---------------------------------------------------------------------------
+
+
+def _windowed_orbits(triple: ModularTriple, windows) -> list[np.ndarray]:
+    """Per window W, the (d, dim A) block W B of windowed vectors W a_i omega.
+
+    B is the algebra's orbit matrix, whose columns are the basis vectors
+    a_i omega; each window's projector is built once.
+    """
+    return [spectral_window(triple, l1, l2) @ triple.orbit.matrix for (l1, l2) in windows]
 
 
 def tidy_span_check(
@@ -385,12 +419,8 @@ def tidy_span_check(
     expected exactly when the windows cover the spectrum of Delta; a missed
     eigenspace shows up as a rank deficit of its dimension.
     """
-    vs = []
-    for (l1, l2) in windows:
-        w = spectral_window(triple, l1, l2)
-        for b in triple.algebra.basis:
-            vs.append(w @ (b @ triple.omega))
-    stack = np.column_stack(vs) if vs else np.zeros((triple.dim, 0))
+    # the empty leading block keeps an empty window list valid
+    stack = np.hstack([np.zeros((triple.dim, 0)), *_windowed_orbits(triple, windows)])
     sv = np.linalg.svd(stack, compute_uv=False)
     return RankReport(rank=numerical_rank(sv), required=triple.dim)
 
@@ -402,13 +432,11 @@ def tidy_bicommutant_check(
     """Mutual projection residual between (tidy set)'' and the algebra.
 
     The tidy set is built from every algebra basis element and every window
-    (n = 0, two-sided solves). Covering windows must regenerate the algebra.
+    (n = 0); only its algebra side is solved, one stacked solve per window.
+    Covering windows must regenerate the algebra.
     """
-    ops = []
-    for (l1, l2) in windows:
-        for b in triple.algebra.basis:
-            t = make_tidy(triple, b, l1, l2)
-            ops.append(t.a)
+    ops = [a for block in _windowed_orbits(triple, windows)
+           for a in operator_from_vector(block, triple.orbit)]
     tidy_span = subspace_orthonormalize(ops, dim_space=triple.dim)
     regenerated = bicommutant(tidy_span)
     return mutual_projection_residual(regenerated, triple.algebra)

@@ -22,6 +22,7 @@ from modlab.report import CheckSet
 from modlab.tidy import (
     dagger_ladder_check,
     growth_audit,
+    ladder,
     make_tidy,
     powers_check,
     resolvent_transfer,
@@ -153,11 +154,12 @@ def test_criterion_05_ladder_identities():
         c2 = rng.standard_normal(t.algebra.dim) + 1j * rng.standard_normal(t.algebra.dim)
         w1 = wins[int(rng.integers(len(wins)))]
         tidy_b = make_tidy(t, t.algebra.element(c2), w1[0], w1[1])
-        for n in range(-3, 4):
-            res, tol = dagger_ladder_check(t, tidy_a, n, TOL_BASE)
-            if res > 0:
-                worst = max(worst, res / tol)
-            res, tol = powers_check(t, tidy_a, tidy_b, n, TOL_BASE)
+        ns = np.arange(-3, 4)
+        a_n = ladder(t, t.orbit, tidy_a, ns)
+        for res, tol in (*zip(*dagger_ladder_check(t, tidy_a, a_n,
+                                                    ladder(t, t.commutant_orbit, tidy_a, ns + 1),
+                                                    TOL_BASE)),
+                         *zip(*powers_check(t, tidy_a, tidy_b, ns, a_n, TOL_BASE))):
             if res > 0:
                 worst = max(worst, res / tol)
     _report(
@@ -231,7 +233,7 @@ def test_criterion_08_residue_closure(tmp_path):
         lam = float(w[-1]) + 1.0
         for n in (0, 1, 2):
             for k in (1, 2, 4, 8):
-                q = contour_apply(t, n, k, lam, psi)
+                [q] = contour_apply(t, [(n, k, None)], lam, psi)
                 oracle = spectral_oracle(t, n, k, lam, psi)
                 corrected = float(np.linalg.norm(q.corrected_value - oracle))
                 uncorrected = float(np.linalg.norm(q.value - oracle))

@@ -11,9 +11,10 @@ from modlab.flow import (
     strip_growth_scan,
     tomita_check,
 )
-from modlab.linalg import opnorm, opnorm_stack, rel_residual
+from modlab.linalg import complex_power, opnorm, opnorm_stack, rel_residual
 from modlab.tidy import ladder, make_tidy, tidy_bound
 from modlab.tomita import modular_data
+from rotated import rotated_triple
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,19 +170,6 @@ def loop_tomita_check(t, basis, times):
     return membership, commutator
 
 
-def rotated_triple(seed):
-    """standard_factor(2) conjugated by a seeded unitary, so that its bases are
-    complex, unlike those of the block models."""
-    t = generate_fixture(parse_spec("standard_factor(2)"), seed).triple
-    g = np.random.default_rng(seed).standard_normal((2, 4, 4))
-    q, _ = np.linalg.qr(g[0] + 1j * g[1])
-
-    def rotate(space):
-        return subspace_orthonormalize([q @ b @ q.conj().T for b in space.basis])
-
-    return modular_data(rotate(t.algebra), q @ t.omega, rotate(t.commutant))
-
-
 @pytest.mark.parametrize("label", ["standard_factor(2)", "standard_factor(3)",
                                    "direct_sum(2:2,1:1)", "rotated"])
 def test_tomita_check_matches_the_per_triple_loop(label):
@@ -233,8 +221,9 @@ def test_tomita_check_random_direct_sum_ensemble():
 def test_strip_scan_identity_operator():
     _, _, t = two_qubit_fixture()
     samples = strip_growth_scan(t, np.eye(4))
-    for s in samples:
-        assert abs(s.norm - 1.0) <= 1e-10
+    assert samples.norm.shape == (4, 5) and samples.value.shape == (4, 5, 4, 4)
+    for norm in samples.norm.ravel():
+        assert abs(norm - 1.0) <= 1e-10
 
 
 def test_strip_scan_constant_along_imaginary_direction():
@@ -245,15 +234,12 @@ def test_strip_scan_constant_along_imaginary_direction():
     wins = covering_windows(t)
     tidy = make_tidy(t, src, wins[0][0], wins[0][1])
     samples = strip_growth_scan(t, tidy.a)
-    by_re = {}
-    for s in samples:
-        by_re.setdefault(s.z.real, []).append(s.norm)
-    for norms in by_re.values():
+    for norms in samples.norm:  # one row per vertical line Re z = 0, 1, 2, 3
         if norms[0] > 1e-250:
             assert (max(norms) - min(norms)) <= 1e-10 * norms[0]
     # purely imaginary line keeps the untouched norm
     n_a = np.linalg.norm(tidy.a, 2)
-    assert all(abs(v - n_a) <= 1e-10 * max(n_a, 1e-250) for v in by_re[0.0])
+    assert all(abs(v - n_a) <= 1e-10 * max(n_a, 1e-250) for v in samples.norm[0])
 
 
 def test_strip_scan_integer_values_under_tidy_growth_bound():
@@ -282,3 +268,41 @@ def test_analytic_commutators_vanish_off_axis():
             comm_norm = np.linalg.norm(sample.value @ b - b @ sample.value, 2)
             scale = max(sample.norm * np.linalg.norm(b, 2), 1e-30)
             assert comm_norm / scale <= 1e-9 * t.kappa ** ((abs(z.real) + 1) / 2)
+
+
+@pytest.mark.parametrize("label", ["standard_factor(2)", "direct_sum(2:2,1:1)", "rotated"])
+def test_analytic_flow_stack_matches_the_per_z_loop(label):
+    t = rotated_triple(4) if label == "rotated" else generate_fixture(parse_spec(label), 2).triple
+    rng = np.random.default_rng(9)
+    a = t.algebra.element(rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim))
+    zs = np.array([[0.0, 1.0, 2.5 - 1.0j], [-3.0 + 0.4j, 0.9j, 6.0]])
+    stack = analytic_flow(t, a, zs)
+    assert stack.value.shape == (2, 3, t.dim, t.dim) and stack.norm.shape == (2, 3)
+    for z, value, norm in zip(zs.ravel(), stack.value.reshape(-1, t.dim, t.dim),
+                              stack.norm.ravel()):
+        ref = complex_power(t.delta_spec, -z) @ a @ complex_power(t.delta_spec, z)
+        assert np.max(np.abs(value - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert norm == opnorm(value)
+    one = analytic_flow(t, a, zs[1, 0])
+    assert one.value.shape == (t.dim, t.dim) and np.ndim(one.norm) == 0
+    with pytest.raises(FlowDomainError):
+        analytic_flow(t, a, [1.0, 13.0])
+
+
+def test_flow_suite_takes_no_single_matrix_norm(monkeypatch):
+    # every norm of the strip scan, the commutator samples and the ladder
+    # match comes from a batched SVD; the ladder match asks for none
+    from modlab import flow, linalg, suites, tidy
+    from modlab.report import CheckSet
+
+    def refused(a):
+        raise AssertionError("single-matrix opnorm called")
+
+    for mod in (linalg, flow, tidy, suites):
+        monkeypatch.setattr(mod, "opnorm", refused)
+    checks = CheckSet()
+    fix = generate_fixture(parse_spec("direct_sum(2:2,1:1)"), 3)
+    suites.run_flow_suite(fix, np.random.default_rng(4), checks, 1e-9)
+    records = {r.id: r for r in checks.records()}
+    assert records["flow/integer-ladder-match"].samples == 3
+    assert all(r.status == "pass" for r in records.values())

@@ -521,6 +521,57 @@ def test_diff_report_lists_moved_numbers_without_failing(tmp_path, capsys):
     assert "-> 1.0; samples 1 -> 7" in line and "max_residual" not in line
 
 
+def _edit_csv(path, row, column, value):
+    import csv
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[row + 1][rows[0].index(column)] = value  # row 0 is the header
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def test_diff_report_compares_the_audit_csvs_of_two_directories(tmp_path, capsys):
+    import shutil
+
+    report = run_suites(RunConfig(models=("standard_factor(2)",), trials=1,
+                                  suites=("tidy", "contour")))
+    emit(report, tmp_path / "a")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    n_tidy, n_contour = len(report.rows["tidy_bounds"]), len(report.rows["contour_convergence"])
+    assert main(["diff-report", a, b]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == (f"tidy_bounds.csv: {n_tidy} -> {n_tidy} rows; key columns "
+                      "(seed, model, n, family) equal; largest move: d 0.000e+00, lambda1 "
+                      "0.000e+00, lambda2 0.000e+00, measured 0.000e+00, bound 0.000e+00, "
+                      "ratio 0.000e+00, pass 0.000e+00")
+    assert out[2].startswith(f"contour_convergence.csv: {n_contour} -> {n_contour} rows; "
+                             "key columns (seed, model, k, n, nodes, pole_count) equal;")
+
+    # a float column moves: listed, not failing; a nan on one side reads inf
+    _edit_csv(tmp_path / "b" / "contour_convergence.csv", 3, "corrected_err", "0.25")
+    _edit_csv(tmp_path / "b" / "tidy_bounds.csv", 0, "measured", "nan")
+    assert main(["diff-report", a, b]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "measured inf," in out[1]
+    assert "corrected_err 2.500e-01" in out[2]  # the row's own error is below 1e-7
+
+    # a node count differs: a key column, so the exit code is 1
+    _edit_csv(tmp_path / "b" / "contour_convergence.csv", 5, "nodes", "7")
+    assert main(["diff-report", a, b]) == 1
+    assert "differ in 1 rows" in capsys.readouterr().out.splitlines()[2]
+
+    # a dropped row, and a table in one directory only
+    (tmp_path / "b" / "tidy_bounds.csv").write_text(
+        "\n".join((tmp_path / "a" / "tidy_bounds.csv").read_text().splitlines()[:-1]) + "\n")
+    (tmp_path / "a" / "contour_convergence.csv").unlink()
+    assert main(["diff-report", a, b]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith(f"tidy_bounds.csv: {n_tidy} -> {n_tidy - 1} rows;")
+    assert out[2] == "contour_convergence.csv: only in B"
+
+
 def test_diff_report_unreadable_input_exits_2(tmp_path, capsys):
     assert main(["diff-report", str(tmp_path / "absent"), str(tmp_path / "absent")]) == 2
     assert "cannot compare" in capsys.readouterr().err

@@ -170,9 +170,9 @@ def test_nan_strip_norm_fails_strip_constancy(monkeypatch, position):
     def wrap(scan):
         def rigged(t, a):
             samples = scan(t, a)
-            line = [i for i, s in enumerate(samples) if s.z.real == 1.0]
-            samples[line[position]] = dataclasses.replace(samples[line[position]], norm=math.nan)
-            return samples
+            norm = samples.norm.copy()
+            norm[1, position] = math.nan  # row 1 is the line Re z = 1
+            return dataclasses.replace(samples, norm=norm)
         return rigged
 
     rec = _flow_records(monkeypatch, "strip_growth_scan", wrap)["flow/strip-constancy"]
@@ -232,3 +232,34 @@ def test_each_suite_draws_the_same_stream_alone_as_beside_the_others(label):
         assert report.checks == [c for c in together.checks if c.id.startswith(f"{name}/")]
     assert alone["tidy"].rows["tidy_bounds"] == together.rows["tidy_bounds"]
     assert alone["contour"].rows["contour_convergence"] == together.rows["contour_convergence"]
+
+
+@pytest.mark.parametrize("label", ["standard_factor(2)", "direct_sum(2:2,1:1)"])
+def test_resolvent_suite_draws_the_per_sample_stream(monkeypatch, label):
+    # the suite draws its samples as the per-sample code did, one
+    # (z, a' in A', a in A, z2) at a time, then makes one stacked call per role
+    fix = _fixture(label)
+    t = fix.triple
+    calls = []
+    transfer = suites.td.resolvent_transfer
+
+    def recording(triple, source, z, mirror=False):
+        calls.append((source, z, mirror))
+        return transfer(triple, source, z, mirror=mirror)
+
+    monkeypatch.setattr(suites.td, "resolvent_transfer", recording)
+    records = _records(suites.run_resolvent_suite, fix, seed=7)
+    rng = np.random.default_rng(7)
+    w = t.delta_spec.eigenvalues
+    expected = {False: ([], []), True: ([], [])}
+    for _ in range(suites.RESOLVENT_SAMPLES):
+        expected[False][1].append(suites._draw_offaxis_z(rng, w))
+        expected[False][0].append(suites._random_element(t.commutant, rng))
+        expected[True][0].append(suites._random_element(t.algebra, rng))
+        expected[True][1].append(suites._draw_offaxis_z(rng, 1.0 / w[::-1]))
+    assert [mirror for _, _, mirror in calls] == [False, True]
+    for source, z, mirror in calls:
+        assert np.array_equal(source, np.array(expected[mirror][0]))
+        assert np.array_equal(z, np.array(expected[mirror][1]))
+    assert records["resolvent/transfer-bound"].samples == suites.RESOLVENT_SAMPLES
+    assert records["resolvent/transfer-bound-mirrored"].samples == suites.RESOLVENT_SAMPLES

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modlab.algebra import membership_residual, subspace_orthonormalize
-from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture
-from modlab.linalg import matrix_function, rel_residual
+from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture, parse_spec
+from modlab.linalg import complex_power, matrix_function, rel_residual
 from modlab.tidy import (
     ResolventDomainError,
     WindowError,
@@ -26,6 +26,7 @@ from modlab.tidy import (
     tidy_span_check,
 )
 from modlab.tomita import IllConditionedError, modular_data
+from rotated import rotated_triple
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -404,7 +405,8 @@ def test_dagger_ladder_trivial_delta():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=4)
     wins = covering_windows(fix.triple)
     tidy = make_tidy(fix.triple, fix.triple.algebra.basis[2], wins[0][0], wins[0][1])
-    res, tol = dagger_ladder_check(fix.triple, tidy, 0, 1e-9)
+    res, tol = dagger_ladder_check(fix.triple, tidy, ladder(fix.triple, fix.triple.orbit, tidy, 0),
+                                   ladder(fix.triple, fix.triple.commutant_orbit, tidy, 1), 1e-9)
     assert res <= max(tol, 1e-12)
     # abelian case: a' = a and the identity holds exactly
     assert rel_residual(tidy.a, tidy.a_prime) <= 1e-10
@@ -415,8 +417,11 @@ def test_dagger_ladder_two_qubit_range():
     rng = np.random.default_rng(6)
     c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     tidy = make_tidy(t, a.element(c), 0.4, 2.6)
-    for n in (0, 1, 2, -1, -2):
-        res, tol = dagger_ladder_check(t, tidy, n, 1e-9)
+    ns = np.array([0, 1, 2, -1, -2])
+    residuals, tols = dagger_ladder_check(t, tidy, ladder(t, t.orbit, tidy, ns),
+                                          ladder(t, t.commutant_orbit, tidy, ns + 1), 1e-9)
+    assert residuals.shape == tols.shape == (5,)
+    for res, tol in zip(residuals, tols):
         assert res <= max(tol, 1e-9)
 
 
@@ -427,7 +432,7 @@ def test_powers_check_zero_is_exact():
                        0.4, 2.6)
     tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        0.4, 2.6)
-    res, tol = powers_check(t, tidy_a, tidy_b, 0, 1e-9)
+    [res], [tol] = powers_check(t, tidy_a, tidy_b, [0], ladder(t, t.orbit, tidy_a, [0]), 1e-9)
     assert res <= 1e-12
 
 
@@ -438,8 +443,9 @@ def test_powers_check_range():
                        0.4, 2.6)
     tidy_b = make_tidy(t, a.element(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
                        1.5, 2.5)
-    for n in (1, 2, 3, -1, -3):
-        res, tol = powers_check(t, tidy_a, tidy_b, n, 1e-9)
+    ns = [1, 2, 3, -1, -3]
+    residuals, tols = powers_check(t, tidy_a, tidy_b, ns, ladder(t, t.orbit, tidy_a, ns), 1e-9)
+    for res, tol in zip(residuals, tols):
         assert res <= max(tol, 1e-9)
 
 
@@ -485,3 +491,134 @@ def test_tidy_bicommutant_abelian():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=9)
     wins = covering_windows(fix.triple)
     assert tidy_bicommutant_check(fix.triple, wins) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# stacked solves against per-column loops
+# ---------------------------------------------------------------------------
+
+
+STACK_CASES = ["standard_factor(2)", "standard_factor(3)", "direct_sum(2:2,1:1)", "rotated"]
+
+
+def stack_case(label):
+    return rotated_triple(4) if label == "rotated" else generate_fixture(parse_spec(label), 2).triple
+
+
+def loop_solve(v, orb):
+    """The element with a omega = v for one vector: its own solve, then sum_i c_i b_i."""
+    coeffs = np.linalg.solve(orb.matrix, v)
+    return sum(c * b for c, b in zip(coeffs, orb.space.basis))
+
+
+def assert_close(got, ref, rel=1e-14):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def random_elements(space, rng, m):
+    c = rng.standard_normal((m, space.dim)) + 1j * rng.standard_normal((m, space.dim))
+    return np.tensordot(c, space.basis, axes=(1, 0))
+
+
+@pytest.mark.parametrize("label", STACK_CASES)
+def test_stacked_operator_from_vector_matches_the_column_loop(label):
+    t = stack_case(label)
+    rng = np.random.default_rng(31)
+    block = rng.standard_normal((t.dim, 6)) + 1j * rng.standard_normal((t.dim, 6))
+    for orb in (t.orbit, t.commutant_orbit):
+        stack = operator_from_vector(block, orb)
+        assert_close(stack, np.array([loop_solve(v, orb) for v in block.T]))
+        assert_close(stack @ t.omega, block.T, rel=1e-12)
+        assert_close(operator_from_vector(block[:, 2], orb), stack[2])
+
+
+def test_stacked_operator_from_vector_refuses_ill_conditioned_orbit():
+    _, _, omega, t = two_qubit()
+    skewed = dataclasses.replace(t.orbit, singular_values=np.array([1e7, 1.0, 1.0, 1.0]))
+    with pytest.raises(IllConditionedError):
+        operator_from_vector(np.stack([omega, omega], axis=1), skewed)
+
+
+@pytest.mark.parametrize("label", STACK_CASES)
+def test_ladder_stack_matches_the_per_n_loop(label):
+    t = stack_case(label)
+    rng = np.random.default_rng(32)
+    wins = covering_windows(t)
+    tidy = make_tidy(t, random_elements(t.algebra, rng, 1)[0], wins[0][0], wins[-1][1])
+    ns = np.arange(-3, 5)
+    for orb in (t.orbit, t.commutant_orbit):
+        loop = np.array([loop_solve(complex_power(t.delta_spec, int(n)) @ tidy.vector, orb)
+                         for n in ns])
+        assert_close(ladder(t, orb, tidy, ns), loop)
+        assert_close(ladder(t, orb, tidy, ns.reshape(2, 4)), loop.reshape(2, 4, t.dim, t.dim))
+    with pytest.raises(WindowError):
+        ladder(t, t.orbit, tidy, [0, 9])
+
+
+@pytest.mark.parametrize("label", STACK_CASES)
+def test_growth_audit_matches_the_per_n_loop(label):
+    t = stack_case(label)
+    rng = np.random.default_rng(33)
+    src = random_elements(t.algebra, rng, 1)[0]
+    for l1, l2 in ((0.3, 0.9), (0.9, 1.5), (0.5, 3.0)):
+        audit = growth_audit(t, src, l1, l2)
+        tidy = make_tidy(t, src, l1, l2)
+        norm_a0, norm_a0p = np.linalg.norm(tidy.a, 2), np.linalg.norm(tidy.a_prime, 2)
+        for row in audit.rows:
+            orb = t.orbit if row.family == "a" else t.commutant_orbit
+            ref = np.linalg.norm(
+                loop_solve(complex_power(t.delta_spec, row.n) @ tidy.vector, orb), 2)
+            assert abs(row.measured_norm - ref) <= 1e-14 * max(ref, norm_a0, norm_a0p)
+            bound = (tidy_bound(l2, row.n, norm_a0p) if row.n >= 0
+                     else mirrored_tidy_bound(l1, row.n, norm_a0))
+            assert abs(row.bound_value - bound) <= 1e-14 * bound
+
+
+@pytest.mark.parametrize("label", STACK_CASES)
+@pytest.mark.parametrize("mirror", [False, True], ids=["transfer", "mirror"])
+def test_stacked_resolvent_transfer_matches_the_per_sample_loop(label, mirror):
+    t = stack_case(label)
+    rng = np.random.default_rng(34)
+    w = t.delta_spec.eigenvalues
+    zs = np.array([-1.0 + 0.5j, 2j * math.pi, 0.7 - 0.2j, -3.0 - 4.0j, float(w[-1]) + 0.3j])
+    sources = random_elements(t.algebra if mirror else t.commutant, rng, len(zs))
+    out = resolvent_transfer(t, sources, zs, mirror=mirror)
+    orb = t.commutant_orbit if mirror else t.orbit
+    for i, (z, src) in enumerate(zip(zs, sources)):
+        f = (lambda x: 1.0 / (z - 1.0 / x)) if mirror else (lambda x: 1.0 / (z - x))
+        a = loop_solve(matrix_function(t.delta_spec, f) @ (src @ t.omega), orb)
+        assert_close(out.a[i], a)
+        norm = np.linalg.norm(a, 2)
+        assert abs(out.measured_norm[i] - norm) <= 1e-14 * norm
+        bound = np.linalg.norm(src, 2) / math.sqrt(2.0 * (abs(z) - z.real))
+        # |z| - Re z cancels near the positive axis, amplifying the rounding of |z|
+        assert abs(out.bound[i] - bound) <= 1e-14 * bound * abs(z) / (abs(z) - z.real)
+        one = resolvent_transfer(t, src, z, mirror=mirror)
+        assert_close(one.a, out.a[i])
+        assert abs(one.measured_norm - out.measured_norm[i]) <= 1e-14 * norm
+
+
+def test_stacked_resolvent_transfer_refuses_any_bad_point():
+    a, comm, _, t = two_qubit()
+    with pytest.raises(ResolventDomainError):
+        resolvent_transfer(t, comm.basis[:2], np.array([-1.0 + 0j, 3.0 + 0j]))
+    with pytest.raises(ResolventDomainError):
+        resolvent_transfer(t, comm.basis[:2], np.array([-1.0 + 0j, 2.0 + 1e-9j]))
+
+
+def test_tidy_bicommutant_builds_each_window_once_and_solves_one_side(monkeypatch):
+    from modlab import tidy
+
+    fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=5)
+    t = fix.triple
+    wins = covering_windows(t)
+    windows, orbits = [], []
+    window, solve = tidy.spectral_window, tidy.operator_from_vector
+    monkeypatch.setattr(tidy, "spectral_window",
+                        lambda *args: windows.append(args[1:]) or window(*args))
+    monkeypatch.setattr(tidy, "operator_from_vector",
+                        lambda v, orb: orbits.append(orb) or solve(v, orb))
+    assert tidy_bicommutant_check(t, wins) <= 1e-9
+    assert windows == list(wins)
+    assert len(orbits) == len(wins) and all(orb is t.orbit for orb in orbits)
