@@ -120,32 +120,30 @@ def _elementary(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def algebra_basis_matrices(spec: AlgebraSpec) -> list[np.ndarray]:
-    """Unnormalized basis E_ij (x) 1 in each block, embedded in d x d."""
+def _block_basis(spec: AlgebraSpec, commutant: bool) -> list[np.ndarray]:
+    """E_ij (x) 1 in each block, or 1 (x) E_ij for the commutant, embedded in d x d."""
     d = spec.dim
     mats = []
     for (n, m), off in zip(spec.blocks, _block_embedding(spec)):
-        size = n * m
-        for i in range(n):
-            for j in range(n):
+        size, k = n * m, (m if commutant else n)
+        for i in range(k):
+            for j in range(k):
+                e = _elementary(k, i, j)
                 x = np.zeros((d, d), dtype=complex)
-                x[off : off + size, off : off + size] = np.kron(_elementary(n, i, j), np.eye(m))
+                x[off : off + size, off : off + size] = (
+                    np.kron(np.eye(n), e) if commutant else np.kron(e, np.eye(m)))
                 mats.append(x)
     return mats
+
+
+def algebra_basis_matrices(spec: AlgebraSpec) -> list[np.ndarray]:
+    """Unnormalized basis E_ij (x) 1 in each block, embedded in d x d."""
+    return _block_basis(spec, commutant=False)
 
 
 def commutant_basis_matrices(spec: AlgebraSpec) -> list[np.ndarray]:
     """Unnormalized commutant basis 1 (x) E_ij in each block."""
-    d = spec.dim
-    mats = []
-    for (n, m), off in zip(spec.blocks, _block_embedding(spec)):
-        size = n * m
-        for i in range(m):
-            for j in range(m):
-                x = np.zeros((d, d), dtype=complex)
-                x[off : off + size, off : off + size] = np.kron(np.eye(n), _elementary(m, i, j))
-                mats.append(x)
-    return mats
+    return _block_basis(spec, commutant=True)
 
 
 def _draw_weights(rng: np.random.Generator, count: int, floor: float) -> np.ndarray:

@@ -301,7 +301,7 @@ def _draw_offaxis_z(rng, w) -> complex:
         r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         theta = rng.uniform(0.05, 2 * math.pi - 0.05)
         z = r * complex(math.cos(theta), math.sin(theta))
-        if abs(z) - z.real > 1e-5 and np.min(np.abs(z - w)) > 1e-5:
+        if td.axis_gap(z) > 1e-5 and np.min(np.abs(z - w)) > 1e-5:
             return z
     raise RuntimeError("could not draw an off-axis resolvent point")
 

@@ -158,6 +158,18 @@ def ladder(
 AXIS_GAP = 1e-6  # |z| - Re(z) floor; the bound degenerates on the positive real axis
 
 
+def axis_gap(z) -> np.ndarray:
+    """|z| - Re z, elementwise, without cancellation near the positive real axis.
+
+    For Re z > 0 the difference is taken as Im(z)^2 / (|z| + Re z), which
+    equals it and has no subtraction; elsewhere |z| - Re z adds two
+    non-negative numbers.
+    """
+    zs = np.asarray(z, dtype=complex)
+    r, x = np.abs(zs), zs.real
+    return np.divide(zs.imag ** 2, r + x, out=np.asarray(r - x), where=x > 0)
+
+
 @dataclass(frozen=True)
 class ResolventTransfer:
     """The solved elements a, their norms, and the transfer bounds |a'| / sqrt(2 (|z| - Re z)).
@@ -193,7 +205,7 @@ def resolvent_transfer(
     if src.shape != zs.shape + (d, d) or not np.isfinite(src).all():
         raise LinalgError(f"sources must be finite {zs.shape + (d, d)}, got shape {src.shape}")
     zf, sources = zs.reshape(-1, 1), src.reshape(-1, d, d)
-    gap = np.abs(zf) - zf.real
+    gap = axis_gap(zf)
     if np.any(gap <= AXIS_GAP):
         raise ResolventDomainError(f"z = {zf[gap <= AXIS_GAP][0]} is too close to the positive "
                                    f"real axis (|z| - Re z <= {AXIS_GAP})")

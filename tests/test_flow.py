@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modlab import flow
 from modlab.algebra import membership_residual, subspace_orthonormalize
 from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture, parse_spec
 from modlab.flow import (
@@ -132,28 +135,67 @@ def flow_tolerance(t):
 
 
 def test_commutator_ratio_matches_spectral_norm_oracle():
+    # M_2 (x) 1_m against 1_2 (x) M_m: d = 4 takes the plain sweep, d = 8 the pruned one
     pairs = [(i, j) for i in range(2) for j in range(2)]
-    algebra = np.array([np.kron(elementary(2, i, j), np.eye(2)) for i, j in pairs])
-    commutant = np.array([np.kron(np.eye(2), elementary(2, i, j)) for i, j in pairs])
-    x = np.kron(SX, np.eye(2))
-    norm_x = np.linalg.norm(x, 2)
-    [ratio] = commutator_ratio(x[None], [norm_x], commutant, opnorm_stack(commutant))
-    assert ratio == 0.0
-    oracle = max(np.linalg.norm(x @ b - b @ x, 2) / (norm_x * np.linalg.norm(b, 2))
-                 for b in algebra)
-    assert oracle == pytest.approx(1.0)
-    [ratio] = commutator_ratio(x[None], [norm_x], algebra, opnorm_stack(algebra))
-    assert ratio == pytest.approx(oracle, rel=1e-12)
+    for m in (2, 4):
+        algebra = np.array([np.kron(elementary(2, i, j), np.eye(m)) for i, j in pairs])
+        commutant = np.array([np.kron(np.eye(2), elementary(m, i, j))
+                              for i in range(m) for j in range(m)])
+        x = np.kron(SX, np.eye(m))
+        norm_x = np.linalg.norm(x, 2)
+        [ratio] = commutator_ratio(x[None], [norm_x], commutant, opnorm_stack(commutant))
+        assert ratio == 0.0
+        oracle = max(np.linalg.norm(x @ b - b @ x, 2) / (norm_x * np.linalg.norm(b, 2))
+                     for b in algebra)
+        assert oracle == pytest.approx(1.0)
+        [ratio] = commutator_ratio(x[None], [norm_x], algebra, opnorm_stack(algebra))
+        assert ratio == pytest.approx(oracle, rel=1e-12)
 
 
 def test_commutator_ratio_keeps_a_nan_sample_to_itself():
-    a, _, t = two_qubit_fixture()
-    xs = np.array([modular_flow(t, a.basis[1], tt) for tt in (0.3, 1.0, 2.0)])
-    norms = opnorm_stack(xs)
-    xs[1, 0, 0] = np.nan
-    ratios = commutator_ratio(xs, norms, t.commutant.basis, t.commutant_norms)
-    assert np.isnan(ratios[1])
-    assert np.all(ratios[[0, 2]] <= 1e-12)
+    a, _, t4 = two_qubit_fixture()
+    t9 = generate_fixture(AlgebraSpec.standard_factor(3), seed=1).triple
+    assert t9.dim >= flow.PRUNE_MIN_DIM > t4.dim
+    for t in (t4, t9):
+        xs = np.array([modular_flow(t, t.algebra.basis[1], tt) for tt in (0.3, 1.0, 2.0)])
+        norms = opnorm_stack(xs)
+        xs[1, 0, 0] = np.nan
+        ratios = commutator_ratio(xs, norms, t.commutant.basis, t.commutant_norms)
+        assert np.isnan(ratios[1])
+        assert np.all(ratios[[0, 2]] <= 1e-12)
+
+
+def full_sweep(xs, norms_x, basis, basis_norms):
+    """commutator_ratio without the bound: every commutator's SVD, then the row maxima."""
+    x = xs[:, None]
+    scale = np.maximum(np.multiply.outer(norms_x, basis_norms), 1e-30)
+    return np.max(opnorm_stack(x @ basis - basis @ x) / scale, axis=1, initial=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 3), k=st.integers(0, 6), d=st.integers(flow.PRUNE_MIN_DIM, 20),
+       seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 3), ties=st.integers(0, 3),
+       x_exp=st.sampled_from([-200, 0, 200]), b_exp=st.sampled_from([-200, 0, 200]),
+       broken=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+       where=st.sampled_from(["x", "basis", "norm"]))
+def test_pruned_commutator_sweep_equals_the_full_sweep(n, k, d, seed, zeros, ties, x_exp,
+                                                       b_exp, broken, where):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, n + k, d, d))
+    xs, basis = np.split(g[0] + 1j * g[1], [n])
+    xs, basis = xs * 10.0 ** x_exp, basis * 10.0 ** b_exp
+    # multiples of 1 commute exactly; a copy of another element ties with it
+    basis[:min(zeros, k)] = np.eye(d) * rng.uniform(0.5, 2.0, (min(zeros, k), 1, 1))
+    for _ in range(ties if k else 0):
+        i, j = rng.integers(k, size=2)
+        basis[i] = basis[j]
+    norms_x, basis_norms = opnorm_stack(xs), opnorm_stack(basis)
+    target = {"x": xs, "basis": basis, "norm": norms_x}[where]
+    if broken is not None and target.size:
+        target.flat[rng.integers(target.size)] = broken
+    expected = full_sweep(xs, norms_x, basis, basis_norms)
+    got = commutator_ratio(xs, norms_x, basis, basis_norms)
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 def loop_tomita_check(t, basis, times):

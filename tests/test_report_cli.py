@@ -575,3 +575,52 @@ def test_diff_report_compares_the_audit_csvs_of_two_directories(tmp_path, capsys
 def test_diff_report_unreadable_input_exits_2(tmp_path, capsys):
     assert main(["diff-report", str(tmp_path / "absent"), str(tmp_path / "absent")]) == 2
     assert "cannot compare" in capsys.readouterr().err
+
+
+def test_pruned_commutator_sweep_leaves_the_flow_report_unchanged(tmp_path, monkeypatch, capsys):
+    # d = 9: the first run bounds the commutators, the second takes every SVD
+    from modlab import flow
+
+    monkeypatch.delenv("MODLAB_OUT", raising=False)
+    decomposed = []
+    full = flow.opnorm_stack
+    monkeypatch.setattr(flow, "opnorm_stack",
+                        lambda a: decomposed.append(a[..., 0, 0].size) or full(a))
+    args = ["verify", "--model", "standard", "--factor-size", "3", "--trials", "2",
+            "--suite", "flow", "--out"]
+    svds = []
+    for name, min_dim in (("pruned", flow.PRUNE_MIN_DIM), ("plain", 10 ** 9)):
+        monkeypatch.setattr(flow, "PRUNE_MIN_DIM", min_dim)
+        decomposed.clear()
+        assert main([*args, str(tmp_path / name)]) == 0
+        svds.append(sum(decomposed))
+    assert svds[0] < svds[1]
+    capsys.readouterr()
+    assert main(["diff-report", str(tmp_path / "pruned"), str(tmp_path / "plain")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" check ids, 0 differ")
+    pruned, plain = (json.loads((tmp_path / name / "report.json").read_text())["checks"]
+                     for name in ("pruned", "plain"))
+    flow_records = [(x, y) for x, y in zip(pruned, plain) if x["id"].startswith("flow/")]
+    assert len(flow_records) == len(pruned) == len(plain)
+    assert all(x["max_residual"] == y["max_residual"] for x, y in flow_records)
+
+
+def test_python_dash_m_modlab_runs_the_cli(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "modlab", "verify", "--trials", "1", "--suite", "modular",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "summary: " in proc.stdout
+    assert json.loads((tmp_path / "report.json").read_text())["summary"]["fail"] == 0
+
+
+def test_importing_modlab_main_runs_nothing(monkeypatch, capsys):
+    # a walk over the package's modules imports modlab.__main__ too
+    import importlib
+
+    monkeypatch.setattr(sys, "argv", ["modlab", "verify", "--trials", "0"])
+    importlib.import_module("modlab.__main__")
+    assert capsys.readouterr().err == ""

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from modlab.linalg import complex_power, matrix_function, rel_residual
 from modlab.tidy import (
     ResolventDomainError,
     WindowError,
+    axis_gap,
     dagger_ladder_check,
     growth_audit,
     ladder,
@@ -575,6 +577,26 @@ def test_growth_audit_matches_the_per_n_loop(label):
             assert abs(row.bound_value - bound) <= 1e-14 * bound
 
 
+def stable_gap(z):
+    """|z| - Re z, as Im(z)^2 / (|z| + Re z) when Re z > 0, where the difference cancels."""
+    return z.imag ** 2 / (abs(z) + z.real) if z.real > 0 else abs(z) - z.real
+
+
+def test_transfer_bound_near_the_positive_axis_matches_a_high_precision_gap():
+    t = stack_case("direct_sum(2:2,1:1)")
+    z = complex(float(t.delta_spec.eigenvalues[-1]), 0.3)
+    src = random_elements(t.commutant, np.random.default_rng(35), 1)[0]
+    out = resolvent_transfer(t, src[None], np.array([z]))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x, y = decimal.Decimal(z.real), decimal.Decimal(z.imag)
+        gap = (x * x + y * y).sqrt() - x
+        assert abs(decimal.Decimal(float(axis_gap(z))) - gap) <= decimal.Decimal(1e-16) * gap
+        # |z| - Re z by subtraction is off by about 2e-14 of the gap here
+        bound = decimal.Decimal(np.linalg.norm(src, 2)) / (2 * gap).sqrt()
+        assert abs(decimal.Decimal(float(out.bound[0])) - bound) <= decimal.Decimal(1e-15) * bound
+
+
 @pytest.mark.parametrize("label", STACK_CASES)
 @pytest.mark.parametrize("mirror", [False, True], ids=["transfer", "mirror"])
 def test_stacked_resolvent_transfer_matches_the_per_sample_loop(label, mirror):
@@ -591,9 +613,8 @@ def test_stacked_resolvent_transfer_matches_the_per_sample_loop(label, mirror):
         assert_close(out.a[i], a)
         norm = np.linalg.norm(a, 2)
         assert abs(out.measured_norm[i] - norm) <= 1e-14 * norm
-        bound = np.linalg.norm(src, 2) / math.sqrt(2.0 * (abs(z) - z.real))
-        # |z| - Re z cancels near the positive axis, amplifying the rounding of |z|
-        assert abs(out.bound[i] - bound) <= 1e-14 * bound * abs(z) / (abs(z) - z.real)
+        bound = np.linalg.norm(src, 2) / math.sqrt(2.0 * stable_gap(z))
+        assert abs(out.bound[i] - bound) <= 1e-14 * bound
         one = resolvent_transfer(t, src, z, mirror=mirror)
         assert_close(one.a, out.a[i])
         assert abs(one.measured_norm - out.measured_norm[i]) <= 1e-14 * norm
