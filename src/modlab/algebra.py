@@ -106,15 +106,19 @@ class OperatorSubspace:
         return np.dot(np.asarray(coeffs, dtype=complex), self.flat()).reshape(d, d)
 
 
-def membership_residual(x, subspace: OperatorSubspace) -> float:
+def membership_residual(x, subspace: OperatorSubspace):
     """Distance of x from the subspace, relative to its own size.
 
     Returns ``|x - P(x)|_F / max(|x|_F, 1e-30)``; zero (to rounding) exactly
-    when x lies in the span.
+    when x lies in the span. x is one (d, d) matrix, which gives a float, or
+    an (..., d, d) stack, which gives an array of shape x.shape[:-2].
     """
     m = np.asarray(x, dtype=complex)
-    p = subspace.project(m)
-    return frob(m - p) / max(frob(m), 1e-30)
+    flat = m.reshape(-1, subspace.dim_space ** 2)
+    f = subspace.flat()
+    residual = (np.linalg.norm(flat - (flat @ f.conj().T) @ f, axis=1)
+                / np.maximum(np.linalg.norm(flat, axis=1), 1e-30)).reshape(m.shape[:-2])
+    return float(residual) if m.ndim == 2 else residual
 
 
 def subspace_orthonormalize(mats, dim_space: int | None = None) -> OperatorSubspace:

@@ -14,8 +14,7 @@ Subcommands:
   count or a CSV key cell differs, 0 otherwise.
 
 Exit codes: 0 when every must-pass check passes, 1 when one fails, and 2
-for bad arguments, which are rejected before any fixture is built. The
-environment variable MODLAB_OUT, when set, overrides ``--out``.
+for bad arguments, which are rejected before any fixture is built.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ def _model_labels(args) -> tuple[str, ...]:
     return (AlgebraSpec.direct_sum([(n, n), (1, 1)]).label(),)  # "direct-sum"
 
 
-def _out_dir(args) -> str:
-    return os.environ.get("MODLAB_OUT") or args.out
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=RunConfig.seed, help="base seed for all draws")
     p.add_argument("--model", choices=["standard", "abelian", "direct-sum"],
@@ -56,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="base residual tolerance")
     p.add_argument("--pmin", type=float, default=RunConfig.p_min,
                    help="floor on Schmidt weights (conditioning cap)")
-    p.add_argument("--out", default="out", help="output directory (MODLAB_OUT overrides)")
+    p.add_argument("--out", default="out", help="output directory")
 
 
 def _config(args) -> RunConfig:
@@ -85,7 +80,7 @@ def _print_report(report) -> None:
 
 def cmd_verify(args) -> int:
     report = run_suites(args.config)
-    paths = emit(report, _out_dir(args))
+    paths = emit(report, args.out)
     _print_report(report)
     print(f"wrote {paths['report']}")
     return 0 if report.must_pass_ok else 1
@@ -93,7 +88,7 @@ def cmd_verify(args) -> int:
 
 def cmd_audit_tidy_bound(args) -> int:
     report = run_suites(args.config)
-    emit(report, _out_dir(args), tables=("tidy_bounds",))
+    emit(report, args.out, tables=("tidy_bounds",))
     for c in report.checks:
         if c.id.startswith("tidy/growth-slope"):
             print(f"{c.id}: fitted slope {_residual(c, '.4f')} vs bound rate {c.tolerance:.4f}")
@@ -105,7 +100,7 @@ def cmd_audit_tidy_bound(args) -> int:
 
 def cmd_contour_study(args) -> int:
     report = run_suites(args.config)
-    emit(report, _out_dir(args), tables=("contour_convergence",))
+    emit(report, args.out, tables=("contour_convergence",))
     _print_report(report)
     print(f"{len(report.rows['contour_convergence'])} convergence rows")
     return 0 if report.must_pass_ok else 1
@@ -114,9 +109,8 @@ def cmd_contour_study(args) -> int:
 def cmd_fixture(args) -> int:
     spec = parse_spec(args.config.models[0])
     fix = generate_fixture(spec, args.seed, p_min=args.pmin)
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"fixture_{spec.label()}_{args.seed}.json")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"fixture_{spec.label()}_{args.seed}.json")
     save_fixture(fix, path)
     print(f"wrote {path} (d={fix.dim}, kappa={fix.triple.kappa:.3f})")
     return 0

@@ -404,32 +404,19 @@ def contour_apply(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmoidLimitRow:
-    k: int
-    error: float
-
-
-@dataclass(frozen=True)
-class SigmoidLimitResult:
-    rows: list[SigmoidLimitRow]
-    final_error: float
-    passed: bool
-
-
 def sigmoid_limit_check(
     triple: ModularTriple,
     n: int,
     lam: float,
     psi,
-) -> SigmoidLimitResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Convergence of Delta^n f_k(Delta) psi to the windowed Delta^n Theta(lambda - Delta) psi.
 
-    lambda must keep a distance of at least LAMBDA_GAP from the spectrum. The
-    error sequence must be non-increasing from some k0 on (an absolute floor
-    of 1e-14 absorbs rounding jitter near machine precision) and must end
-    below SIGMOID_FINAL_TOL at k_max = ceil(40 / gap). The whole k ladder is
-    evaluated as one (K, d) array.
+    lambda must keep a distance of at least LAMBDA_GAP from the spectrum.
+    Returns the steepness ladder k = 1, 2, 4, ..., k_max = ceil(40 / gap) and
+    the error at each k, the whole ladder evaluated as one (K, d) array. The
+    check passes when the last error, the one at k_max, is at most
+    SIGMOID_FINAL_TOL.
     """
     psi = np.asarray(psi, dtype=complex)
     w = triple.delta_spec.eigenvalues
@@ -447,19 +434,6 @@ def sigmoid_limit_check(
     theta_vec = matrix_function(
         triple.delta_spec, lambda x: x**n * np.where(x < lam, 1.0, 0.0)
     ) @ psi
-    approx = spectral_oracle(triple, n, np.array(k_list)[:, None], lam, psi)
-    errors = np.linalg.norm(approx - theta_vec, axis=1)
-    rows = [SigmoidLimitRow(k=k, error=float(e)) for k, e in zip(k_list, errors)]
-    k0 = None
-    for start in range(len(rows)):
-        tail = rows[start:]
-        ok = all(
-            tail[i + 1].error <= tail[i].error * (1 + 1e-9) + 1e-14
-            for i in range(len(tail) - 1)
-        )
-        if ok:
-            k0 = rows[start].k
-            break
-    final_error = rows[-1].error
-    passed = k0 is not None and final_error <= SIGMOID_FINAL_TOL
-    return SigmoidLimitResult(rows=rows, final_error=final_error, passed=passed)
+    ks = np.array(k_list)
+    approx = spectral_oracle(triple, n, ks[:, None], lam, psi)
+    return ks, np.linalg.norm(approx - theta_vec, axis=1)

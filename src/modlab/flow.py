@@ -1,14 +1,16 @@
-"""Modular flow and its analytic continuation.
+"""Modular flow and its analytic continuation, from one kernel.
 
 The flow t -> Delta^{-it} x Delta^{it} is unitary conjugation and preserves
-norms; continued to complex z it becomes Delta^{-z} a Delta^{z}, which for
+norms; continued to complex z it becomes Delta^{-z} x Delta^{z}, which for
 well-prepared (tidy) operators stays uniformly bounded on vertical lines and
-grows at most exponentially along the real axis. The checks here measure the
-two facts that make the whole construction work at desk scale: flowed algebra
-elements stay in the algebra, and their commutators with the commutant vanish.
-Both run on stacks: :func:`tomita_check` flows the whole algebra basis at all
-times at once, :func:`analytic_flow` continues one element to a whole array of
-complex times with one batched SVD for their norms, and one kernel,
+grows at most exponentially along the real axis. The two are one object, and
+:func:`analytic_flow` is the one kernel that computes it: the modular flow at
+time t is the continuation at z = i t. It takes an element or a stack of them
+at one z or an array of z, with one batched power of Delta per side. The
+checks here measure the two facts that make the whole construction work at
+desk scale: flowed algebra elements stay in the algebra, and their
+commutators with the commutant vanish. :func:`tomita_check` flows the whole
+algebra basis at all times at once, and one kernel,
 :func:`commutator_ratio`, sweeps a stack's commutators for real and complex
 times alike.
 
@@ -24,11 +26,10 @@ hold the maximum, so the result is the same bits as the full sweep's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import as_square_array, complex_power, opnorm_stack
+from .algebra import membership_residual
+from .linalg import complex_power, opnorm_stack
 from .linalg import opnorm  # noqa: F401  perfbench's tracer tests call modlab.flow.opnorm
 from .tomita import ModularTriple
 
@@ -43,45 +44,26 @@ class FlowDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FlowSample:
-    """The continued flow at an array of z: its values (z.shape + (d, d)) and operator norms."""
+def analytic_flow(triple: ModularTriple, x, z) -> np.ndarray:
+    """Analytically continued flow Delta^{-z} x Delta^{z}, the modular flow at z = i t.
 
-    value: np.ndarray
-    norm: np.ndarray
-
-
-def modular_flow(triple: ModularTriple, x, t: float) -> np.ndarray:
-    """Conjugate x by the modular unitaries: Delta^{-it} x Delta^{it}."""
-    m = as_square_array(x)
-    if m.shape[0] != triple.dim:
-        raise FlowDomainError(
-            f"operator dimension {m.shape[0]} does not match triple dimension {triple.dim}"
-        )
-    u = complex_power(triple.delta_spec, -1j * t)
-    return u @ m @ u.conj().T
-
-
-def analytic_flow(
-    triple: ModularTriple,
-    a,
-    z,
-) -> FlowSample:
-    """Analytically continued flow Delta^{-z} a Delta^{z}, at one z or an array of them.
-
-    The values have shape z.shape + (d, d); one batched SVD takes their
-    norms. The real part of each z is capped at RE_Z_CAP to keep Delta^{±z}
-    inside double range under the fixture conditioning budget.
+    x is one (d, d) operator or a (k, d, d) stack, z one point or an array;
+    the values have shape x.shape[:-2] + z.shape + (d, d). The real part of
+    each z is capped at RE_Z_CAP to keep Delta^{+-z} inside double range
+    under the fixture conditioning budget.
     """
-    m = as_square_array(a)
+    m = np.asarray(x, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (triple.dim, triple.dim):
+        raise FlowDomainError(
+            f"operator shape {m.shape} is not (d, d) or (k, d, d), d = {triple.dim}"
+        )
+    if not np.isfinite(m).all():
+        raise FlowDomainError("operator contains non-finite entries")
     zs = np.asarray(z, dtype=complex)
     if np.any(np.abs(zs.real) > RE_Z_CAP):
         raise FlowDomainError(f"|Re z| = {np.max(np.abs(zs.real)):.2f} exceeds guard {RE_Z_CAP}")
-    points = zs.ravel().tolist()
-    left = np.array([complex_power(triple.delta_spec, -x) for x in points])
-    right = np.array([complex_power(triple.delta_spec, x) for x in points])
-    value = (left @ m @ right).reshape(*zs.shape, *m.shape)
-    return FlowSample(value=value, norm=opnorm_stack(value)[()])
+    m = m.reshape(m.shape[:-2] + (1,) * zs.ndim + m.shape[-2:])
+    return complex_power(triple.delta_spec, -zs) @ m @ complex_power(triple.delta_spec, zs)
 
 
 def commutator_ratio(xs: np.ndarray, norms_x, basis: np.ndarray, basis_norms) -> np.ndarray:
@@ -130,25 +112,20 @@ def tomita_check(triple: ModularTriple, basis: np.ndarray, t_samples):
     element, relative to the operator norms involved; the caller sets the
     tolerance. Commutators are taken one a at a time, T dim(A') matrices.
     """
-    u = np.stack([complex_power(triple.delta_spec, -1j * float(t)) for t in t_samples])
-    flowed = u @ basis[:, None] @ u.conj().transpose(0, 2, 1)  # (k, T, d, d)
-    x = flowed.reshape(-1, triple.dim ** 2)
-    f = triple.algebra.flat()
-    membership = (np.linalg.norm(x - (x @ f.conj().T) @ f, axis=1)
-                  / np.maximum(np.linalg.norm(x, axis=1), 1e-30))
+    flowed = analytic_flow(triple, basis, 1j * np.asarray(t_samples, dtype=float))
     commutator = [commutator_ratio(fa, norm_a, triple.commutant.basis, triple.commutant_norms)
                   for fa, norm_a in zip(flowed, opnorm_stack(basis))]
-    return membership.reshape(len(basis), len(u)), np.array(commutator)
+    return membership_residual(flowed, triple.algebra), np.array(commutator)
 
 
-def strip_growth_scan(triple: ModularTriple, a) -> FlowSample:
-    """Sample |Delta^{-z} a Delta^{z}| on the strip 0 <= Re z <= STRIP_RE_MAX.
+def strip_growth_scan(triple: ModularTriple, a) -> np.ndarray:
+    """|Delta^{-z} a Delta^{z}| sampled on the strip 0 <= Re z <= STRIP_RE_MAX.
 
-    The samples form a (STRIP_RE_MAX + 1, len(STRIP_IM_VALUES)) grid, row x
+    The norms form a (STRIP_RE_MAX + 1, len(STRIP_IM_VALUES)) grid, row x
     the vertical line Re z = x. Unitary conjugation makes the norm exactly
     constant along each line, so the table doubles as evidence of
     boundedness in imaginary directions; values at integer Re z are
     comparable against the ladder norms measured by the growth audit.
     """
     z = np.arange(STRIP_RE_MAX + 1.0)[:, None] + 1j * np.array(STRIP_IM_VALUES)
-    return analytic_flow(triple, a, z)
+    return opnorm_stack(analytic_flow(triple, a, z))

@@ -4,7 +4,8 @@ Everything downstream runs on three primitives defined here:
 
 - Hermitian eigendecomposition of a symmetrized input
   (:func:`hermitian_eig`), plus functional calculus built on it
-  (:func:`matrix_function`, :func:`complex_power`).
+  (:func:`matrix_function`, and :func:`complex_power`, which takes a whole
+  array of exponents in one expression and keeps no cache).
 - Antilinear maps, stored as a matrix ``M`` acting by ``psi -> M @ conj(psi)``
   (:class:`AntilinearMap`), with composition, adjoint, and a polar
   decomposition into an antiunitary factor and a positive operator
@@ -22,7 +23,7 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -103,8 +104,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
-    # complex_power's results, keyed by the bits of the exponent
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def hermitian_eig(h) -> SpectralDecomposition:
@@ -146,28 +145,21 @@ def matrix_function(dec: SpectralDecomposition, f: Callable) -> np.ndarray:
     return (u * fw) @ u.conj().T
 
 
-def complex_power(dec: SpectralDecomposition, z: complex) -> np.ndarray:
-    """Matrix power ``Delta^z = U diag(exp(z ln w)) U^dag``.
+def complex_power(dec: SpectralDecomposition, z) -> np.ndarray:
+    """Matrix powers ``Delta^z = U diag(exp(z ln w)) U^dag``, at one z or an array of them.
 
-    Requires strictly positive eigenvalues. For purely imaginary z the result
-    is unitary to working precision. Results are memoised per decomposition
-    and returned read-only, so repeated powers of one Delta cost a lookup.
+    The result has shape z.shape + (d, d); each power has the bits of the
+    single-exponent formula. Requires strictly positive eigenvalues. For
+    purely imaginary z each power is unitary to working precision.
     """
-    key = np.complex128(z).tobytes()  # tells -0.0 from 0.0, unlike ==
-    cached = dec._powers.get(key)
-    if cached is not None:
-        return cached
     w = dec.eigenvalues
     if np.min(w) <= 0.0:
         raise FunctionDomainError(
             f"complex power needs a positive spectrum, min eigenvalue {np.min(w):.3e}"
         )
-    fw = np.exp(z * np.log(w.astype(complex)))
+    fw = np.exp(np.asarray(z)[..., None] * np.log(w.astype(complex)))
     u = dec.eigenvectors
-    power = (u * fw) @ u.conj().T
-    power.flags.writeable = False
-    dec._powers[key] = power
-    return power
+    return (u * fw[..., None, :]) @ u.conj().T
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,8 @@ class CheckSet:
         self.rows: dict[str, list[dict]] = {table: [] for table in CSV_COLUMNS}
 
     def add(self, check_id: str, ref: str, residual: float, tolerance: float,
-            audit: bool = False, ok: bool | None = None) -> None:
-        if ok is None:
-            ok = residual <= tolerance
+            audit: bool = False) -> None:
+        ok = residual <= tolerance
         rec = self._records.get(check_id)
         if rec is None:
             status = STATUS_AUDIT if audit else (STATUS_PASS if ok else STATUS_FAIL)

@@ -146,7 +146,7 @@ def ladder(
     ns = np.asarray(n)
     if np.any(np.abs(ns) > N_CAP):
         raise WindowError(f"|n| = {np.max(np.abs(ns))} exceeds the conditioning cap {N_CAP}")
-    powers = np.array([complex_power(triple.delta_spec, m) for m in ns.ravel().tolist()])
+    powers = complex_power(triple.delta_spec, ns.ravel())
     v = (powers @ tidy.vector).T.reshape(triple.dim, *ns.shape)
     return operator_from_vector(v, orb)
 
@@ -398,8 +398,8 @@ def powers_check(
         raise WindowError(f"|n| = {np.max(np.abs(ns))} exceeds the power-identity cap 6")
     spec = triple.delta_spec
     b_omega = tidy_b.vector
-    lhs = np.array([complex_power(spec, n) @ (tidy_a.a @ (complex_power(spec, -n) @ b_omega))
-                    for n in ns.tolist()])
+    inner = tidy_a.a @ (complex_power(spec, -ns) @ b_omega)[..., None]
+    lhs = (complex_power(spec, ns) @ inner)[..., 0]
     rhs = a_n @ b_omega
     residual = np.linalg.norm(lhs - rhs, axis=-1)
     scale = np.maximum(np.maximum(np.linalg.norm(lhs, axis=-1), np.linalg.norm(rhs, axis=-1)),

@@ -25,6 +25,7 @@ from modlab.fixtures import (
     generate_fixture,
 )
 from modlab.linalg import hermitian_eig
+from rotated import rotated_triple
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -425,6 +426,26 @@ def test_membership_residual_values():
     # E_12 (x) 1 is trace-orthogonal to every 1 (x) E_ij, so the full norm survives
     x = np.kron(elementary(2, 0, 1), np.eye(2))
     assert abs(membership_residual(x, a) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["direct_sum(2:2,1:1)", "rotated"])
+def test_membership_residual_of_a_stack_equals_the_per_element_calls(label):
+    t = (rotated_triple(4) if label == "rotated"
+         else generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), 2).triple)
+    d = t.dim
+    g = np.random.default_rng(18).standard_normal((2, 3, d, d))
+    c = np.random.default_rng(19).standard_normal((2, 3, t.algebra.dim))
+    # a row of algebra elements, residuals at rounding level, then generic matrices
+    xs = np.stack([np.array([t.algebra.element(v) for v in c[0] + 1j * c[1]]), g[0] + 1j * g[1]])
+    stack = membership_residual(xs, t.algebra)
+    assert stack.shape == (2, 3)
+    assert np.max(stack[0]) <= 1e-14 and np.min(stack[1]) > 0.1
+    for x, r in zip(xs.reshape(-1, d, d), stack.ravel()):
+        single = membership_residual(x, t.algebra)
+        assert isinstance(single, float) and abs(r - single) <= 1e-15
+        # the projection through the basis coefficients is an independent path
+        ref = np.linalg.norm(x - t.algebra.project(x)) / max(np.linalg.norm(x), 1e-30)
+        assert abs(r - ref) <= 1e-15
 
 
 def test_element_and_project_bits_equal_tensordot():

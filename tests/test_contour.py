@@ -8,6 +8,7 @@ from modlab.algebra import commutant, subspace_orthonormalize
 from modlab.contour import (
     NODES_PER_UNIT,
     QUAD_TOL,
+    SIGMOID_FINAL_TOL,
     ContourError,
     ContourSpec,
     NodeCollisionError,
@@ -566,10 +567,10 @@ def test_sigmoid_limit_below_spectrum_envelope():
     psi[0] = 1.0  # eigenvalue 1 component only
     lam = 3.0
     gap = 1.0
-    res = sigmoid_limit_check(t, 0, lam, psi)
-    for row in res.rows:
-        assert row.error <= math.exp(-row.k * gap) + 1e-14
-    assert res.passed
+    ks, errors = sigmoid_limit_check(t, 0, lam, psi)
+    for k, error in zip(ks, errors):
+        assert error <= math.exp(-k * gap) + 1e-14
+    assert errors[-1] <= SIGMOID_FINAL_TOL
 
 
 def test_sigmoid_limit_above_spectrum_envelope():
@@ -578,10 +579,10 @@ def test_sigmoid_limit_above_spectrum_envelope():
     psi[1] = 1.0  # eigenvalue 2 component, above lambda
     lam = 1.3
     gap = 0.7
-    res = sigmoid_limit_check(t, 0, lam, psi)
-    for row in res.rows:
-        assert row.error <= math.exp(-row.k * gap) + 1e-14
-    assert res.passed
+    ks, errors = sigmoid_limit_check(t, 0, lam, psi)
+    for k, error in zip(ks, errors):
+        assert error <= math.exp(-k * gap) + 1e-14
+    assert errors[-1] <= SIGMOID_FINAL_TOL
 
 
 def test_sigmoid_limit_identity_delta_scalar_arithmetic():
@@ -589,10 +590,10 @@ def test_sigmoid_limit_identity_delta_scalar_arithmetic():
     rng = np.random.default_rng(10)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     lam = 2.0
-    res = sigmoid_limit_check(fix.triple, 0, lam, psi)
-    for row in res.rows:
-        expected = (1.0 - 1.0 / (1.0 + math.exp(row.k * (1.0 - lam)))) * np.linalg.norm(psi)
-        assert abs(row.error - expected) <= 1e-12 * max(expected, 1.0)
+    ks, errors = sigmoid_limit_check(fix.triple, 0, lam, psi)
+    for k, error in zip(ks, errors):
+        expected = (1.0 - 1.0 / (1.0 + math.exp(k * (1.0 - lam)))) * np.linalg.norm(psi)
+        assert abs(error - expected) <= 1e-12 * max(expected, 1.0)
 
 
 def test_sigmoid_limit_default_klist_and_pass():
@@ -602,9 +603,9 @@ def test_sigmoid_limit_default_klist_and_pass():
     psi /= np.linalg.norm(psi)
     w = fix.triple.delta_spec.eigenvalues
     lam = float(w[-1]) + 1.0
-    res = sigmoid_limit_check(fix.triple, 1, lam, psi)
-    assert res.passed
-    assert res.rows[-1].k == math.ceil(40.0 / np.min(np.abs(w - lam)))
+    ks, errors = sigmoid_limit_check(fix.triple, 1, lam, psi)
+    assert errors[-1] <= SIGMOID_FINAL_TOL
+    assert ks[-1] == math.ceil(40.0 / np.min(np.abs(w - lam)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -619,12 +620,12 @@ def test_sigmoid_limit_ladder_matches_the_per_k_oracle(spec):
     lam = float(w[-1]) + 0.7
     theta = (t.delta_spec.eigenvectors * np.where(w < lam, w**2, 0.0)) @ (
         t.delta_spec.eigenvectors.conj().T @ psi)
-    res = sigmoid_limit_check(t, 2, lam, psi)
-    assert len(res.rows) > 3
-    for row in res.rows:
-        oracle = matrix_function(t.delta_spec, lambda x: x**2 * sigmoid(x, row.k, lam)) @ psi
+    ks, errors = sigmoid_limit_check(t, 2, lam, psi)
+    assert len(ks) > 3
+    for k, error in zip(ks, errors):
+        oracle = matrix_function(t.delta_spec, lambda x: x**2 * sigmoid(x, k, lam)) @ psi
         ref = float(np.linalg.norm(oracle - theta))
-        assert abs(row.error - ref) <= 1e-14 * max(ref, np.linalg.norm(theta))
+        assert abs(error - ref) <= 1e-14 * max(ref, np.linalg.norm(theta))
 
 
 def test_sigmoid_takes_an_integer_steepness_array():

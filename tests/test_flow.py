@@ -10,7 +10,6 @@ from modlab.flow import (
     FlowDomainError,
     analytic_flow,
     commutator_ratio,
-    modular_flow,
     strip_growth_scan,
     tomita_check,
 )
@@ -29,6 +28,13 @@ def elementary(d, i, j):
     return e
 
 
+def reference_flow(t, x, tt):
+    """The modular flow as u x u^H with u = Delta^(-it): the independent
+    reference for analytic_flow at z = i t."""
+    u = complex_power(t.delta_spec, -1j * tt)
+    return u @ x @ u.conj().T
+
+
 def two_qubit_fixture():
     a = subspace_orthonormalize(
         [np.kron(elementary(2, i, j), np.eye(2)) for i in range(2) for j in range(2)]
@@ -44,7 +50,7 @@ def test_flow_at_zero_is_identity_map():
     _, _, t = two_qubit_fixture()
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert rel_residual(modular_flow(t, x, 0.0), x) <= 1e-14
+    assert rel_residual(analytic_flow(t, x, 0j), x) <= 1e-14
 
 
 def test_flow_trivial_for_identity_delta():
@@ -52,7 +58,7 @@ def test_flow_trivial_for_identity_delta():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for tt in (0.5, 2.0, -7.0):
-        assert rel_residual(modular_flow(fix.triple, x, tt), x) <= 1e-12
+        assert rel_residual(analytic_flow(fix.triple, x, 1j * tt), x) <= 1e-12
 
 
 def test_flow_factorized_closed_form():
@@ -64,7 +70,7 @@ def test_flow_factorized_closed_form():
     w, u = np.linalg.eigh(rho)
     rho_pow = lambda z: (u * np.exp(z * np.log(w.astype(complex)))) @ u.conj().T
     oracle = np.kron(rho_pow(-1j * tt) @ elementary(2, 0, 1) @ rho_pow(1j * tt), np.eye(2))
-    assert rel_residual(modular_flow(t, x, tt), oracle) <= 1e-12
+    assert rel_residual(analytic_flow(t, x, 1j * tt), oracle) <= 1e-12
 
 
 def test_flow_preserves_norm():
@@ -73,15 +79,15 @@ def test_flow_preserves_norm():
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     n0 = np.linalg.norm(x, 2)
     for tt in (0.3, np.pi, 10.0):
-        assert abs(np.linalg.norm(modular_flow(t, x, tt), 2) - n0) <= 1e-10 * n0
+        assert abs(np.linalg.norm(analytic_flow(t, x, 1j * tt), 2) - n0) <= 1e-10 * n0
 
 
 def test_flow_group_law():
     _, _, t = two_qubit_fixture()
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    lhs = modular_flow(t, modular_flow(t, x, 0.8), -2.1)
-    rhs = modular_flow(t, x, 0.8 - 2.1)
+    lhs = analytic_flow(t, analytic_flow(t, x, 0.8j), -2.1j)
+    rhs = analytic_flow(t, x, 1j * (0.8 - 2.1))
     assert rel_residual(lhs, rhs) <= 1e-10
 
 
@@ -90,7 +96,7 @@ def test_flow_fixes_state_expectation():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for tt in (0.7, -3.0):
-        g = modular_flow(t, x, tt)
+        g = analytic_flow(t, x, 1j * tt)
         assert abs(np.vdot(t.omega, g @ t.omega) - np.vdot(t.omega, x @ t.omega)) <= 1e-10
 
 
@@ -98,9 +104,9 @@ def test_analytic_flow_trivial_and_unitary_cases():
     a, _, t = two_qubit_fixture()
     x = a.basis[1]
     s0 = analytic_flow(t, x, 0.0)
-    assert rel_residual(s0.value, x) <= 1e-14
+    assert rel_residual(s0, x) <= 1e-14
     s_im = analytic_flow(t, x, 0.9j)
-    assert abs(s_im.norm - np.linalg.norm(x, 2)) <= 1e-10
+    assert abs(opnorm(s_im) - np.linalg.norm(x, 2)) <= 1e-10
 
 
 def test_analytic_flow_at_one_matches_independent_tidy_solve():
@@ -112,9 +118,9 @@ def test_analytic_flow_at_one_matches_independent_tidy_solve():
     assert rel_residual(tidy.a, np.kron(elementary(2, 0, 1), np.eye(2))) <= 1e-10
     f1 = analytic_flow(t, tidy.a, 1.0)
     lad = ladder(t, t.orbit, tidy, -1)
-    assert rel_residual(f1.value, lad) <= 1e-10
+    assert rel_residual(f1, lad) <= 1e-10
     # closed form: Delta^{-1} (E_01 (x) 1) Delta = (1/2) E_01 (x) 1
-    assert rel_residual(f1.value, 0.5 * np.kron(elementary(2, 0, 1), np.eye(2))) <= 1e-10
+    assert rel_residual(f1, 0.5 * np.kron(elementary(2, 0, 1), np.eye(2))) <= 1e-10
 
 
 def test_analytic_flow_overflow_guard():
@@ -126,7 +132,7 @@ def test_analytic_flow_overflow_guard():
 def test_membership_residual_in_flow_sample():
     a, _, t = two_qubit_fixture()
     sample = analytic_flow(t, a.basis[2], 0.5 + 1j)
-    assert membership_residual(sample.value, a) <= 1e-9 * np.sqrt(t.kappa) * 4
+    assert membership_residual(sample, a) <= 1e-9 * np.sqrt(t.kappa) * 4
 
 
 def flow_tolerance(t):
@@ -157,7 +163,7 @@ def test_commutator_ratio_keeps_a_nan_sample_to_itself():
     t9 = generate_fixture(AlgebraSpec.standard_factor(3), seed=1).triple
     assert t9.dim >= flow.PRUNE_MIN_DIM > t4.dim
     for t in (t4, t9):
-        xs = np.array([modular_flow(t, t.algebra.basis[1], tt) for tt in (0.3, 1.0, 2.0)])
+        xs = analytic_flow(t, t.algebra.basis[1], 1j * np.array([0.3, 1.0, 2.0]))
         norms = opnorm_stack(xs)
         xs[1, 0, 0] = np.nan
         ratios = commutator_ratio(xs, norms, t.commutant.basis, t.commutant_norms)
@@ -199,13 +205,13 @@ def test_pruned_commutator_sweep_equals_the_full_sweep(n, k, d, seed, zeros, tie
 
 
 def loop_tomita_check(t, basis, times):
-    """tomita_check one (a, t, b') triple at a time: modular_flow,
+    """tomita_check one (a, t, b') triple at a time: the reference flow,
     membership_residual and opnorm on single matrices."""
     membership, commutator = [], []
     for a in basis:
         norm_a = opnorm(a)
         for tt in times:
-            x = modular_flow(t, a, tt)
+            x = reference_flow(t, a, tt)
             membership.append(membership_residual(x, t.algebra))
             commutator.append(max(opnorm(x @ b - b @ x) / max(norm_a * opnorm(b), 1e-30)
                                   for b in t.commutant.basis))
@@ -262,9 +268,9 @@ def test_tomita_check_random_direct_sum_ensemble():
 
 def test_strip_scan_identity_operator():
     _, _, t = two_qubit_fixture()
-    samples = strip_growth_scan(t, np.eye(4))
-    assert samples.norm.shape == (4, 5) and samples.value.shape == (4, 5, 4, 4)
-    for norm in samples.norm.ravel():
+    norms = strip_growth_scan(t, np.eye(4))
+    assert norms.shape == (4, 5)
+    for norm in norms.ravel():
         assert abs(norm - 1.0) <= 1e-10
 
 
@@ -276,12 +282,12 @@ def test_strip_scan_constant_along_imaginary_direction():
     wins = covering_windows(t)
     tidy = make_tidy(t, src, wins[0][0], wins[0][1])
     samples = strip_growth_scan(t, tidy.a)
-    for norms in samples.norm:  # one row per vertical line Re z = 0, 1, 2, 3
+    for norms in samples:  # one row per vertical line Re z = 0, 1, 2, 3
         if norms[0] > 1e-250:
             assert (max(norms) - min(norms)) <= 1e-10 * norms[0]
     # purely imaginary line keeps the untouched norm
     n_a = np.linalg.norm(tidy.a, 2)
-    assert all(abs(v - n_a) <= 1e-10 * max(n_a, 1e-250) for v in samples.norm[0])
+    assert all(abs(v - n_a) <= 1e-10 * max(n_a, 1e-250) for v in samples[0])
 
 
 def test_strip_scan_integer_values_under_tidy_growth_bound():
@@ -291,11 +297,11 @@ def test_strip_scan_integer_values_under_tidy_growth_bound():
     l1, l2 = 1.5, 2.5
     tidy = make_tidy(t, src, l1, l2)
     norm_a0 = np.linalg.norm(tidy.a, 2)
-    for x in range(1, 7):
-        sample = analytic_flow(t, tidy.a, float(x))
+    norms = opnorm_stack(analytic_flow(t, tidy.a, np.arange(1.0, 7.0)))
+    for x, norm in zip(range(1, 7), norms):
         # F_a(x) = a_{-x}: mirrored-window bound for the commutant-side source
         bound = tidy_bound(1.0 / l1, x, norm_a0)
-        assert sample.norm <= bound * (1 + 1e-9)
+        assert norm <= bound * (1 + 1e-9)
 
 
 def test_analytic_commutators_vanish_off_axis():
@@ -307,8 +313,8 @@ def test_analytic_commutators_vanish_off_axis():
         z = complex(rng.uniform(-4, 4), rng.uniform(-5, 5))
         sample = analytic_flow(t, tidy.a, z)
         for b in t.commutant.basis:
-            comm_norm = np.linalg.norm(sample.value @ b - b @ sample.value, 2)
-            scale = max(sample.norm * np.linalg.norm(b, 2), 1e-30)
+            comm_norm = np.linalg.norm(sample @ b - b @ sample, 2)
+            scale = max(opnorm(sample) * np.linalg.norm(b, 2), 1e-30)
             assert comm_norm / scale <= 1e-9 * t.kappa ** ((abs(z.real) + 1) / 2)
 
 
@@ -316,19 +322,44 @@ def test_analytic_commutators_vanish_off_axis():
 def test_analytic_flow_stack_matches_the_per_z_loop(label):
     t = rotated_triple(4) if label == "rotated" else generate_fixture(parse_spec(label), 2).triple
     rng = np.random.default_rng(9)
-    a = t.algebra.element(rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim))
+    g = rng.standard_normal((2, 2, t.dim))
+    xs = np.array([t.algebra.element(c) for c in g[0] + 1j * g[1]])
     zs = np.array([[0.0, 1.0, 2.5 - 1.0j], [-3.0 + 0.4j, 0.9j, 6.0]])
-    stack = analytic_flow(t, a, zs)
-    assert stack.value.shape == (2, 3, t.dim, t.dim) and stack.norm.shape == (2, 3)
-    for z, value, norm in zip(zs.ravel(), stack.value.reshape(-1, t.dim, t.dim),
-                              stack.norm.ravel()):
-        ref = complex_power(t.delta_spec, -z) @ a @ complex_power(t.delta_spec, z)
-        assert np.max(np.abs(value - ref)) <= 1e-15 * np.max(np.abs(ref))
-        assert norm == opnorm(value)
-    one = analytic_flow(t, a, zs[1, 0])
-    assert one.value.shape == (t.dim, t.dim) and np.ndim(one.norm) == 0
+    stack = analytic_flow(t, xs, zs)
+    assert stack.shape == (2, 2, 3, t.dim, t.dim)
+    for x, values in zip(xs, stack):
+        assert np.array_equal(analytic_flow(t, x, zs), values)
+        for z, value in zip(zs.ravel(), values.reshape(-1, t.dim, t.dim)):
+            ref = complex_power(t.delta_spec, -z) @ x @ complex_power(t.delta_spec, z)
+            assert np.max(np.abs(value - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert analytic_flow(t, xs[0], zs[1, 0]).shape == (t.dim, t.dim)
+    assert analytic_flow(t, xs, zs[1, 0]).shape == (2, t.dim, t.dim)
     with pytest.raises(FlowDomainError):
-        analytic_flow(t, a, [1.0, 13.0])
+        analytic_flow(t, xs[0], [1.0, 13.0])
+
+
+@pytest.mark.parametrize("label", ["direct_sum(2:2,1:1)", "rotated"])
+def test_analytic_flow_at_imaginary_z_is_the_unitary_conjugation(label):
+    # the modular flow at time t is the continuation at z = i t
+    t = rotated_triple(4) if label == "rotated" else generate_fixture(parse_spec(label), 3).triple
+    g = np.random.default_rng(10).standard_normal((2, 3, t.dim, t.dim))
+    xs = np.concatenate([t.algebra.basis[:2], g[0] + 1j * g[1]])
+    times = np.array([0.3, -1.0, np.pi, 10.0])
+    stack = analytic_flow(t, xs, 1j * times)
+    assert stack.shape == (len(xs), len(times), t.dim, t.dim)
+    for x, values in zip(xs, stack):
+        for tt, value in zip(times, values):
+            ref = reference_flow(t, x, tt)
+            assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("x", [np.eye(3), np.ones((4, 3)), np.ones((2, 2, 4, 4)),
+                               np.diag([1.0, np.nan, 1.0, 1.0])],
+                         ids=["dimension", "non-square", "rank-4", "non-finite"])
+def test_analytic_flow_rejects_bad_operators(x):
+    _, _, t = two_qubit_fixture()
+    with pytest.raises(FlowDomainError):
+        analytic_flow(t, x, 1j)
 
 
 def test_flow_suite_takes_no_single_matrix_norm(monkeypatch):

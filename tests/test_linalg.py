@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,36 +155,24 @@ def test_complex_power_group_law(d, re1, re2, im, seed):
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
 
 
-def test_complex_power_memo_is_bit_identical_and_read_only():
+def test_complex_power_array_equals_the_per_exponent_formula():
     rng = np.random.default_rng(29)
     h = random_hermitian(rng, 5) + 6.0 * np.eye(5)
     dec = hermitian_eig(h)
-    for z in (-0.5, 1, -1j * 0.3, complex(0.7, -2.0), -1j * 0.0, 0j):
-        first = complex_power(dec, z)
-        again = complex_power(dec, z)
-        assert again is first
-        # a decomposition with an empty memo computes from scratch
-        fresh = complex_power(SpectralDecomposition(dec.eigenvalues, dec.eigenvectors), z)
-        assert first.tobytes() == fresh.tobytes()
-        u = dec.eigenvectors
-        formula = (u * np.exp(z * np.log(dec.eigenvalues.astype(complex)))) @ u.conj().T
-        assert first.tobytes() == formula.tobytes()
-        with pytest.raises(ValueError):
-            first[0, 0] = 1.0
-
-
-def test_complex_power_memo_not_shared_between_fixtures():
-    from modlab.fixtures import AlgebraSpec, generate_fixture
-
-    spec = AlgebraSpec.standard_factor(2)
-    a = generate_fixture(spec, seed=5).triple.delta_spec
-    b = generate_fixture(spec, seed=6).triple.delta_spec
-    pa = complex_power(a, -1j * 0.3)
-    pb = complex_power(b, -1j * 0.3)
-    assert pa is not pb and not np.allclose(pa, pb)
-    assert np.array_equal(pb, complex_power(SpectralDecomposition(b.eigenvalues, b.eigenvectors),
-                                            -1j * 0.3))
-    assert complex_power(a, -1j * 0.3) is pa
+    assert [f.name for f in dataclasses.fields(SpectralDecomposition)] == ["eigenvalues",
+                                                                           "eigenvectors"]
+    u, log_w = dec.eigenvectors, np.log(dec.eigenvalues.astype(complex))
+    # ints, reals, both signed complex zeros and complex values in one array
+    exponents = [2, -3, -0.5, 1.0, -1j * 0.0, 0j, -1j * 0.3, complex(0.7, -2.0)]
+    zs = np.array(exponents).reshape(2, 4)
+    stack = complex_power(dec, zs)
+    assert stack.shape == (2, 4, 5, 5)
+    for z, power in zip(exponents, stack.reshape(-1, 5, 5)):
+        formula = (u * np.exp(z * log_w)) @ u.conj().T
+        assert power.tobytes() == formula.tobytes()
+        assert complex_power(dec, z).tobytes() == formula.tobytes()
+    ints = complex_power(dec, np.arange(-2, 3))  # an integer array, as the ladder passes
+    assert ints.shape == (5, 5, 5) and ints[4].tobytes() == stack[0, 0].tobytes()
 
 
 def test_opnorm_bits_equal_numpy_two_norm():

@@ -109,7 +109,6 @@ def test_nonfinite_first_sample_still_writes_a_report(tmp_path, monkeypatch, cap
         cs.add("x", "r", float("inf"), 1e-9)
         return VerificationReport(config=config.echo(), checks=cs.records(), rows=cs.rows)
 
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
     monkeypatch.setattr(cli_mod, "run_suites", rigged)
     assert main(["verify", "--trials", "1", "--out", str(tmp_path)]) == 1
     assert "max_residual=none" in capsys.readouterr().out
@@ -122,7 +121,7 @@ def test_nonfinite_first_sample_still_writes_a_report(tmp_path, monkeypatch, cap
 def test_nonfinite_sample_after_finite_one_is_counted():
     cs = CheckSet()
     cs.add("x", "r", 1e-12, 1e-9)
-    cs.add("x", "r", float("nan"), 1e-9, ok=True)
+    cs.add("x", "r", float("nan"), 1e-9)
     cs.add("x", "r", 3e-12, 2e-9)
     cs.add("aud", "r", 0.5, 1.0, audit=True)
     cs.add("aud", "r", float("nan"), 1.0, audit=True)
@@ -207,8 +206,7 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_cli_fixture_writes_json(tmp_path, monkeypatch):
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
+def test_cli_fixture_writes_json(tmp_path):
     code = main(["fixture", "--model", "standard", "--factor-size", "2",
                  "--seed", "3", "--out", str(tmp_path)])
     assert code == 0
@@ -218,8 +216,7 @@ def test_cli_fixture_writes_json(tmp_path, monkeypatch):
     assert doc["dim"] == 4
 
 
-def test_cli_verify_small_run(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
+def test_cli_verify_small_run(tmp_path, capsys):
     code = main(["verify", "--model", "abelian", "--factor-size", "4",
                  "--trials", "1", "--seed", "5", "--out", str(tmp_path),
                  "--suite", "modular", "--suite", "density"])
@@ -231,18 +228,7 @@ def test_cli_verify_small_run(tmp_path, monkeypatch, capsys):
     assert {c["id"] for c in report["checks"]} >= {"modular/fixed-vector", "density/tidy-span"}
 
 
-def test_cli_env_var_overrides_out(tmp_path, monkeypatch):
-    env_dir = tmp_path / "env_dir"
-    monkeypatch.setenv("MODLAB_OUT", str(env_dir))
-    code = main(["fixture", "--model", "abelian", "--factor-size", "3",
-                 "--seed", "1", "--out", str(tmp_path / "flag_dir")])
-    assert code == 0
-    assert env_dir.exists()
-    assert not (tmp_path / "flag_dir").exists()
-
-
-def test_cli_report_body_independent_of_out_dir(tmp_path, monkeypatch):
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
+def test_cli_report_body_independent_of_out_dir(tmp_path):
     strip = re.compile(r'"environment": \{[^}]*\},?\n(\s*)')
     bodies = []
     for name in ("a", "b"):
@@ -256,10 +242,9 @@ def test_cli_report_body_independent_of_out_dir(tmp_path, monkeypatch):
 
 
 def _child_env(**extra) -> dict:
-    """Environment of a ``python -m modlab.cli`` child: MODLAB_OUT unset, and
-    src/ on its path, as pyproject.toml puts it on pytest's."""
+    """Environment of a ``python -m modlab.cli`` child: src/ on its path, as
+    pyproject.toml puts it on pytest's."""
     env = dict(os.environ, **extra)
-    env.pop("MODLAB_OUT", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return env
 
@@ -281,8 +266,7 @@ def test_cli_exit_code_via_subprocess(tmp_path):
     ("--model", "standard", "--factor-size", "0"),
 ], ids=["trials-0", "pmin-0.5", "factor-size-0"])
 @pytest.mark.parametrize("command", ["verify", "audit-tidy-bound", "contour-study", "fixture"])
-def test_cli_bad_arguments_exit_2_without_output(tmp_path, monkeypatch, capsys, command, bad):
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
+def test_cli_bad_arguments_exit_2_without_output(tmp_path, capsys, command, bad):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([command, *bad, "--out", str(out)])
@@ -294,8 +278,7 @@ def test_cli_bad_arguments_exit_2_without_output(tmp_path, monkeypatch, capsys, 
     assert err.strip().splitlines()[-1].startswith("modlab: error: ")
 
 
-def test_cli_audit_tidy_bound_subcommand(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
+def test_cli_audit_tidy_bound_subcommand(tmp_path, capsys):
     code = main(["audit-tidy-bound", "--model", "standard", "--factor-size", "2",
                  "--trials", "1", "--seed", "11", "--out", str(tmp_path)])
     assert code == 0
@@ -310,8 +293,7 @@ def test_cli_audit_tidy_bound_subcommand(tmp_path, monkeypatch, capsys):
     assert {key[6] for key in keys} == {"a", "a_prime"}
 
 
-def test_cli_contour_study_subcommand(tmp_path, monkeypatch):
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
+def test_cli_contour_study_subcommand(tmp_path):
     code = main(["contour-study", "--model", "standard", "--factor-size", "2",
                  "--trials", "1", "--seed", "12", "--out", str(tmp_path)])
     assert code == 0
@@ -326,7 +308,6 @@ def test_contour_error_becomes_a_fail_record(tmp_path, monkeypatch):
     # still writes the report, instead of ending the run with a traceback
     from modlab import contour
 
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
     monkeypatch.setattr(contour, "NODE_CAP", 16)
     code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
                  "--suite", "contour", "--out", str(tmp_path)])
@@ -340,16 +321,19 @@ def test_contour_error_becomes_a_fail_record(tmp_path, monkeypatch):
     assert len(lines) == 1  # header only: a failed call writes no row
 
 
-def _nan_power(monkeypatch, module, at):
-    """Replace module.complex_power by one whose power at the exponent ``at``
-    has a NaN entry."""
+def _nan_power(monkeypatch, module, at, first_call_only=False):
+    """Replace module.complex_power by one whose power at the exponent ``at``,
+    wherever it sits in the exponent array, has a NaN entry: in every call,
+    or only in the first call that holds it."""
     power = module.complex_power
+    hits = []
 
     def rigged(dec, z):
         p = power(dec, z)
-        if z == at:
-            p = p.copy()
-            p[0, 0] = np.nan
+        hit = np.asarray(z) == at
+        if np.any(hit) and not (first_call_only and hits):
+            hits.append(z)
+            p[hit, 0, 0] = np.nan
         return p
 
     monkeypatch.setattr(module, "complex_power", rigged)
@@ -360,8 +344,9 @@ def test_nan_flowed_operator_fails_the_flow_records(tmp_path, monkeypatch):
     # failed samples and writes its report instead of ending in a traceback
     from modlab import flow
 
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
-    _nan_power(monkeypatch, flow, -10j)  # Delta^(-10i), the flow at t = 10
+    # Delta^(-10i) is the left factor of the flow at t = 10 and the right one at
+    # t = -10; the first call that holds it is the left factors' of tomita_check
+    _nan_power(monkeypatch, flow, -10j, first_call_only=True)
     code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
                  "--suite", "flow", "--out", str(tmp_path)])
     assert code == 1
@@ -377,7 +362,6 @@ def test_nan_ladder_norm_fails_the_growth_audit(tmp_path, monkeypatch):
 
     from modlab import tidy
 
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
     _nan_power(monkeypatch, tidy, 2)  # Delta^2, the ladder's power at n = 2
     code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
                  "--suite", "tidy", "--out", str(tmp_path)])
@@ -402,19 +386,17 @@ def test_nan_ladder_norm_fails_the_growth_audit(tmp_path, monkeypatch):
     (["audit-tidy-bound"], {"report.json", "tidy_bounds.csv"}),
     (["contour-study"], {"report.json", "contour_convergence.csv"}),
 ], ids=["verify", "audit-tidy-bound", "contour-study"])
-def test_cli_run_commands_write_their_file_sets(tmp_path, monkeypatch, command, files):
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
+def test_cli_run_commands_write_their_file_sets(tmp_path, command, files):
     assert main([*command, "--model", "standard", "--factor-size", "2", "--trials", "1",
                  "--out", str(tmp_path)]) == 0
     assert set(os.listdir(tmp_path)) == files
 
 
-def test_cli_contour_rows_name_their_fixture(tmp_path, monkeypatch):
+def test_cli_contour_rows_name_their_fixture(tmp_path):
     import csv
 
     from modlab.suites import _fixture_seed
 
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
     code = main(["verify", "--model", "direct-sum", "--factor-size", "2", "--trials", "2",
                  "--seed", "13", "--suite", "contour", "--out", str(tmp_path)])
     assert code == 0
@@ -455,7 +437,6 @@ def test_cli_exit_nonzero_on_must_pass_failure(tmp_path, monkeypatch):
         cs.add("rigged/check", "forced failure", 1.0, 1e-9)
         return VerificationReport(config=config.echo(), checks=cs.records(), rows=cs.rows)
 
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
     monkeypatch.setattr(cli_mod, "run_suites", rigged)
     code = main(["verify", "--model", "abelian", "--factor-size", "3",
                  "--trials", "1", "--out", str(tmp_path)])
@@ -581,7 +562,6 @@ def test_pruned_commutator_sweep_leaves_the_flow_report_unchanged(tmp_path, monk
     # d = 9: the first run bounds the commutators, the second takes every SVD
     from modlab import flow
 
-    monkeypatch.delenv("MODLAB_OUT", raising=False)
     decomposed = []
     full = flow.opnorm_stack
     monkeypatch.setattr(flow, "opnorm_stack",

@@ -158,10 +158,13 @@ def _flow_records(monkeypatch, name, wrap):
 
 def test_nan_flowed_state_fails_fixes_state(monkeypatch):
     def wrap(flow):
-        # t = 2.0 is the second of the three times the state check samples
-        return lambda t, x, tt: np.full_like(x, np.nan) if tt == 2.0 else flow(t, x, tt)
+        def rigged(t, x, z):
+            out = flow(t, x, z)
+            out[np.asarray(z) == 2j] = np.nan  # t = 2.0, the second time the state check samples
+            return out
+        return rigged
 
-    rec = _flow_records(monkeypatch, "modular_flow", wrap)["flow/fixes-state"]
+    rec = _flow_records(monkeypatch, "analytic_flow", wrap)["flow/fixes-state"]
     assert rec.status == "fail" and rec.nonfinite == 1
 
 
@@ -169,10 +172,9 @@ def test_nan_flowed_state_fails_fixes_state(monkeypatch):
 def test_nan_strip_norm_fails_strip_constancy(monkeypatch, position):
     def wrap(scan):
         def rigged(t, a):
-            samples = scan(t, a)
-            norm = samples.norm.copy()
+            norm = scan(t, a)
             norm[1, position] = math.nan  # row 1 is the line Re z = 1
-            return dataclasses.replace(samples, norm=norm)
+            return norm
         return rigged
 
     rec = _flow_records(monkeypatch, "strip_growth_scan", wrap)["flow/strip-constancy"]
