@@ -5,19 +5,25 @@ The integral computed here is
     (1 / 2 pi i) \\oint_gamma z^n f_k(z) (z - Delta)^{-1} psi dz,
 
 where f_k is the sigmoid 1 / (1 + exp(k (z - lambda))) and gamma surrounds
-the positive real axis: two horizontal half-lines at height +-half_height
-(default 2 pi) truncated at T, closed on the left by a half-circle of radius
-half_height. For positive integer k the sigmoid takes its real-axis values on
-the default half-lines, and its poles never touch the contour.
+the positive real axis: two horizontal half-lines at Im z = +-HALF_HEIGHT =
++-2 pi truncated at T, closed on the left by a half-circle of radius 2 pi.
+The height is fixed: for positive integer k, exp(+-2 pi i k) = 1, so the
+sigmoid takes its real-axis values on the half-lines.
 
-The sigmoid has poles strictly inside the default contour, at
-z_m = lambda + i pi (2m + 1) / k with residue -1/k. The residue theorem
-therefore equates the quadrature with ``spectral oracle + pole sum``, where
-the oracle Delta^n f_k(Delta) psi is evaluated purely through the
+The sigmoid's poles inside the contour are the 2k points
+z_m = lambda +- i pi (2m + 1) / k, m < k, each with residue -1/k. The residue
+theorem therefore equates the quadrature with ``spectral oracle + pole sum``,
+where the oracle Delta^n f_k(Delta) psi is evaluated purely through the
 eigendecomposition. Both the corrected discrepancy (against oracle + poles)
 and the uncorrected one (against the oracle alone) are measured; only the
 corrected identity is asserted anywhere, the uncorrected behavior is
 tabulated as data.
+
+No quadrature node can meet a pole, enclosed or not. Every pole lies at
+least pi/k from the lines Im z = +-2 pi, where the half-line nodes sit. A
+half-circle node z has Re z <= 0 < lambda, so |z - pole|^2 >=
+(2 pi - |Im pole|)^2 >= (pi/k)^2. An integral whose pi/k falls below
+POLE_NODE_GAP is refused up front.
 
 The quadrature is evaluated on half the contour. Delta is Hermitian, lambda
 is real and k is an integer, so the integrand g(z) = z^n f_k(z) is real on
@@ -25,13 +31,13 @@ the real axis and g(conj z) = conj g(z) (Schwarz reflection); the nodes and
 poles are conjugation-symmetric and the weights satisfy w(conj z) =
 -conj w(z). A node and its mirror image therefore add up to 2i Im of one
 term, and each eigencomponent is (1/pi) sum Im(g(z) w(z) / (z - w_j)) psi_j
-over the nodes with Im z <= 0 (a self-conjugate node at z = -half_height
-gets weight 1/2).
+over the nodes with Im z <= 0 (a self-conjugate node at z = -2 pi gets
+weight 1/2).
 
-``contour_apply`` evaluates a family of integrals (n, k, contour) that share
-Delta, lambda and psi. Integrals on the same contour share its node sets:
-each rule's nodes, pole-gap check (per k) and resolvent table 1/(z - w_j)
-are built once, and one matmul takes every integral's eigencomponents,
+``contour_apply`` evaluates a family of integrals (n, k, T) that share
+Delta, lambda and psi. Integrals with the same truncation share its node
+sets: each rule's nodes and resolvent table 1/(z - w_j) are built once, and
+one matmul takes every integral's eigencomponents,
 Im(g C) = Re g Im C + Im g Re C. Each integral is refined by nested
 trapezoid levels: the trapezoid rule of step h/2 is the mean of the
 trapezoid and midpoint rules of step h, so each midpoint pass turns the
@@ -41,8 +47,8 @@ powers of the step, and leaves the family once two successive diagonal
 entries agree to QUAD_TOL. ``node_count`` is the full rule of its last
 level, 2 n_line + n_circ (intervals on the two half-lines and the
 half-circle); ``NODE_CAP`` bounds the evaluations of one integral, all
-levels together. A failed integral (a pole on a node, the node cap reached)
-gets its ContourError in its own slot, and the others finish.
+levels together. A failed integral (a refused argument, the node cap
+reached) gets its ContourError in its own slot, and the others finish.
 """
 
 from __future__ import annotations
@@ -57,23 +63,17 @@ from .linalg import matrix_function
 from .tomita import ModularTriple
 
 QUAD_TOL = 1e-8
-HALF_HEIGHT = 2.0 * math.pi  # Im z of the default half-lines, where exp(+-2 pi i k) = 1
+HALF_HEIGHT = 2.0 * math.pi  # Im z of the half-lines, where exp(+-2 pi i k) = 1
 SIGMOID_FINAL_TOL = 1e-6  # sigmoid-limit error required at the largest k
 LAMBDA_GAP = 0.05  # smallest distance of lambda from spec(Delta) in the sigmoid limit
 NODE_CAP = 2**20  # cumulative evaluations per integral
 NODES_PER_UNIT = 8  # starting half-line nodes per unit of truncation
 HALFCIRCLE_NODES = 64  # starting half-circle nodes
-POLE_NODE_GAP = 1e-8
-COLLISION = (f"a sigmoid pole lies within {POLE_NODE_GAP:.1e} of a quadrature node; "
-             "choose a different node count or half_height")
+POLE_NODE_GAP = 1e-8  # smallest pole-to-contour distance pi/k an integral may have
 
 
 class ContourError(ValueError):
     pass
-
-
-class NodeCollisionError(ContourError):
-    """A sigmoid pole sits on (or numerically on) a quadrature node."""
 
 
 def _check_steepness(k) -> None:
@@ -102,41 +102,14 @@ def sigmoid(z, k, lam: float):
     return (np.where(pos, e, 1.0) / (1.0 + e))[()]
 
 
-def sigmoid_poles(k: int, lam: float, half_height: float) -> np.ndarray:
-    """Poles of the sigmoid enclosed by the contour: lambda + i pi (2m+1)/k."""
-    poles = []
-    m = 0
-    while math.pi * (2 * m + 1) / k < half_height:
-        im = math.pi * (2 * m + 1) / k
-        poles.append(lam + 1j * im)
-        poles.append(lam - 1j * im)
-        m += 1
-    return np.array(poles, dtype=complex)
+def sigmoid_poles(k: int, lam: float) -> np.ndarray:
+    """The 2k sigmoid poles inside the contour: lambda +- i pi (2m+1)/k for m < k, in pairs."""
+    im = math.pi * (2 * np.arange(k) + 1) / k
+    return lam + 1j * np.column_stack([im, -im]).ravel()
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Geometry of the truncated contour: half-line height and truncation T."""
-
-    half_height: float = HALF_HEIGHT
-    truncation: float = 40.0
-
-    def validate(self, lam: float) -> None:
-        if self.truncation <= lam:
-            raise ContourError(
-                f"truncation {self.truncation} must exceed lambda = {lam}"
-            )
-        if self.half_height <= 0:
-            raise ContourError("half_height must be positive")
-
-
-def choose_contour(
-    triple: ModularTriple,
-    n: int,
-    k: int,
-    lam: float,
-) -> ContourSpec:
-    """Pick a truncation making the discarded tail negligible.
+def choose_contour(triple: ModularTriple, n: int, k: int, lam: float) -> float:
+    """Pick a truncation T making the discarded tail negligible.
 
     T satisfies exp(-k (T - lambda)) (T^2 + 4 pi^2)^{n/2} < QUAD_TOL and lies
     beyond the spectrum of Delta.
@@ -148,10 +121,10 @@ def choose_contour(
         if tail < QUAD_TOL:
             break
         t *= 1.3
-    return ContourSpec(truncation=t)
+    return t
 
 
-def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool):
+def _contour_nodes(t: float, n_line: int, n_circ: int, midpoint: bool):
     """Nodes and weights of a composite rule on the lower half of the contour.
 
     The full rule splits each half-line into n_line intervals and the
@@ -159,15 +132,14 @@ def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool):
     w(conj z) = -conj w(z). The midpoint rule evaluates the interval
     midpoints, never the corners; the trapezoid rule evaluates the interval
     ends, with weight 1/2 at u = 0, u = T and theta = 3 pi/2 (the corner
-    z = -ih, one node shared by the half-line and the half-circle).
-    Returned are the nodes with Im z <= 0, their weights and the number of
-    half-line nodes: the bottom half-line z = u - ih (dz = +du) first, then
-    the half-circle z = h e^{i theta} (dz = i h e^{i theta} dtheta) for theta
-    in [pi, 3 pi/2). A node on theta = pi is its own mirror image; its weight
-    is halved.
+    z = -ih, h = HALF_HEIGHT, one node shared by the half-line and the
+    half-circle). Returned are the nodes with Im z <= 0 and their weights:
+    the bottom half-line z = u - ih (dz = +du) first, then the half-circle
+    z = h e^{i theta} (dz = i h e^{i theta} dtheta) for theta in
+    [pi, 3 pi/2). A node on theta = pi is its own mirror image; its weight is
+    halved.
     """
-    h = spec.half_height
-    t = spec.truncation
+    h = HALF_HEIGHT
     shift = 0.5 if midpoint else 0.0  # node offset in units of the step
     du = t / n_line
     u = (np.arange(n_line + (not midpoint)) + shift) * du
@@ -185,38 +157,25 @@ def _contour_nodes(spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool):
         # i h e^{3 pi i/2} dtheta = h dtheta: the half-circle's share of the corner
         w_line[0] = 0.5 * (du + h * dth)
         w_line[-1] *= 0.5
-    return np.concatenate([z_line, z_circ]), np.concatenate([w_line, w_circ]), u.size
+    return np.concatenate([z_line, z_circ]), np.concatenate([w_line, w_circ])
 
 
 def _half_rule(triple: ModularTriple, integrands, lam: float, psi_eig: np.ndarray,
-               spec: ContourSpec, n_line: int, n_circ: int, midpoint: bool):
+               t: float, n_line: int, n_circ: int, midpoint: bool) -> np.ndarray:
     """Evaluate one composite rule of ``_contour_nodes`` for a family of (n, k).
 
     psi_eig holds the eigencomponents U^dag psi. Eigencomponent j of
     integrand (n, k) is (1/pi) sum Im(g(z) / (z - w_j)) psi_j with
     g = z^n f_k(z) w(z); the nodes and the resolvent table are shared.
-    Returns the (m', d) values of the integrands whose sigmoid poles keep
-    POLE_NODE_GAP from every node, and the (m,) mask that selects them.
+    Returns one row of d values per integrand.
     """
-    z, wts, n_on_line = _contour_nodes(spec, n_line, n_circ, midpoint)
-    h = spec.half_height
-    # the line nodes share Im z = -h and the poles Re z = lambda, so their
-    # nearest pair is separable; the half-circle nodes are few
-    line_re_gap = np.abs(z[:n_on_line].real - lam).min()
-    clear = {}
-    for k in {k for _, k in integrands}:
-        poles = sigmoid_poles(k, lam, h)
-        clear[k] = not poles.size or min(
-            math.hypot(line_re_gap, np.abs(h - np.abs(poles.imag)).min()),
-            np.abs(z[n_on_line:, None] - poles).min()) >= POLE_NODE_GAP
-    ok = np.array([clear[k] for _, k in integrands], dtype=bool)
-    kept = list(compress(integrands, ok))
-    powers = {n: z**n for n, _ in kept}
-    sigmoids = {k: sigmoid(z, k, lam) for _, k in kept}
-    g = np.array([powers[n] * sigmoids[k] * wts for n, k in kept]).reshape(len(kept), z.size)
+    z, wts = _contour_nodes(t, n_line, n_circ, midpoint)
+    powers = {n: z**n for n, _ in integrands}
+    sigmoids = {k: sigmoid(z, k, lam) for _, k in integrands}
+    g = np.array([powers[n] * sigmoids[k] * wts for n, k in integrands])
     resolvent = 1.0 / (z[:, None] - triple.delta_spec.eigenvalues)
     comps = g.real @ resolvent.imag + g.imag @ resolvent.real
-    return (comps * psi_eig) @ triple.delta_spec.eigenvectors.T / math.pi, ok
+    return (comps * psi_eig) @ triple.delta_spec.eigenvectors.T / math.pi
 
 
 @dataclass(frozen=True)
@@ -242,48 +201,33 @@ def spectral_oracle(triple: ModularTriple, n: int, k, lam: float, psi) -> np.nda
     return (vals * (u.conj().T @ psi)) @ u.T
 
 
-def pole_sum(
-    triple: ModularTriple,
-    n: int,
-    k: int,
-    lam: float,
-    psi,
-    half_height: float = HALF_HEIGHT,
-) -> np.ndarray:
+def pole_sum(triple: ModularTriple, n: int, k: int, lam: float, psi) -> np.ndarray:
     """Sum of the enclosed sigmoid-pole residues z_m^n (-1/k) (z_m - Delta)^{-1} psi.
 
     Summed in the eigenbasis of Delta, one resolvent per pole and eigenvalue.
     """
     _check_steepness(k)
     psi = np.asarray(psi, dtype=complex)
-    poles = sigmoid_poles(k, lam, half_height)
+    poles = sigmoid_poles(k, lam)
     w = triple.delta_spec.eigenvalues
     u = triple.delta_spec.eigenvectors
     weights = (poles**n * (-1.0 / k))[:, None] / (poles[:, None] - w[None, :])
     return u @ (weights.sum(axis=0) * (u.conj().T @ psi))
 
 
-def contour_quadrature_fixed(
-    triple: ModularTriple,
-    n: int,
-    k: int,
-    lam: float,
-    psi,
-    spec: ContourSpec,
-    n_line: int,
-    n_circ: int,
-) -> np.ndarray:
+def contour_quadrature_fixed(triple: ModularTriple, n: int, k: int, lam: float, psi,
+                             truncation: float, n_line: int, n_circ: int) -> np.ndarray:
     """Single-pass midpoint rule at a fixed resolution, without pole correction.
 
-    Evaluates the lower half of the contour only (see the module docstring):
-    eigencomponent j is (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j.
-    Raises NodeCollisionError when a sigmoid pole lies on a node.
+    Evaluates only the lower half of the contour truncated at T = truncation
+    (see the module docstring): eigencomponent j is
+    (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j. At height 2 pi no node
+    meets a pole. Neither failure of ``contour_apply`` applies: the arguments
+    are not checked, and one pass has no node cap.
     """
     psi_eig = triple.delta_spec.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
-    values, ok = _half_rule(triple, [(n, k)], lam, psi_eig, spec, n_line, n_circ, midpoint=True)
-    if not ok[0]:
-        raise NodeCollisionError(COLLISION)
-    return values[0]
+    return _half_rule(triple, [(n, k)], lam, psi_eig, truncation, n_line, n_circ,
+                      midpoint=True)[0]
 
 
 def _romberg_row(prev: list, trapezoid):
@@ -298,37 +242,36 @@ def _romberg_row(prev: list, trapezoid):
     return row
 
 
-def _checked_spec(triple: ModularTriple, n, k, lam: float, spec: ContourSpec | None):
-    """The contour of one integral (``choose_contour``'s when spec is None), validated."""
+def _checked_truncation(triple: ModularTriple, n, k, lam: float, t: float | None) -> float:
+    """The truncation of one integral (``choose_contour``'s when t is None), validated."""
     if lam <= 0:
         raise ContourError(f"lambda must be positive, got {lam}")
     if n < 0:
         raise ContourError(f"power must be a nonnegative integer, got {n}")
     _check_steepness(k)
-    if spec is None:
-        spec = choose_contour(triple, n, k, lam)
-    spec.validate(lam)
+    if math.pi / k < POLE_NODE_GAP:
+        raise ContourError(f"steepness k = {k} puts sigmoid poles within pi/k = "
+                           f"{math.pi / k:.1e} of the contour, below {POLE_NODE_GAP:.1e}")
+    if t is None:
+        t = choose_contour(triple, n, k, lam)
     eig_max = float(triple.delta_spec.eigenvalues[-1])
-    if eig_max >= spec.truncation:
-        raise ContourError(
-            f"spectrum not enclosed: max eigenvalue {eig_max:.3e} >= T = {spec.truncation:.3e}"
-        )
-    return spec
+    if not t > max(lam, eig_max):
+        raise ContourError(f"truncation T = {t:.3e} must exceed lambda = {lam} and "
+                           f"the max eigenvalue {eig_max:.3e}")
+    return t
 
 
-def _refine(triple: ModularTriple, family: list, lam: float, psi: np.ndarray,
-            spec: ContourSpec) -> dict:
-    """Refine the integrals (n, k) on one contour together; (n, k) -> result or error.
+def _refine(triple: ModularTriple, family: list, lam: float, psi: np.ndarray, t: float) -> dict:
+    """Refine the integrals (n, k) truncated at t together; (n, k) -> result or error.
 
     Each level's Romberg row holds one (m, d) entry per column, a row of it
-    per integral still refining; a done or failed integral leaves the rows.
+    per integral still refining; a done integral leaves the rows.
     """
-    n_line = max(8, int(spec.truncation * NODES_PER_UNIT))
+    n_line = max(8, int(t * NODES_PER_UNIT))
     n_circ = HALFCIRCLE_NODES
     psi_eig = triple.delta_spec.eigenvectors.conj().T @ psi
-    level0, ok = _half_rule(triple, family, lam, psi_eig, spec, n_line, n_circ, midpoint=False)
-    out = {nk: NodeCollisionError(COLLISION) for nk in compress(family, ~ok)}
-    family, prev = list(compress(family, ok)), [level0]
+    prev = [_half_rule(triple, family, lam, psi_eig, t, n_line, n_circ, midpoint=False)]
+    out = {}
     evaluations = n_line + 1 + n_circ // 2
     err = np.full(len(family), math.inf)
     while family:
@@ -338,18 +281,16 @@ def _refine(triple: ModularTriple, family: list, lam: float, psi: np.ndarray,
                                          f"within the node cap (last diagonal change {e:.3e})"))
                        for nk, e in zip(family, err))
             break
-        mid, ok = _half_rule(triple, family, lam, psi_eig, spec, n_line, n_circ, midpoint=True)
+        mid = _half_rule(triple, family, lam, psi_eig, t, n_line, n_circ, midpoint=True)
         evaluations += step
         n_line *= 2
         n_circ *= 2
-        out.update((nk, NodeCollisionError(COLLISION)) for nk in compress(family, ~ok))
-        family, prev, err = list(compress(family, ok)), [p[ok] for p in prev], err[ok]
         row = _romberg_row(prev, 0.5 * (prev[0] + mid))  # T(h/2) = (T(h) + M(h)) / 2
         if len(row) > 2:  # level 2 or later
             err = np.linalg.norm(row[-1] - prev[-1], axis=1)
             done = err < QUAD_TOL
             for (n, k), value in zip(compress(family, done), row[-1][done]):
-                poles = pole_sum(triple, n, k, lam, psi, spec.half_height)
+                poles = pole_sum(triple, n, k, lam, psi)
                 out[n, k] = QuadratureResult(value, 2 * n_line + n_circ, poles, value - poles)
             family, row, err = list(compress(family, ~done)), [r[~done] for r in row], err[~done]
         prev = row
@@ -364,11 +305,12 @@ def contour_apply(
 ) -> list[QuadratureResult | ContourError]:
     """Quadratures of a family of contour integrals, refined by nested trapezoid levels.
 
-    integrands is a sequence of (n, k, spec), spec a ContourSpec or None for
-    ``choose_contour``'s; all share Delta, lambda and psi. Returned is one
-    slot per integrand, in order: its QuadratureResult, or the ContourError
-    that stopped it. Integrals on one contour are refined together and
-    identical integrands are evaluated once.
+    integrands is a sequence of (n, k, T), T a truncation or None for
+    ``choose_contour``'s; all share Delta, lambda and psi, and every contour
+    sits at height 2 pi. Returned is one slot per integrand, in order: its
+    QuadratureResult, or the ContourError that stopped it. Integrals with one
+    truncation are refined together and identical integrands are evaluated
+    once.
 
     Level 0 is the trapezoid rule T(h) on NODES_PER_UNIT half-line intervals
     per unit of T and HALFCIRCLE_NODES half-circle intervals. Each pass adds
@@ -377,25 +319,28 @@ def contour_apply(
     counts double. Every level extends each integral's Romberg table
     R(j, m) = R(j, m-1) + (R(j, m-1) - R(j-1, m-1)) / (4^m - 1), and an
     integral is done once two successive diagonal entries R(j, j) differ by
-    less than QUAD_TOL, comparing no earlier than level 2. It fails with
-    ContourError when the next pass would take its evaluations past
-    NODE_CAP, and with NodeCollisionError when a sigmoid pole lies on a node.
-    The value is the last diagonal entry, its node count the full rule of the
-    last level, 2 n_line + n_circ. The pole correction is the
-    enclosed-residue sum; subtracting it from the value reproduces the
-    spectral oracle.
+    less than QUAD_TOL, comparing no earlier than level 2. The value is the
+    last diagonal entry, its node count the full rule of the last level,
+    2 n_line + n_circ. The pole correction is the enclosed-residue sum;
+    subtracting it from the value reproduces the spectral oracle.
+
+    No node meets a pole (see the module docstring). An integral fails with
+    ContourError for one of two reasons: a refused argument (lambda <= 0,
+    n < 0, k not a positive integer, pi/k below POLE_NODE_GAP, T not beyond
+    lambda and spec(Delta)), or a next pass that would take its evaluations
+    past NODE_CAP.
     """
     psi = np.asarray(psi, dtype=complex)
-    slots, families = [], {}  # contour -> its distinct (n, k), in order (dict keys)
-    for n, k, spec in integrands:
+    slots, families = [], {}  # truncation -> its distinct (n, k), in order (dict keys)
+    for n, k, t in integrands:
         try:
-            spec = _checked_spec(triple, n, k, lam, spec)
+            t = _checked_truncation(triple, n, k, lam, t)
         except ContourError as exc:
             slots.append(exc)
             continue
-        slots.append((spec, (n, k)))
-        families.setdefault(spec, {})[n, k] = None
-    done = {spec: _refine(triple, list(f), lam, psi, spec) for spec, f in families.items()}
+        slots.append((t, (n, k)))
+        families.setdefault(t, {})[n, k] = None
+    done = {t: _refine(triple, list(f), lam, psi, t) for t, f in families.items()}
     return [s if isinstance(s, ContourError) else done[s[0]][s[1]] for s in slots]
 
 

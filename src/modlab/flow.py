@@ -82,13 +82,13 @@ def commutator_ratio(xs: np.ndarray, norms_x, basis: np.ndarray, basis_norms) ->
     ratio below one already taken, so it cannot change the maximum.
     """
     x = xs[:, None]
-    c = x @ basis - basis @ x
-    scale = np.broadcast_to(np.maximum(np.multiply.outer(norms_x, basis_norms), 1e-30),
-                            c.shape[:2])
-    if c.shape[-1] < PRUNE_MIN_DIM or c.size == 0:
-        return np.max(opnorm_stack(c) / scale, axis=1, initial=0.0)
-    m = np.max(np.abs(c), axis=(-2, -1))
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite input gives a NaN bound
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite input gives a NaN ratio
+        c = x @ basis - basis @ x
+        scale = np.broadcast_to(np.maximum(np.multiply.outer(norms_x, basis_norms), 1e-30),
+                                c.shape[:2])
+        if c.shape[-1] < PRUNE_MIN_DIM or c.size == 0:
+            return np.max(opnorm_stack(c) / scale, axis=1, initial=0.0)
+        m = np.max(np.abs(c), axis=(-2, -1))
         unit = c * (1.0 / np.where(m == 0, 1.0, m))[..., None, None]
         gram = unit.conj().swapaxes(-2, -1) @ unit
         bound = (m * np.sqrt(np.sqrt(np.linalg.norm(gram @ gram, axis=(-2, -1))))

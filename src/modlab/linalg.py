@@ -184,14 +184,15 @@ class AntilinearMap:
         return AntilinearMap(self.matrix @ np.conj(linear))
 
 
-def polar_antilinear(s: AntilinearMap) -> tuple[AntilinearMap, np.ndarray]:
+def polar_antilinear(s: AntilinearMap) -> tuple[AntilinearMap, np.ndarray, SpectralDecomposition]:
     """Polar-decompose an invertible antilinear map as S = J o Delta^(1/2).
 
-    Returns ``(J, Delta)`` with ``Delta = M^T conj(M)`` positive self-adjoint
-    and ``J`` antiunitary with matrix ``M conj(Delta^(-1/2))``. When S is an
-    involution (S o S = 1, the case of every Tomita operator) J is an
-    involution too and J Delta J = Delta^(-1); for a generic invertible
-    antilinear map only antiunitarity of J is guaranteed.
+    Returns ``(J, Delta, hermitian_eig(Delta))`` with ``Delta = M^T conj(M)``
+    positive self-adjoint and ``J`` antiunitary with matrix
+    ``M conj(Delta^(-1/2))``. When S is an involution (S o S = 1, the case of
+    every Tomita operator) J is an involution too and J Delta J = Delta^(-1);
+    for a generic invertible antilinear map only antiunitarity of J is
+    guaranteed.
     """
     m = s.matrix
     sv = np.linalg.svd(m, compute_uv=False)
@@ -204,4 +205,4 @@ def polar_antilinear(s: AntilinearMap) -> tuple[AntilinearMap, np.ndarray]:
     dec = hermitian_eig(delta)
     inv_sqrt = complex_power(dec, -0.5)
     j = AntilinearMap(m @ np.conj(inv_sqrt))
-    return j, delta
+    return j, delta, dec

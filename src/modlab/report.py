@@ -33,7 +33,7 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -127,18 +127,7 @@ class VerificationReport:
         return {
             "schema_version": "1",
             "config": self.config,
-            "checks": [
-                {
-                    "id": c.id,
-                    "ref": c.ref,
-                    "status": c.status,
-                    "max_residual": c.max_residual,
-                    "tolerance": c.tolerance,
-                    "samples": c.samples,
-                    "nonfinite": c.nonfinite,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "summary": self.summary,
             "environment": self.environment,
         }

@@ -384,14 +384,13 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
     # the twelve (n, k) integrals, then the truncation pair, as one family; the
     # first of the pair repeats the (0, 1) integral and is evaluated once
     pairs = [(n, k) for n in (0, 1, 2) for k in (1, 2, 4, 8)]
-    base_spec = ct.choose_contour(t, 0, 1, lam)
-    doubled = ct.ContourSpec(base_spec.half_height, 2 * base_spec.truncation)
+    base = ct.choose_contour(t, 0, 1, lam)
     *results, r1, r2 = ct.contour_apply(
-        t, [(n, k, None) for n, k in pairs] + [(0, 1, base_spec), (0, 1, doubled)], lam, psi)
+        t, [(n, k, None) for n, k in pairs] + [(0, 1, base), (0, 1, 2 * base)], lam, psi)
 
     for (n, k), result in zip(pairs, results):
         if isinstance(result, ct.ContourError):
-            # node cap exhausted or a pole on a node: failed samples, no row
+            # node cap exhausted or an argument refused: failed samples, no row
             corrected = uncorrected = math.nan
         else:
             oracle = ct.spectral_oracle(t, n, k, lam, psi)
@@ -406,7 +405,7 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
                 "nodes": result.node_count,
                 "uncorrected_err": uncorrected,
                 "corrected_err": corrected,
-                "pole_count": len(ct.sigmoid_poles(k, lam, ct.HALF_HEIGHT)),
+                "pole_count": len(ct.sigmoid_poles(k, lam)),
                 "pole_norm": float(np.linalg.norm(result.pole_correction)),
             })
         checks.add("contour/residue-closure",
@@ -418,11 +417,11 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
 
     # convergence order on one fixed pair of resolutions
     n, k = 1, 2
-    spec = ct.choose_contour(t, n, k, lam)
-    target = ct.spectral_oracle(t, n, k, lam, psi) + ct.pole_sum(t, n, k, lam, psi, spec.half_height)
-    n_line = max(8, int(spec.truncation * 2))
-    coarse = ct.contour_quadrature_fixed(t, n, k, lam, psi, spec, n_line, 32)
-    fine = ct.contour_quadrature_fixed(t, n, k, lam, psi, spec, 2 * n_line, 64)
+    trunc = ct.choose_contour(t, n, k, lam)
+    target = ct.spectral_oracle(t, n, k, lam, psi) + ct.pole_sum(t, n, k, lam, psi)
+    n_line = max(8, int(trunc * 2))
+    coarse = ct.contour_quadrature_fixed(t, n, k, lam, psi, trunc, n_line, 32)
+    fine = ct.contour_quadrature_fixed(t, n, k, lam, psi, trunc, 2 * n_line, 64)
     d1 = float(np.linalg.norm(coarse - target))
     d2 = float(np.linalg.norm(fine - target))
     if d1 <= 1e-12:

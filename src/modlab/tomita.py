@@ -30,7 +30,6 @@ from .algebra import (
 from .linalg import (
     AntilinearMap,
     SpectralDecomposition,
-    hermitian_eig,
     opnorm_stack,
     polar_antilinear,
 )
@@ -139,8 +138,7 @@ def modular_data(a: OperatorSubspace, omega, commutant: OperatorSubspace) -> Mod
     """
     orb = orbit(a, omega)
     s = tomita_operator(orb)
-    j, delta = polar_antilinear(s)
-    spec = hermitian_eig(delta)
+    j, delta, spec = polar_antilinear(s)
     w = spec.eigenvalues
     kappa = float(w[-1] / w[0]) if w[0] > 0 else np.inf
     if w[0] <= 0.0:

@@ -243,7 +243,7 @@ def test_criterion_08_residue_closure(tmp_path):
                     "seed": fix.seed, "model": fix.spec.label(),
                     "k": k, "n": n, "lambda": lam, "nodes": q.node_count,
                     "uncorrected_err": uncorrected, "corrected_err": corrected,
-                    "pole_count": len(sigmoid_poles(k, lam, 2 * math.pi)),
+                    "pole_count": len(sigmoid_poles(k, lam)),
                     "pole_norm": float(np.linalg.norm(q.pole_correction)),
                 })
     # the as-stated (uncorrected) discrepancy is tabulated, never asserted

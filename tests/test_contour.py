@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modlab import contour
 from modlab.algebra import commutant, subspace_orthonormalize
 from modlab.contour import (
     NODES_PER_UNIT,
+    POLE_NODE_GAP,
     QUAD_TOL,
     SIGMOID_FINAL_TOL,
     ContourError,
-    ContourSpec,
-    NodeCollisionError,
     choose_contour,
     contour_apply,
     contour_quadrature_fixed,
@@ -33,19 +34,17 @@ def elementary(d, i, j):
     return e
 
 
-def apply_one(triple, n, k, lam, psi, spec=None):
+def apply_one(triple, n, k, lam, psi, trunc=None):
     """The one slot of a one-integrand family: its QuadratureResult or its ContourError."""
-    [slot] = contour_apply(triple, [(n, k, spec)], lam, psi)
+    [slot] = contour_apply(triple, [(n, k, trunc)], lam, psi)
     return slot
 
 
-def trapezoid_rule(triple, n, k, lam, psi, spec, n_line, n_circ):
+def trapezoid_rule(triple, n, k, lam, psi, trunc, n_line, n_circ):
     """The trapezoid rule of one integrand at a fixed resolution."""
     psi_eig = triple.delta_spec.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
-    values, ok = contour._half_rule(triple, [(n, k)], lam, psi_eig, spec, n_line, n_circ,
-                                    midpoint=False)
-    assert ok.all()
-    return values[0]
+    return contour._half_rule(triple, [(n, k)], lam, psi_eig, trunc, n_line, n_circ,
+                              midpoint=False)[0]
 
 
 def two_qubit_triple():
@@ -112,22 +111,25 @@ def test_sigmoid_scalar_and_array_bit_identical():
 
 def test_pole_enumeration_k1():
     # poles at lambda +- i pi, both inside |Im| < 2 pi
-    poles = sigmoid_poles(1, 1.0, 2 * math.pi)
+    poles = sigmoid_poles(1, 1.0)
     assert len(poles) == 2
     assert np.allclose(sorted(p.imag for p in poles), [-math.pi, math.pi])
 
 
 def test_pole_enumeration_k4():
     # (2m+1) pi / 4 < 2 pi gives m <= 3: eight poles
-    poles = sigmoid_poles(4, 1.0, 2 * math.pi)
+    poles = sigmoid_poles(4, 1.0)
     assert len(poles) == 8
 
 
-def test_pole_free_when_contour_shrinks():
-    assert len(sigmoid_poles(2, 1.0, math.pi / 2 - 0.01)) == 0
-    t = two_qubit_triple()
-    psi = np.array([1.0, 0, 0, 0], dtype=complex)
-    assert np.linalg.norm(pole_sum(t, 0, 2, 1.0, psi, half_height=math.pi / 2 - 0.01)) == 0.0
+def test_pole_enumeration_order_and_bits():
+    # the pair lambda + i y, lambda - i y for m = 0, 1, ..., each y = pi (2m + 1) / k
+    for k, lam in ((1, 1.0), (3, 0.4), (8, 2.5)):
+        expected = []
+        for m in range(k):
+            y = math.pi * (2 * m + 1) / k
+            expected += [lam + 1j * y, lam - 1j * y]
+        assert np.array_equal(sigmoid_poles(k, lam), np.array(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +230,12 @@ def test_trapezoid_level_is_mean_of_trapezoid_and_midpoint():
     rng = np.random.default_rng(45)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     for n, k, lam in ((0, 1, 3.0), (2, 8, 1.3)):
-        spec = choose_contour(t, n, k, lam)
-        n_line = max(8, int(spec.truncation * NODES_PER_UNIT))
+        trunc = choose_contour(t, n, k, lam)
+        n_line = max(8, int(trunc * NODES_PER_UNIT))
         n_circ = 64
-        coarse = trapezoid_rule(t, n, k, lam, psi, spec, n_line, n_circ)
-        mid = contour_quadrature_fixed(t, n, k, lam, psi, spec, n_line, n_circ)
-        ref = trapezoid_rule(t, n, k, lam, psi, spec, 2 * n_line, 2 * n_circ)
+        coarse = trapezoid_rule(t, n, k, lam, psi, trunc, n_line, n_circ)
+        mid = contour_quadrature_fixed(t, n, k, lam, psi, trunc, n_line, n_circ)
+        ref = trapezoid_rule(t, n, k, lam, psi, trunc, 2 * n_line, 2 * n_circ)
         err = np.linalg.norm(0.5 * (coarse + mid) - ref)
         assert err <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
@@ -243,10 +245,10 @@ def test_contour_apply_passes_double_and_never_repeat(monkeypatch):
     passes = []
     nodes = contour._contour_nodes
 
-    def recording(spec, n_line, n_circ, midpoint):
+    def recording(trunc, n_line, n_circ, midpoint):
         if midpoint:  # the midpoint passes; the one trapezoid grid is level 0
             passes.append((n_line, n_circ))
-        return nodes(spec, n_line, n_circ, midpoint)
+        return nodes(trunc, n_line, n_circ, midpoint)
 
     monkeypatch.setattr(contour, "_contour_nodes", recording)
     q = apply_one(t, 2, 8, 1.3, np.ones(4))
@@ -294,22 +296,22 @@ def test_convergence_order_at_least_three():
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     n, k, lam = 1, 2, 3.0
-    spec = choose_contour(t, n, k, lam)
-    target = spectral_oracle(t, n, k, lam, psi) + pole_sum(t, n, k, lam, psi, spec.half_height)
-    n_line = max(8, int(spec.truncation * 2))
-    d1 = np.linalg.norm(contour_quadrature_fixed(t, n, k, lam, psi, spec, n_line, 32) - target)
-    d2 = np.linalg.norm(contour_quadrature_fixed(t, n, k, lam, psi, spec, 2 * n_line, 64) - target)
+    trunc = choose_contour(t, n, k, lam)
+    target = spectral_oracle(t, n, k, lam, psi) + pole_sum(t, n, k, lam, psi)
+    n_line = max(8, int(trunc * 2))
+    d1 = np.linalg.norm(contour_quadrature_fixed(t, n, k, lam, psi, trunc, n_line, 32) - target)
+    d2 = np.linalg.norm(contour_quadrature_fixed(t, n, k, lam, psi, trunc, 2 * n_line, 64) - target)
     assert d1 / d2 >= 3.0
 
 
-def _full_rule(triple, n, k, lam, psi, spec, n_line, n_circ, midpoint=True):
+def _full_rule(triple, n, k, lam, psi, trunc, n_line, n_circ, midpoint=True):
     """The midpoint or trapezoid rule on the whole contour, by an N x d broadcast.
 
     Top half-line from T toward the axis, left half-circle, bottom half-line
     outward; (1/2 pi i) sum z^n f_k(z) w(z) / (z - w_j) psi_j per eigencomponent.
     The trapezoid rule evaluates each piece's end points, the two corners twice.
     """
-    h, t = spec.half_height, spec.truncation
+    h, t = 2 * math.pi, trunc
 
     def piece(count):
         if midpoint:
@@ -347,58 +349,18 @@ def test_half_contour_rule_equals_full_rule(spec):
     worst = 0.0
     for n in (0, 1, 2):
         for k in (1, 2, 4, 8):
-            cspec = choose_contour(t, n, k, lam)
-            n_line = max(8, int(cspec.truncation * NODES_PER_UNIT))
+            trunc = choose_contour(t, n, k, lam)
+            n_line = max(8, int(trunc * NODES_PER_UNIT))
             # an odd midpoint count, an even trapezoid count puts a node on the real axis
             for n_circ, midpoint in ((64, True), (65, True), (64, False), (65, False)):
-                ref = _full_rule(t, n, k, lam, psi, cspec, n_line, n_circ, midpoint)
+                ref = _full_rule(t, n, k, lam, psi, trunc, n_line, n_circ, midpoint)
                 if midpoint:
-                    half = contour_quadrature_fixed(t, n, k, lam, psi, cspec, n_line, n_circ)
+                    half = contour_quadrature_fixed(t, n, k, lam, psi, trunc, n_line, n_circ)
                 else:
-                    half = trapezoid_rule(t, n, k, lam, psi, cspec, n_line, n_circ)
+                    half = trapezoid_rule(t, n, k, lam, psi, trunc, n_line, n_circ)
                 err = np.linalg.norm(half - ref) / max(1.0, np.linalg.norm(ref))
                 worst = max(worst, err)
     assert worst <= 1e-12
-
-
-def test_node_collision_pole_on_half_circle_node():
-    # circle node i sits at h e^{i theta_i}; put the first pole pair
-    # lambda +- i pi/k on it and on its mirror image
-    t = two_qubit_triple()
-    k, n_circ, i = 1, 8, 1
-    theta = math.pi / 2 + (i + 0.5) * math.pi / n_circ
-    h = math.pi / (k * math.sin(theta))
-    lam = h * math.cos(theta)
-    spec = ContourSpec(half_height=h, truncation=10.0)
-    with pytest.raises(NodeCollisionError):
-        contour_quadrature_fixed(t, 0, k, lam, np.ones(4), spec, 80, n_circ)
-
-
-def _line_node_case(offset):
-    t = two_qubit_triple()
-    spec = ContourSpec(half_height=math.pi + offset, truncation=10.0)
-    n_line = 80
-    lam = (7 + 0.5) * spec.truncation / n_line  # real part of line node 7
-    return contour_quadrature_fixed(t, 0, 1, lam, np.ones(4), spec, n_line, 64)
-
-
-def test_node_collision_pole_next_to_line_node():
-    with pytest.raises(NodeCollisionError):
-        _line_node_case(1e-10)
-
-
-def test_node_collision_near_miss_does_not_raise():
-    assert np.isfinite(_line_node_case(1e-6)).all()
-
-
-@pytest.mark.parametrize("lam", [1e-9, 7 * 10.0 / 80, 10.0 - 1e-9],
-                         ids=["corner", "grid-abscissa", "truncation-end"])
-def test_node_collision_pole_on_trapezoid_grid_node(lam):
-    # level 0 has 80 line intervals of 0.125 on T = 10: each lambda puts the
-    # pole lambda - i pi next to a grid node that no midpoint pass evaluates
-    t = two_qubit_triple()
-    spec = ContourSpec(half_height=math.pi + 1e-10, truncation=10.0)
-    assert isinstance(apply_one(t, 0, 1, lam, np.ones(4), spec=spec), NodeCollisionError)
 
 
 def test_truncation_robustness():
@@ -406,17 +368,17 @@ def test_truncation_robustness():
     rng = np.random.default_rng(8)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
-    spec = choose_contour(t, 0, 1, 3.0)
-    doubled = ContourSpec(spec.half_height, 2 * spec.truncation)
-    v1, v2 = (q.value for q in contour_apply(t, [(0, 1, spec), (0, 1, doubled)], 3.0, psi))
+    trunc = choose_contour(t, 0, 1, 3.0)
+    v1, v2 = (q.value for q in contour_apply(t, [(0, 1, trunc), (0, 1, 2 * trunc)], 3.0, psi))
     assert np.linalg.norm(v1 - v2) < 1e-8
 
 
 def test_contour_requires_enclosed_spectrum():
     t = two_qubit_triple()
     psi = np.array([1.0, 0, 0, 0], dtype=complex)
-    bad = ContourSpec(truncation=1.0)
-    assert isinstance(apply_one(t, 0, 2, 0.5, psi, spec=bad), ContourError)
+    # T = 1 lies below the top eigenvalue 2, T = 0.4 below lambda; NaN is no truncation
+    for bad in (1.0, 0.4, math.nan):
+        assert isinstance(apply_one(t, 0, 2, 0.5, psi, trunc=bad), ContourError)
 
 
 def test_contour_rejects_negative_power_or_lambda():
@@ -439,9 +401,8 @@ def _family(t, lam):
     """Every (n, k) of the contour suite on its own contour, the truncation
     pair (the first repeats (0, 1)), and (2, 8) on the doubled contour."""
     base = choose_contour(t, 0, 1, lam)
-    doubled = ContourSpec(base.half_height, 2 * base.truncation)
     return ([(n, k, None) for n in (0, 1, 2) for k in (1, 2, 4, 8)]
-            + [(0, 1, base), (0, 1, doubled), (2, 8, doubled)])
+            + [(0, 1, base), (0, 1, 2 * base), (2, 8, 2 * base)])
 
 
 @pytest.mark.parametrize("spec", [
@@ -458,8 +419,8 @@ def test_family_member_equals_its_one_integrand_call(spec):
     family = _family(t, lam)
     results = contour_apply(t, family, lam, psi)
     assert len(results) == len(family)
-    for (n, k, cspec), q in zip(family, results):
-        alone = apply_one(t, n, k, lam, psi, spec=cspec)
+    for (n, k, trunc), q in zip(family, results):
+        alone = apply_one(t, n, k, lam, psi, trunc=trunc)
         assert q.node_count == alone.node_count
         for got, ref in ((q.value, alone.value), (q.corrected_value, alone.corrected_value)):
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -469,39 +430,46 @@ def test_family_member_equals_its_one_integrand_call(spec):
 def test_failed_integrands_leave_the_others_bit_identical(monkeypatch):
     t = two_qubit_triple()
     psi = np.array([1.0, 2.0, -1.0j, 0.5])
-    # lambda on a level-0 grid abscissa and h next to pi put the k = 1 pole
-    # lambda - i pi on a node; the k = 2, 4 poles keep their distance
-    spec = ContourSpec(half_height=math.pi + 1e-10, truncation=10.0)
-    lam = 7 * 10.0 / 80
-    healthy = [(0, 2, spec), (1, 4, spec)]
+    trunc, lam = 10.0, 7 * 10.0 / 80
+    healthy = [(0, 2, trunc), (1, 4, trunc)]
     clean = contour_apply(t, healthy, lam, psi)
-    mixed = contour_apply(t, [(0, 1, spec)] + healthy, lam, psi)
-    assert isinstance(mixed[0], NodeCollisionError)
+    # a refused argument on the same contour, a negative power
+    mixed = contour_apply(t, [(-1, 2, trunc)] + healthy, lam, psi)
+    assert type(mixed[0]) is ContourError and "power" in str(mixed[0])
     for q, ref in zip(mixed[1:], clean):
         assert np.array_equal(q.value, ref.value) and q.node_count == ref.node_count
     # a node cap that an integral on a 16 times longer contour cannot meet
-    wide = ContourSpec(spec.half_height, 16 * spec.truncation)
     monkeypatch.setattr(contour, "NODE_CAP", max(q.node_count for q in clean) // 2 + 1)
-    capped = contour_apply(t, healthy + [(0, 2, wide)], lam, psi)
+    capped = contour_apply(t, healthy + [(0, 2, 16 * trunc)], lam, psi)
     assert type(capped[-1]) is ContourError and "node cap" in str(capped[-1])
     for q, ref in zip(capped, clean):
         assert np.array_equal(q.value, ref.value) and q.node_count == ref.node_count
 
 
-def test_midpoint_collision_leaves_the_others_to_finish():
+def test_steepness_beyond_the_pole_gap_is_refused(monkeypatch):
+    # pi/k < POLE_NODE_GAP is refused in its own slot; pi/k >= POLE_NODE_GAP
+    # passes the checks (only checked: its pole sum alone would hold 2k poles)
     t = two_qubit_triple()
-    psi = np.array([1.0, 2.0, -1.0j, 0.5])
-    # lambda on a midpoint of the first pass: the k = 1 integral fails there,
-    # after level 0, and leaves its family's Romberg rows
-    spec = ContourSpec(half_height=math.pi + 1e-10, truncation=10.0)
-    lam = 7.5 * 10.0 / 80
-    healthy = [(0, 2, spec), (1, 4, spec)]
-    clean = contour_apply(t, healthy, lam, psi)
-    mixed = contour_apply(t, [(0, 1, spec)] + healthy, lam, psi)
-    assert isinstance(mixed[0], NodeCollisionError)
-    for q, ref in zip(mixed[1:], clean):
-        assert q.node_count == ref.node_count
-        assert np.linalg.norm(q.value - ref.value) <= 1e-14 * np.linalg.norm(ref.value)
+    psi = np.array([1.0, 0, 0, 0], dtype=complex)
+    k_last = math.floor(math.pi / POLE_NODE_GAP)
+    assert contour._checked_truncation(t, 0, k_last, 1.0, 10.0) == 10.0
+    # with a node cap below level 0, an accepted k_last + 1 would stop at the cap
+    monkeypatch.setattr(contour, "NODE_CAP", 1)
+    slots = contour_apply(t, [(0, k_last + 1, None), (0, 2, None)], 1.0, psi)
+    assert type(slots[0]) is ContourError and "pi/k" in str(slots[0])
+    assert type(slots[1]) is ContourError and "node cap" in str(slots[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(1e-9, 50.0), k=st.integers(1, 64), excess=st.floats(1e-6, 100.0),
+       n_line=st.integers(1, 500), n_circ=st.integers(1, 500), midpoint=st.booleans())
+def test_no_node_comes_within_pi_over_k_of_a_pole(lam, k, excess, n_line, n_circ, midpoint):
+    # every node of either rule keeps pi/k from every pole lambda +- i pi (2m+1)/k,
+    # the enclosed ones (m < k) and the nearest two outside the contour
+    z, _ = contour._contour_nodes(lam + excess, n_line, n_circ, midpoint)
+    im = math.pi * (2 * np.arange(k + 2) + 1) / k
+    poles = lam + 1j * np.concatenate([im, -im])
+    assert np.abs(z[:, None] - poles).min() >= (math.pi / k) * (1 - 1e-12)
 
 
 def test_family_closes_on_a_complex_eigenbasis():
@@ -518,7 +486,7 @@ def test_family_closes_on_a_complex_eigenbasis():
         oracle = matrix_function(t.delta_spec, lambda x: x**n * sigmoid(x, k, lam)) @ psi
         assert np.linalg.norm(spectral_oracle(t, n, k, lam, psi) - oracle) <= 1e-13
         poles = sum(z**n * (-1.0 / k) * np.linalg.solve(z * np.eye(4) - t.delta, psi)
-                    for z in sigmoid_poles(k, lam, math.pi * 2))
+                    for z in sigmoid_poles(k, lam))
         assert np.linalg.norm(q.pole_correction - poles) <= 1e-12
         assert np.linalg.norm(q.value - oracle - poles) <= 10 * QUAD_TOL
 
@@ -529,9 +497,9 @@ def test_duplicate_integrand_costs_no_node_evaluation(monkeypatch):
     calls, rows = [], []
     nodes, rule = contour._contour_nodes, contour._half_rule
 
-    def counting(spec, n_line, n_circ, midpoint):
-        calls.append((spec, n_line, n_circ, midpoint))
-        return nodes(spec, n_line, n_circ, midpoint)
+    def counting(trunc, n_line, n_circ, midpoint):
+        calls.append((trunc, n_line, n_circ, midpoint))
+        return nodes(trunc, n_line, n_circ, midpoint)
 
     def row_counting(triple, integrands, *args, **kwargs):
         rows.append(len(integrands))  # integrands evaluated on the node set
@@ -544,14 +512,14 @@ def test_duplicate_integrand_costs_no_node_evaluation(monkeypatch):
     assert rows == [1] * once
     calls.clear()
     rows.clear()
-    spec = choose_contour(t, 0, 1, 3.0)
-    repeated = contour_apply(t, [(0, 1, None), (0, 1, spec), (0, 1, None)], 3.0, psi)
+    trunc = choose_contour(t, 0, 1, 3.0)
+    repeated = contour_apply(t, [(0, 1, None), (0, 1, trunc), (0, 1, None)], 3.0, psi)
     assert len(calls) == once and len(set(calls)) == once and rows == [1] * once
     for q in repeated:
         assert np.array_equal(q.value, single.value) and q.node_count == single.node_count
     # two integrals on one contour share each level's node set
     calls.clear()
-    contour_apply(t, [(0, 1, spec), (2, 1, spec)], 3.0, psi)
+    contour_apply(t, [(0, 1, trunc), (2, 1, trunc)], 3.0, psi)
     assert len(set(calls)) == len(calls)
 
 

@@ -244,7 +244,7 @@ def test_antilinear_adjoint_defining_relation():
 
 
 def test_polar_identity_map():
-    j, delta = polar_antilinear(AntilinearMap(np.eye(3) + 0j))
+    j, delta, _ = polar_antilinear(AntilinearMap(np.eye(3) + 0j))
     assert np.allclose(j.matrix, np.eye(3))
     assert np.allclose(delta, np.eye(3))
 
@@ -271,7 +271,7 @@ def test_polar_fixes_omega():
     m, omega = _standard_form_tomita_matrix([2 / 3, 1 / 3])
     s = AntilinearMap(m)
     assert np.linalg.norm(s(omega) - omega) <= 1e-12
-    j, delta = polar_antilinear(s)
+    j, delta, _ = polar_antilinear(s)
     assert np.linalg.norm(j(omega) - omega) <= 1e-10
     assert np.linalg.norm(delta @ omega - omega) <= 1e-10
 
@@ -279,7 +279,7 @@ def test_polar_fixes_omega():
 def test_polar_conjugation_inverts_delta():
     m, _ = _standard_form_tomita_matrix([0.6, 0.3, 0.1])
     s = AntilinearMap(m)
-    j, delta = polar_antilinear(s)
+    j, delta, _ = polar_antilinear(s)
     jdj = j.matrix @ np.conj(delta @ j.matrix)
     assert np.linalg.norm(jdj - np.linalg.inv(delta)) <= 1e-10 * np.linalg.norm(np.linalg.inv(delta))
     # reconstruction and involutions for a Tomita-type (involutive) map
@@ -292,7 +292,7 @@ def test_polar_conjugation_inverts_delta():
 def test_polar_j_antiunitary_for_generic_invertible_map():
     rng = np.random.default_rng(31)
     m = random_complex(rng, 4, 4) + 3 * np.eye(4)
-    j, delta = polar_antilinear(AntilinearMap(m))
+    j, delta, _ = polar_antilinear(AntilinearMap(m))
     # antiunitarity J* J = 1 holds for any invertible input
     assert np.linalg.norm(j.adjoint().matrix @ np.conj(j.matrix) - np.eye(4)) <= 1e-10
     # positivity of delta
@@ -315,10 +315,13 @@ def test_polar_reconstruction_property(d, seed):
     # comfortably invertible
     m = g + 2.0 * np.linalg.norm(g, 2) * np.eye(d)
     s = AntilinearMap(m)
-    j, delta = polar_antilinear(s)
+    j, delta, dec = polar_antilinear(s)
     w = np.linalg.eigvalsh(delta)
     assert w.min() > 0
     assert np.linalg.norm(j.adjoint().matrix @ np.conj(j.matrix) - np.eye(d)) <= 1e-9 * d
-    dec = hermitian_eig(delta)
+    # the returned eigendata are Delta's own, the bits of a fresh hermitian_eig
+    fresh = hermitian_eig(delta)
+    assert np.array_equal(dec.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, fresh.eigenvectors)
     recon = j.compose_linear(complex_power(dec, 0.5)).matrix
     assert np.linalg.norm(recon - m) <= 1e-9 * np.linalg.norm(m)
