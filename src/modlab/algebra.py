@@ -3,10 +3,11 @@
 An algebra (or any operator subspace) is represented by an orthonormal basis
 of d x d matrices under the trace inner product <X, Y> = tr(X^dag Y). The
 engine orthonormalizes spanning sets, computes commutants and bicommutants by
-nullspace computation on the d^2-dimensional operator space, and certifies
-that a vector is cyclic and separating from the singular values of its orbit
-matrix. Algebras enter as spanning sets (the block models of
-:mod:`modlab.fixtures`); nothing here closes generators into an algebra.
+nullspace computation on the d^2-dimensional operator space, and holds the
+orbit map a -> a omega as an :class:`Orbit`: its rank certifies omega cyclic
+and separating, and its solve is the package's one inverse of the map.
+Algebras enter as spanning sets (the block models of :mod:`modlab.fixtures`);
+nothing here closes generators into an algebra.
 
 A commutant is the nullspace of a stacked commutator map, read from the R
 factor of its QR: R is d^2 x d^2 and has the stack's singular values and
@@ -35,38 +36,34 @@ RANK_TOL = 1e-9  # singular values below RANK_TOL * max count as zero
 # fallback, which pays for both.
 PAIR_MIN_DIM = 8
 PAIR_GAP_MIN = 1e-3  # smallest accepted rank gap of the pair's stack
+COND_CAP = 1e6  # refuse orbit solves beyond this condition number
 
 
 class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Numerical rank evidence from an SVD: rank at RANK_TOL against the rank required."""
-
-    rank: int
-    required: int
-
-    @property
-    def full(self) -> bool:
-        return self.rank >= self.required
-
-
 class NotCyclicError(AlgebraError):
-    def __init__(self, report: RankReport):
-        self.report = report
-        super().__init__(
-            f"vector is not cyclic: orbit rank {report.rank} < {report.required}"
-        )
+    def __init__(self, rank: int, required: int):
+        self.rank, self.required = rank, required
+        super().__init__(f"vector is not cyclic: orbit rank {rank} < {required}")
 
 
 class NotSeparatingError(AlgebraError):
-    def __init__(self, report: RankReport):
-        self.report = report
+    def __init__(self, rank: int, required: int):
+        self.rank, self.required = rank, required
         super().__init__(
             f"vector is not separating: a -> a omega has nullspace of dimension "
-            f"{report.required - report.rank}"
+            f"{required - rank}"
+        )
+
+
+class IllConditionedError(AlgebraError):
+    def __init__(self, cond: float):
+        self.cond = cond
+        super().__init__(
+            f"orbit matrix condition number {cond:.3e} exceeds cap {COND_CAP:.1e}; "
+            "refusing an untrustworthy solve"
         )
 
 
@@ -240,8 +237,8 @@ class Orbit:
     """The orbit map b -> b omega of a subspace, with its singular values.
 
     ``matrix`` is the d x dim(space) matrix with columns b_i omega. Its one
-    SVD gives the cyclic rank, the separating rank and the condition number
-    that every solve against it is gated on.
+    SVD gives the rank, d when omega is cyclic and dim(space) when it is
+    separating, and the condition number that every solve is gated on.
     """
 
     space: OperatorSubspace
@@ -254,23 +251,34 @@ class Orbit:
         sv = self.singular_values
         return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
+    @property
+    def rank(self) -> int:
+        return numerical_rank(self.singular_values)
+
+    def solve(self, v) -> np.ndarray:
+        """The unique element a of the space with a omega = v.
+
+        v is one vector (d,) or a block of them, (d, m) or (d, ...), one per
+        column; the result holds one element per vector, shape v.shape[1:] +
+        (d, d), from one solve. The orbit matrix must be square (omega cyclic
+        and separating) with cond at most COND_CAP.
+        """
+        v = np.asarray(v, dtype=complex)
+        b = self.matrix
+        if b.shape[0] != b.shape[1]:
+            raise AlgebraError(
+                f"solve needs dim = d, got {b.shape[1]} basis elements at dimension {b.shape[0]}"
+            )
+        if self.cond > COND_CAP:
+            raise IllConditionedError(self.cond)
+        d = self.space.dim_space
+        coeffs = np.linalg.solve(b, v.reshape(d, -1))
+        # np.dot, as OperatorSubspace.element: one coefficient row per element
+        return np.dot(coeffs.T, self.space.flat()).reshape(*v.shape[1:], d, d)
+
 
 def orbit(a: OperatorSubspace, omega) -> Orbit:
     """Build the orbit matrix of a at omega and factor it once."""
     omega = np.asarray(omega, dtype=complex)
     m = np.column_stack([b @ omega for b in a.basis])
     return Orbit(a, omega, m, np.linalg.svd(m, compute_uv=False))
-
-
-def cyclic_report(orb: Orbit) -> RankReport:
-    """Rank evidence that omega is cyclic: the orbit spans C^d."""
-    return RankReport(rank=numerical_rank(orb.singular_values), required=orb.space.dim_space)
-
-
-def separating_report(orb: Orbit) -> RankReport:
-    """Rank evidence for the map a -> a omega restricted to the subspace.
-
-    omega is separating for an algebra exactly when it is cyclic for its
-    commutant; the tests check the equivalence rather than assume it.
-    """
-    return RankReport(rank=numerical_rank(orb.singular_values), required=orb.space.dim)

@@ -69,7 +69,7 @@ LAMBDA_GAP = 0.05  # smallest distance of lambda from spec(Delta) in the sigmoid
 NODE_CAP = 2**20  # cumulative evaluations per integral
 NODES_PER_UNIT = 8  # starting half-line nodes per unit of truncation
 HALFCIRCLE_NODES = 64  # starting half-circle nodes
-POLE_NODE_GAP = 1e-8  # smallest pole-to-contour distance pi/k an integral may have
+POLE_NODE_GAP = 1e-3  # smallest pole-to-contour distance pi/k: k <= 3,141, 2k poles to sum
 
 
 class ContourError(ValueError):

@@ -7,7 +7,7 @@ bounded spectral window of the modular operator: for a window
 is realized both by an element of the algebra and by an element of the
 commutant (two independent solves that must agree on the vector).
 
-One function, :func:`operator_from_vector`, solves the orbit map
+Every solve is :meth:`modlab.algebra.Orbit.solve` on the orbit map
 a -> a omega of either side, for one vector or for a (d, m) block of them in
 one LAPACK call. The ladder, the growth audit, the resolvent transfer and
 the density checks each hand it all their vectors at once, and take the
@@ -32,7 +32,6 @@ import numpy as np
 
 from .algebra import (
     Orbit,
-    RankReport,
     bicommutant,
     mutual_projection_residual,
     numerical_rank,
@@ -40,7 +39,7 @@ from .algebra import (
 )
 from .linalg import (LinalgError, as_square_array, complex_power, matrix_function, opnorm,
                      opnorm_stack)
-from .tomita import ModularTriple, IllConditionedError, COND_CAP
+from .tomita import ModularTriple
 
 N_CAP = 8  # |n| cap from the kappa <= 1e4 conditioning budget
 GROWTH_N_MAX = 6  # ladder range |n| <= 6 of the growth audit, within N_CAP
@@ -81,30 +80,6 @@ def spectral_window(
     )
 
 
-def operator_from_vector(v, orb: Orbit) -> np.ndarray:
-    """The unique element a of the orbit's subspace with a omega = v.
-
-    v is one vector (d,) or a block of them, (d, m) or (d, ...), one per
-    column; the result holds one element per vector, shape v.shape[1:] +
-    (d, d), from one solve. Existence and uniqueness come from omega being
-    cyclic and separating (the orbit matrix B with columns b_i omega is
-    square and invertible); the map v -> a is linear. Solves with cond(B)
-    beyond the global cap are refused.
-    """
-    v = np.asarray(v, dtype=complex)
-    b = orb.matrix
-    if b.shape[0] != b.shape[1]:
-        raise ResolventDomainError(
-            f"solve needs dim(A) = d, got {b.shape[1]} basis elements at dimension {b.shape[0]}"
-        )
-    if orb.cond > COND_CAP:
-        raise IllConditionedError(orb.cond)
-    d = orb.space.dim_space
-    coeffs = np.linalg.solve(b, v.reshape(d, -1))
-    # np.dot, as OperatorSubspace.element: one coefficient row per element
-    return np.dot(coeffs.T, orb.space.flat()).reshape(*v.shape[1:], d, d)
-
-
 @dataclass(frozen=True)
 class TidyOperator:
     """A windowed pair: a in A and a' in A' sharing the vector a omega.
@@ -127,8 +102,8 @@ def make_tidy(
     src = as_square_array(source)
     w = spectral_window(triple, lambda1, lambda2)
     v = w @ (src @ triple.omega)
-    a = operator_from_vector(v, triple.orbit)
-    a_prime = operator_from_vector(v, triple.commutant_orbit)
+    a = triple.orbit.solve(v)
+    a_prime = triple.commutant_orbit.solve(v)
     return TidyOperator(a=a, a_prime=a_prime, vector=v)
 
 
@@ -148,7 +123,7 @@ def ladder(
         raise WindowError(f"|n| = {np.max(np.abs(ns))} exceeds the conditioning cap {N_CAP}")
     powers = complex_power(triple.delta_spec, ns.ravel())
     v = (powers @ tidy.vector).T.reshape(triple.dim, *ns.shape)
-    return operator_from_vector(v, orb)
+    return orb.solve(v)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +195,7 @@ def resolvent_transfer(
     u = triple.delta_spec.eigenvectors
     # row i: U diag(1 / (z_i - spectrum)) U^dag a'_i omega
     v = ((sources @ triple.omega) @ u.conj() / (zf - spectrum)) @ u.T
-    a = operator_from_vector(v.T, orb)
+    a = orb.solve(v.T)
     norms = opnorm_stack(np.concatenate([a, sources])).reshape(2, *zs.shape)
     return ResolventTransfer(a=a.reshape(src.shape), measured_norm=norms[0][()],
                              bound=(norms[1] / np.sqrt(2.0 * gap.reshape(zs.shape)))[()])
@@ -424,7 +399,7 @@ def _windowed_orbits(triple: ModularTriple, windows) -> list[np.ndarray]:
 def tidy_span_check(
     triple: ModularTriple,
     windows,
-) -> RankReport:
+) -> int:
     """Numerical rank of the span of the windowed vectors W a_i omega.
 
     One vector per algebra basis element a_i and window W. Full rank d is
@@ -434,7 +409,7 @@ def tidy_span_check(
     # the empty leading block keeps an empty window list valid
     stack = np.hstack([np.zeros((triple.dim, 0)), *_windowed_orbits(triple, windows)])
     sv = np.linalg.svd(stack, compute_uv=False)
-    return RankReport(rank=numerical_rank(sv), required=triple.dim)
+    return numerical_rank(sv)
 
 
 def tidy_bicommutant_check(
@@ -448,7 +423,7 @@ def tidy_bicommutant_check(
     Covering windows must regenerate the algebra.
     """
     ops = [a for block in _windowed_orbits(triple, windows)
-           for a in operator_from_vector(block, triple.orbit)]
+           for a in triple.orbit.solve(block)]
     tidy_span = subspace_orthonormalize(ops, dim_space=triple.dim)
     regenerated = bicommutant(tidy_span)
     return mutual_projection_residual(regenerated, triple.algebra)

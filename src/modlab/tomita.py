@@ -2,11 +2,11 @@
 
 Given an algebra A with orthonormal basis {a_i} and a unit vector omega that
 is cyclic and separating, the antilinear Tomita operator S is fixed by
-S(a omega) = a^* omega. Writing B for the square orbit matrix with columns
-a_i omega and B_* for the one with columns a_i^* omega, the matrix of S is
-``B_* conj(B)^{-1}``. Polar decomposition S = J Delta^(1/2) then yields the
-modular conjugation J (antiunitary involution) and the modular operator
-Delta (positive, invertible), with S^* = J Delta^(-1/2) and
+S(a omega) = a^* omega, and its matrix is read off that definition: the
+orbit solve gives the elements x_j with x_j omega = e_j, and column j of the
+matrix is S e_j = x_j^* omega. Polar decomposition S = J Delta^(1/2) then
+yields the modular conjugation J (antiunitary involution) and the modular
+operator Delta (positive, invertible), with S^* = J Delta^(-1/2) and
 J Delta J = Delta^(-1).
 """
 
@@ -23,9 +23,7 @@ from .algebra import (
     NotSeparatingError,
     OperatorSubspace,
     Orbit,
-    cyclic_report,
     orbit,
-    separating_report,
 )
 from .linalg import (
     AntilinearMap,
@@ -33,17 +31,6 @@ from .linalg import (
     opnorm_stack,
     polar_antilinear,
 )
-
-COND_CAP = 1e6  # refuse basis solves beyond this condition number
-
-
-class IllConditionedError(AlgebraError):
-    def __init__(self, cond: float):
-        self.cond = cond
-        super().__init__(
-            f"basis matrix condition number {cond:.3e} exceeds cap {COND_CAP:.1e}; "
-            "refusing to build an untrustworthy Tomita operator"
-        )
 
 
 class ModularBreakdownError(AlgebraError):
@@ -103,31 +90,19 @@ class ModularTriple:
 def tomita_operator(orb: Orbit) -> AntilinearMap:
     """Antilinear S with S(x omega) = x^* omega for every x in the algebra.
 
-    Preconditions are enforced, with distinct errors carrying the rank
-    evidence: omega must be cyclic (orbit rank d) and separating (trivial
-    solve nullspace), which forces dim(A) = d and makes the orbit matrix B
-    square and invertible. Solves with cond(B) beyond COND_CAP are refused.
+    omega must be cyclic (orbit rank d) and separating (orbit rank dim(A)),
+    each refused with its own error carrying the rank; together they force
+    dim(A) = d. Column j of S's matrix is S e_j = x_j^* omega, for the
+    elements x_j = orb.solve(I)[j] with x_j omega = e_j, in one solve that
+    refuses cond beyond COND_CAP.
     """
-    cyc = cyclic_report(orb)
-    if not cyc.full:
-        raise NotCyclicError(cyc)
-    sep = separating_report(orb)
-    if not sep.full:
-        raise NotSeparatingError(sep)
-    a = orb.space
-    if a.dim != a.dim_space:
-        # cyclic + separating forces dim(A) = d; reaching here means rank
-        # certification and subspace dimension disagree
-        raise AlgebraError(
-            f"inconsistent certification: dim(A) = {a.dim} != d = {a.dim_space}"
-        )
-    if orb.cond > COND_CAP:
-        raise IllConditionedError(orb.cond)
-    b = orb.matrix
-    b_star = np.column_stack([x.conj().T @ orb.omega for x in a.basis])
-    # M conj(B) = B_*  =>  M = solve on the right
-    m = np.linalg.solve(b.conj().T, b_star.T).T
-    return AntilinearMap(m)
+    d, dim, rank = orb.space.dim_space, orb.space.dim, orb.rank
+    if rank < d:
+        raise NotCyclicError(rank, d)
+    if rank < dim:
+        raise NotSeparatingError(rank, dim)
+    x = orb.solve(np.eye(d))
+    return AntilinearMap((x.conj().swapaxes(-1, -2) @ orb.omega).T)
 
 
 def modular_data(a: OperatorSubspace, omega, commutant: OperatorSubspace) -> ModularTriple:

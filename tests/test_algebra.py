@@ -11,11 +11,9 @@ from modlab.algebra import (
     _commutator_stack,
     bicommutant,
     commutant,
-    cyclic_report,
     membership_residual,
     mutual_projection_residual,
     orbit,
-    separating_report,
     subspace_orthonormalize,
 )
 from modlab.fixtures import (
@@ -361,7 +359,7 @@ def test_full_algebra_any_unit_vector_cyclic():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v /= np.linalg.norm(v)
-    assert cyclic_report(orbit(full, v)).full
+    assert orbit(full, v).rank >= 3
 
 
 def test_product_state_not_cyclic_not_separating():
@@ -369,22 +367,22 @@ def test_product_state_not_cyclic_not_separating():
     v00 = np.zeros(4, dtype=complex)
     v00[0] = 1.0
     # rank of {(E_ij (x) 1)|00>} is 2 < 4
-    assert not cyclic_report(orbit(a, v00)).full
+    assert orbit(a, v00).rank == 2 < a.dim_space
     # (E_11 (x) 1)|00> = 0 with E_11 != 0
-    assert not separating_report(orbit(a, v00)).full
+    assert orbit(a, v00).rank < a.dim
 
 
 def test_entangled_state_cyclic_and_separating():
     a = subspace_orthonormalize(m2_tensor_1())
     omega = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
-    assert cyclic_report(orbit(a, omega)).full
-    assert separating_report(orbit(a, omega)).full
+    orb = orbit(a, omega)
+    assert orb.rank >= a.dim_space and orb.rank >= a.dim
 
 
 def test_scalars_always_separating():
     scalars = subspace_orthonormalize([np.eye(4)])
     v = np.array([1.0, 0, 0, 0], dtype=complex)
-    assert separating_report(orbit(scalars, v)).full
+    assert orbit(scalars, v).rank >= scalars.dim
 
 
 def test_separating_equivalent_to_commutant_cyclicity():
@@ -406,7 +404,7 @@ def test_separating_equivalent_to_commutant_cyclicity():
         for _ in range(3):
             v = rng.standard_normal(a.dim_space) + 1j * rng.standard_normal(a.dim_space)
             v /= np.linalg.norm(v)
-            assert separating_report(orbit(a, v)).full == cyclic_report(orbit(c, v)).full
+            assert (orbit(a, v).rank >= a.dim) == (orbit(c, v).rank >= c.dim_space)
             checked += 1
     assert checked >= 50
 
@@ -415,8 +413,17 @@ def test_cyclic_separating_forces_dim_equal_d():
     a = subspace_orthonormalize(m2_tensor_1())
     omega = np.array([np.sqrt(0.5), 0, 0, np.sqrt(0.5)], dtype=complex)
     orb = orbit(a, omega)
-    if cyclic_report(orb).full and separating_report(orb).full:
+    if orb.rank >= a.dim_space and orb.rank >= a.dim:
         assert a.dim == a.dim_space
+
+
+def test_solve_of_a_non_square_orbit_is_refused():
+    # scalars at d = 4: omega is separating but not cyclic, one column for four rows
+    scalars = subspace_orthonormalize([np.eye(4)])
+    orb = orbit(scalars, np.array([1.0, 0, 0, 0], dtype=complex))
+    assert orb.matrix.shape == (4, 1)
+    with pytest.raises(AlgebraError, match="dim = d"):
+        orb.solve(np.ones(4))
 
 
 def test_membership_residual_values():

@@ -448,11 +448,12 @@ def test_failed_integrands_leave_the_others_bit_identical(monkeypatch):
 
 def test_steepness_beyond_the_pole_gap_is_refused(monkeypatch):
     # pi/k < POLE_NODE_GAP is refused in its own slot; pi/k >= POLE_NODE_GAP
-    # passes the checks (only checked: its pole sum alone would hold 2k poles)
+    # passes the checks, and its pole sum of 2k poles fits in memory
     t = two_qubit_triple()
     psi = np.array([1.0, 0, 0, 0], dtype=complex)
     k_last = math.floor(math.pi / POLE_NODE_GAP)
     assert contour._checked_truncation(t, 0, k_last, 1.0, 10.0) == 10.0
+    assert np.isfinite(contour.pole_sum(t, 0, k_last, 1.0, psi)).all()
     # with a node cap below level 0, an accepted k_last + 1 would stop at the cap
     monkeypatch.setattr(contour, "NODE_CAP", 1)
     slots = contour_apply(t, [(0, k_last + 1, None), (0, 2, None)], 1.0, psi)

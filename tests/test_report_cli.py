@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ def test_emit_atomic_and_complete(tmp_path):
     assert os.path.exists(paths["report"])
     assert os.path.exists(paths["tidy_bounds"])
     assert os.path.exists(paths["contour_convergence"])
-    doc = json.loads(open(paths["report"]).read())
+    doc = json.loads(Path(paths["report"]).read_text())
     assert doc["schema_version"] == "1"
     assert doc["summary"] == {"pass": 1, "fail": 0, "audit": 0}
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]

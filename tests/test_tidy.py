@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modlab.algebra import membership_residual, subspace_orthonormalize
+from modlab.algebra import IllConditionedError, Orbit, membership_residual, subspace_orthonormalize
 from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture, parse_spec
 from modlab.linalg import complex_power, matrix_function, rel_residual
 from modlab.tidy import (
@@ -19,7 +19,6 @@ from modlab.tidy import (
     ladder,
     make_tidy,
     mirrored_tidy_bound,
-    operator_from_vector,
     powers_check,
     resolvent_transfer,
     spectral_window,
@@ -27,7 +26,7 @@ from modlab.tidy import (
     tidy_bound,
     tidy_span_check,
 )
-from modlab.tomita import IllConditionedError, modular_data
+from modlab.tomita import modular_data
 from rotated import rotated_triple
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,54 +125,54 @@ def test_spectral_window_matches_elementwise_step():
 # ---------------------------------------------------------------------------
 
 
-def test_operator_from_vector_identity():
+def test_orbit_solve_identity():
     a, _, omega, t = two_qubit()
-    out = operator_from_vector(omega, t.orbit)
+    out = t.orbit.solve(omega)
     assert rel_residual(out, np.eye(4)) <= 1e-12
 
 
-def test_operator_from_vector_membership_round_trip():
+def test_orbit_solve_membership_round_trip():
     a, _, omega, t = two_qubit()
     x = np.kron(SX, np.eye(2))
-    out = operator_from_vector(x @ omega, t.orbit)
+    out = t.orbit.solve(x @ omega)
     assert rel_residual(out, x) <= 1e-12
 
 
-def test_operator_from_vector_random_residual():
+def test_orbit_solve_random_residual():
     a, _, omega, t = two_qubit()
     rng = np.random.default_rng(0)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    out = operator_from_vector(v, t.orbit)
+    out = t.orbit.solve(v)
     assert np.linalg.norm(out @ omega - v) <= 1e-10 * np.linalg.norm(v)
 
 
-def test_operator_from_vector_linear():
+def test_orbit_solve_linear():
     a, _, omega, t = two_qubit()
     rng = np.random.default_rng(1)
     v1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    lhs = operator_from_vector(2.0 * v1 - 1j * v2, t.orbit)
-    rhs = 2.0 * operator_from_vector(v1, t.orbit) - 1j * operator_from_vector(v2, t.orbit)
+    lhs = t.orbit.solve(2.0 * v1 - 1j * v2)
+    rhs = 2.0 * t.orbit.solve(v1) - 1j * t.orbit.solve(v2)
     assert rel_residual(lhs, rhs) <= 1e-12
 
 
-def test_operator_from_vector_solves_against_the_cached_orbit(monkeypatch):
+def test_orbit_solve_uses_the_cached_singular_values(monkeypatch):
     # the orbit matrix and its SVD are built once, in modular_data
     _, _, omega, t = two_qubit()
 
     def no_svd(*args, **kwargs):
-        raise AssertionError("operator_from_vector must not factor the orbit again")
+        raise AssertionError("Orbit.solve must not factor the orbit again")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    out = operator_from_vector(omega, t.commutant_orbit)
+    out = t.commutant_orbit.solve(omega)
     assert rel_residual(out, np.eye(4)) <= 1e-12
 
 
-def test_operator_from_vector_refuses_ill_conditioned_orbit():
+def test_orbit_solve_refuses_ill_conditioned_orbit():
     _, _, omega, t = two_qubit()
     skewed = dataclasses.replace(t.orbit, singular_values=np.array([1e7, 1.0, 1.0, 1.0]))
     with pytest.raises(IllConditionedError):
-        operator_from_vector(omega, skewed)
+        skewed.solve(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -458,23 +457,19 @@ def test_powers_check_range():
 
 def test_tidy_span_full_window_is_cyclic_span():
     a, comm, omega, t = two_qubit()
-    report = tidy_span_check(t, [(0.1, 100.0)])
-    assert report.full
+    assert tidy_span_check(t, [(0.1, 100.0)]) == 4
 
 
 def test_tidy_span_split_windows_full_rank():
     a, comm, omega, t = two_qubit()
-    report = tidy_span_check(t, [(0.3, 1.4), (1.4, 3.0)])
-    assert report.full
+    assert tidy_span_check(t, [(0.3, 1.4), (1.4, 3.0)]) == 4
 
 
 def test_tidy_span_missing_eigenspace_deficit():
     # projector rank arithmetic: dropping the eigenvalue-2 eigenspace (|01>,
     # dimension 1) reduces the span rank by exactly 1
     a, comm, omega, t = two_qubit()
-    report = tidy_span_check(t, [(0.3, 1.4)])
-    assert report.rank == 3
-    assert report.required - report.rank == 1
+    assert tidy_span_check(t, [(0.3, 1.4)]) == 3
 
 
 def test_tidy_bicommutant_full_window():
@@ -524,22 +519,22 @@ def random_elements(space, rng, m):
 
 
 @pytest.mark.parametrize("label", STACK_CASES)
-def test_stacked_operator_from_vector_matches_the_column_loop(label):
+def test_stacked_orbit_solve_matches_the_column_loop(label):
     t = stack_case(label)
     rng = np.random.default_rng(31)
     block = rng.standard_normal((t.dim, 6)) + 1j * rng.standard_normal((t.dim, 6))
     for orb in (t.orbit, t.commutant_orbit):
-        stack = operator_from_vector(block, orb)
+        stack = orb.solve(block)
         assert_close(stack, np.array([loop_solve(v, orb) for v in block.T]))
         assert_close(stack @ t.omega, block.T, rel=1e-12)
-        assert_close(operator_from_vector(block[:, 2], orb), stack[2])
+        assert_close(orb.solve(block[:, 2]), stack[2])
 
 
-def test_stacked_operator_from_vector_refuses_ill_conditioned_orbit():
+def test_stacked_orbit_solve_refuses_ill_conditioned_orbit():
     _, _, omega, t = two_qubit()
     skewed = dataclasses.replace(t.orbit, singular_values=np.array([1e7, 1.0, 1.0, 1.0]))
     with pytest.raises(IllConditionedError):
-        operator_from_vector(np.stack([omega, omega], axis=1), skewed)
+        skewed.solve(np.stack([omega, omega], axis=1))
 
 
 @pytest.mark.parametrize("label", STACK_CASES)
@@ -635,11 +630,10 @@ def test_tidy_bicommutant_builds_each_window_once_and_solves_one_side(monkeypatc
     t = fix.triple
     wins = covering_windows(t)
     windows, orbits = [], []
-    window, solve = tidy.spectral_window, tidy.operator_from_vector
+    window, solve = tidy.spectral_window, Orbit.solve
     monkeypatch.setattr(tidy, "spectral_window",
                         lambda *args: windows.append(args[1:]) or window(*args))
-    monkeypatch.setattr(tidy, "operator_from_vector",
-                        lambda v, orb: orbits.append(orb) or solve(v, orb))
+    monkeypatch.setattr(Orbit, "solve", lambda orb, v: orbits.append(orb) or solve(orb, v))
     assert tidy_bicommutant_check(t, wins) <= 1e-9
     assert windows == list(wins)
     assert len(orbits) == len(wins) and all(orb is t.orbit for orb in orbits)

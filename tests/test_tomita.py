@@ -11,6 +11,7 @@ from modlab.algebra import (
 from modlab.linalg import complex_power, rel_residual
 from modlab.fixtures import AlgebraSpec, generate_fixture
 from modlab.tomita import modular_data, tomita_operator
+from rotated import rotated_triple
 
 
 def elementary(d, i, j):
@@ -147,8 +148,8 @@ def test_not_cyclic_error_carries_rank_report():
     v00[0] = 1.0
     with pytest.raises(NotCyclicError) as exc:
         tomita_operator(orbit(a, v00))
-    assert exc.value.report.rank == 2
-    assert exc.value.report.required == 4
+    assert exc.value.rank == 2
+    assert exc.value.required == 4
 
 
 def test_not_separating_error_distinct():
@@ -163,10 +164,31 @@ def test_not_separating_error_distinct():
     # dim(A) = 9 > d = 6, so separation must fail before cyclicity does
     with pytest.raises(NotSeparatingError) as exc:
         tomita_operator(orbit(a, v))
-    assert exc.value.report.rank < exc.value.report.required
+    assert exc.value.rank < exc.value.required == 9
 
 
 def test_s_star_is_tomita_operator_of_commutant():
     fix = generate_fixture(AlgebraSpec.standard_factor(2), seed=9)
     s_prime = tomita_operator(fix.triple.commutant_orbit)
     assert rel_residual(s_prime.matrix, fix.triple.s_star.matrix) <= 1e-9 * np.sqrt(fix.triple.kappa)
+
+
+ORACLE_CASES = {
+    "rotated": lambda: rotated_triple(4),
+    "direct_sum(2:2,1:1)": lambda: generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), 2).triple,
+}
+
+
+@pytest.mark.parametrize("label", ORACLE_CASES)
+def test_s_read_off_its_definition_matches_the_orbit_quotient(label):
+    # oracle: S = B_* conj(B)^{-1}, with B's columns a_i omega and B_*'s a_i^* omega
+    t = ORACLE_CASES[label]()
+    a, omega, b = t.algebra, t.omega, t.orbit.matrix
+    b_star = np.column_stack([x.conj().T @ omega for x in a.basis])
+    oracle = np.linalg.solve(b.conj().T, b_star.T).T
+    s = tomita_operator(t.orbit)
+    assert np.max(np.abs(s.matrix - oracle)) <= 1e-12 * np.linalg.cond(b) * np.max(np.abs(oracle))
+    rng = np.random.default_rng(17)
+    c = rng.standard_normal((20, a.dim)) + 1j * rng.standard_normal((20, a.dim))
+    for x in np.tensordot(c, a.basis, axes=(1, 0)):
+        assert np.linalg.norm(s(x @ omega) - x.conj().T @ omega) <= 1e-12 * np.linalg.norm(x)
