@@ -47,8 +47,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--factor-size", type=int, default=2,
                    help="block size n (standard/direct-sum) or dimension (abelian)")
     p.add_argument("--trials", type=int, default=RunConfig.trials, help="fixtures per model")
-    p.add_argument("--tol", type=float, default=RunConfig.tol_base,
-                   help="base residual tolerance")
     p.add_argument("--pmin", type=float, default=RunConfig.p_min,
                    help="floor on Schmidt weights (conditioning cap)")
     p.add_argument("--out", default="out", help="output directory")
@@ -59,7 +57,6 @@ def _config(args) -> RunConfig:
         seed=args.seed,
         models=_model_labels(args),
         trials=args.trials,
-        tol_base=args.tol,
         p_min=args.pmin,
         suites=tuple(args.suite) if args.suite else ALL_SUITES,
     )

@@ -33,11 +33,9 @@ from .algebra import (
     NotSeparatingError,
     OperatorSubspace,
     commutant,
-    orbit,
     subspace_orthonormalize,
 )
 from .tomita import ModularTriple, modular_data
-from .linalg import AntilinearMap, hermitian_eig
 
 P_MIN_DEFAULT = 0.01
 CERTIFY_ATTEMPTS = 16  # redraws of omega before a model is declared uncertifiable
@@ -285,32 +283,20 @@ def fixture_to_json(fix: Fixture) -> dict:
 
 
 def fixture_from_json(doc: dict) -> Fixture:
-    """Rebuild a fixture from its JSON snapshot."""
+    """Rebuild a fixture from its JSON snapshot.
+
+    The modular triple is recomputed by :func:`modular_data` from the stored
+    bases and omega, which certifies omega cyclic and separating again; the
+    stored S, J and Delta are for readers of the file.
+    """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise AlgebraError(f"unsupported schema version {doc.get('schema_version')!r}")
-    spec = parse_spec(doc["model"])
     d = int(doc["dim"])
-    algebra = OperatorSubspace(
-        d,
-        _from_pairs(doc["algebra_basis"]),
-    )
-    comm = OperatorSubspace(
-        d,
-        _from_pairs(doc["commutant_basis"]),
-    )
-    omega = _from_pairs(doc["omega"])
-    delta = _from_pairs(doc["delta"])
-    triple = ModularTriple(
-        orbit=orbit(algebra, omega),
-        commutant_orbit=orbit(comm, omega),
-        s=AntilinearMap(_from_pairs(doc["s_matrix"])),
-        j=AntilinearMap(_from_pairs(doc["j_matrix"])),
-        delta=delta,
-        delta_spec=hermitian_eig(delta),
-        kappa=float(doc["kappa"]),
-    )
+    triple = modular_data(OperatorSubspace(d, _from_pairs(doc["algebra_basis"])),
+                          _from_pairs(doc["omega"]),
+                          OperatorSubspace(d, _from_pairs(doc["commutant_basis"])))
     return Fixture(
-        spec=spec,
+        spec=parse_spec(doc["model"]),
         seed=int(doc["seed"]),
         triple=triple,
         block_weights=np.array(doc["block_weights"], dtype=float),

@@ -41,6 +41,7 @@ import numpy as np
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_AUDIT = "audit"
+SCALARS = (float, np.float64)  # residual types that CheckSet.add folds without arrays
 
 # audit table -> its CSV columns; a run's rows are written to <table>.csv
 CSV_COLUMNS = {
@@ -89,17 +90,43 @@ class CheckSet:
         self._records: dict[str, CheckRecord] = {}
         self.rows: dict[str, list[dict]] = {table: [] for table in CSV_COLUMNS}
 
-    def add(self, check_id: str, ref: str, residual: float, tolerance: float,
-            audit: bool = False) -> None:
-        ok = residual <= tolerance
+    def add(self, check_id: str, ref: str, residual, tolerance, audit: bool = False) -> None:
+        """Fold one residual, or an array of residuals in order, into the record ``check_id``.
+
+        ``tolerance`` is one value for every sample or an array of the
+        residuals' shape. Each sample follows :meth:`CheckRecord.merge`: the
+        first sample of a record sets its status and tolerance, the largest
+        finite residual (the first of a tie) sets the recorded tolerance, a
+        NaN or inf residual is counted and fails the record, and nothing else
+        fails an audit record. An empty array adds nothing.
+        """
+        if type(residual) in SCALARS:  # one sample, folded without arrays
+            ok = residual <= tolerance
+            rec = self._records.get(check_id) or self._record(check_id, ref, ok, tolerance, audit)
+            rec.merge(float(residual), float(tolerance), ok)
+            return
+        res = np.asarray(residual, dtype=float).ravel()
+        tol = np.broadcast_to(np.asarray(tolerance, dtype=float), np.shape(residual)).ravel()
+        if res.size == 0:
+            return
+        ok, finite = res <= tol, np.isfinite(res)
+        rec = self._record(check_id, ref, ok[0], tol[0], audit)
+        rec.samples += res.size
+        rec.nonfinite += res.size - int(np.count_nonzero(finite))
+        i = int(np.argmax(np.where(finite, res, -np.inf)))  # the first of a tie
+        if finite[i] and (rec.max_residual is None or res[i] > rec.max_residual):
+            rec.max_residual, rec.tolerance = float(res[i]), float(tol[i])
+        if not finite.all() or (rec.status != STATUS_AUDIT and not ok.all()):
+            rec.status = STATUS_FAIL
+
+    def _record(self, check_id: str, ref: str, ok, tolerance, audit: bool) -> CheckRecord:
+        """The record ``check_id``, created with the status and tolerance of its first sample."""
         rec = self._records.get(check_id)
         if rec is None:
             status = STATUS_AUDIT if audit else (STATUS_PASS if ok else STATUS_FAIL)
-            rec = self._records[check_id] = CheckRecord(
-                id=check_id, ref=ref, status=status,
-                max_residual=None, tolerance=float(tolerance),
-            )
-        rec.merge(float(residual), float(tolerance), ok)
+            rec = self._records[check_id] = CheckRecord(check_id, ref, status, None,
+                                                        float(tolerance))
+        return rec
 
     def records(self) -> list[CheckRecord]:
         return [self._records[k] for k in sorted(self._records)]

@@ -29,6 +29,13 @@ FLOW_TIMES = (0.3, -0.3, 1.0, -1.0, math.pi, -math.pi, 10.0, -10.0)
 RANDOM_ELEMENTS = 100  # random elements per side beyond the basis in the S and S* checks
 LADDER_RANGE = 3  # ladder identities are checked for n = -LADDER_RANGE..LADDER_RANGE
 RESOLVENT_SAMPLES = 8  # off-axis points per fixture and role
+TOL_BASE = 1e-9  # residual tolerance per unit of dimension at kappa = 1
+
+
+def kappa_tol(t, p):
+    """TOL_BASE kappa^((|p| + 1) / 2) d, the tolerance of an identity whose sides
+    differ by p powers of Delta; p is a number or an array of them."""
+    return TOL_BASE * t.kappa ** ((np.abs(p) + 1) / 2.0) * t.dim
 
 
 def _fixture_seed(base_seed: int, model_idx: int, trial: int) -> int:
@@ -79,10 +86,10 @@ def _adjoint_orbit_residuals(space, s, omega, rng) -> np.ndarray:
     return np.linalg.norm(lhs - rhs, axis=1) / scale
 
 
-def run_modular_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
+def run_modular_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     d = t.dim
-    tol = tol_base * math.sqrt(t.kappa) * d
+    tol = kappa_tol(t, 0)
     omega = t.omega
 
     checks.add("modular/s-on-algebra", "S(a omega) = a* omega on the algebra",
@@ -145,17 +152,16 @@ def run_modular_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
 # ---------------------------------------------------------------------------
 
 
-def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
+def run_flow_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     d = t.dim
-    tol = tol_base * math.sqrt(t.kappa) * d
+    tol = kappa_tol(t, 0)
 
-    membership, commutator = tomita_check(t, t.algebra.basis, FLOW_TIMES)
-    for m, c in zip(membership.flat, commutator.flat):  # a-major, then t
-        checks.add("flow/membership",
-                   "Delta^(-it) a Delta^(it) stays in the algebra", m, tol)
-        checks.add("flow/commutant-commutators",
-                   "[Delta^(-it) a Delta^(it), b'] = 0", c, tol)
+    membership, commutator = tomita_check(t, t.algebra.basis, FLOW_TIMES)  # a-major, then t
+    checks.add("flow/membership",
+               "Delta^(-it) a Delta^(it) stays in the algebra", membership, tol)
+    checks.add("flow/commutant-commutators",
+               "[Delta^(-it) a Delta^(it), b'] = 0", commutator, tol)
 
     x = _random_element(t.algebra, rng)
     s, u = 0.4, -1.7
@@ -188,24 +194,21 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
                                          for _ in range(6)]
     samples = analytic_flow(t, tidy0.a, zs)
     ladders = td.ladder(t, t.orbit, tidy0, [-1, -2, -3])
-    for n, f_n, lad in zip((1, 2, 3), samples[1:4], ladders):
-        tol_n = tol_base * t.kappa ** ((n + 1) / 2.0) * d
-        checks.add("flow/integer-ladder-match",
-                   "Delta^(-n) a Delta^n equals the ladder solve",
-                   rel_residual(f_n, lad), tol_n)
+    checks.add("flow/integer-ladder-match",
+               "Delta^(-n) a Delta^n equals the ladder solve",
+               [rel_residual(f_n, lad) for f_n, lad in zip(samples[1:4], ladders)],
+               kappa_tol(t, np.arange(1, 4)))
 
     ratios = commutator_ratio(samples, opnorm_stack(samples), t.commutant.basis,
                               t.commutant_norms)
-    for n, r in enumerate(ratios[:7]):
-        checks.add("flow/integer-commutators",
-                   "[Delta^(-n) a Delta^n, b'] = 0 for n = 0..6",
-                   r, tol_base * t.kappa ** ((n + 1) / 2.0) * d)
+    checks.add("flow/integer-commutators",
+               "[Delta^(-n) a Delta^n, b'] = 0 for n = 0..6",
+               ratios[:7], kappa_tol(t, np.arange(7)))
 
     worst_ratio, worst_tol = 0.0, tol
     for z, r in zip(zs[7:], ratios[7:]):
-        tol_z = tol_base * t.kappa ** ((abs(z.real) + 1) / 2.0) * d
         if r > worst_ratio or math.isnan(r):  # a NaN ratio is kept to the end
-            worst_ratio, worst_tol = r, tol_z
+            worst_ratio, worst_tol = r, kappa_tol(t, z.real)
     checks.add("flow/analytic-commutators",
                "[Delta^(-z) a Delta^z, b'] = 0 across the sampled plane",
                worst_ratio, worst_tol)
@@ -216,10 +219,10 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
 # ---------------------------------------------------------------------------
 
 
-def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
+def run_tidy_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     d = t.dim
-    tol = tol_base * math.sqrt(t.kappa) * d
+    tol = kappa_tol(t, 0)
     windows = covering_windows(t)
 
     source = _random_element(t.algebra, rng)
@@ -237,7 +240,7 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
         membership_residual(tidy0.a, t.algebra),
         membership_residual(tidy0.a_prime, t.commutant),
     ])
-    checks.add("tidy/membership", "tidy solves land in their algebras", mem, tol_base * d)
+    checks.add("tidy/membership", "tidy solves land in their algebras", mem, TOL_BASE * d)
 
     a = _random_element(t.algebra, rng)
     round_trip = rel_residual(t.orbit.solve(a @ t.omega), a)
@@ -247,46 +250,40 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None
     # a_n and a'_(n+1) of tidy0, solved once for both ladder identities
     ns = np.arange(-LADDER_RANGE, LADDER_RANGE + 1)
     a_n = td.ladder(t, t.orbit, tidy0, ns)
-    for res, tol_n in zip(*td.dagger_ladder_check(
-            t, tidy0, a_n, td.ladder(t, t.commutant_orbit, tidy0, ns + 1), tol_base)):
-        checks.add("tidy/dagger-ladder",
-                   "(a'_(n+1))* omega = (a_n)* omega", res, tol_n)
+    residuals, scales = td.dagger_ladder_check(
+        t, tidy0, a_n, td.ladder(t, t.commutant_orbit, tidy0, ns + 1))
+    checks.add("tidy/dagger-ladder", "(a'_(n+1))* omega = (a_n)* omega",
+               residuals, tol * scales)
 
     w1 = windows[int(rng.integers(len(windows)))]
     tidy_b = td.make_tidy(t, _random_element(t.algebra, rng), w1[0], w1[1])
-    for res, tol_n in zip(*td.powers_check(t, tidy0, tidy_b, ns, a_n, tol_base)):
-        checks.add("tidy/power-conjugation",
-                   "Delta^n a Delta^(-n) b omega = a_n b omega", res, tol_n)
+    residuals, scales = td.powers_check(t, tidy0, tidy_b, ns, a_n)
+    checks.add("tidy/power-conjugation", "Delta^n a Delta^(-n) b omega = a_n b omega",
+               residuals, kappa_tol(t, ns) * scales)
 
     for (l1, l2) in AUDIT_WINDOWS:
-        audit = td.growth_audit(t, source, l1, l2)
-        for row in audit.rows:
-            # an empty window (0 measured against a 0 bound) reads 0; any other
-            # non-finite ratio is a broken sample, which fails the record
-            ratio = row.ratio if row.bound_value > 0 else (
-                0.0 if row.measured_norm == 0 == row.bound_value else math.inf)
-            checks.rows["tidy_bounds"].append({
-                "seed": fix.seed,
-                "model": fix.spec.label(),
-                "d": d,
-                "lambda1": row.lambda1,
-                "lambda2": row.lambda2,
-                "n": row.n,
-                "family": row.family,
-                "measured": row.measured_norm,
-                "bound": row.bound_value,
-                "ratio": ratio,
-                "pass": row.passed,
-            })
-            checks.add("tidy/growth-bound",
-                       "ladder norms vs closed-form exponential bound",
-                       ratio, 1.0, audit=True)
+        ns, norms, bounds, (slope_pos, slope_neg) = td.growth_audit(t, source, l1, l2)
+        # an empty window (0 measured against a 0 bound) reads 0; any other
+        # non-finite ratio is a broken sample, which fails the record
+        ratios = np.divide(norms, bounds, where=bounds > 0,
+                           out=np.where((norms == 0) & (bounds == 0), 0.0, math.inf))
+        passed = norms <= bounds * (1.0 + 1e-9)
+        for i, n in enumerate(ns.tolist()):
+            for f, family in enumerate(("a", "a_prime")):
+                checks.rows["tidy_bounds"].append({
+                    "seed": fix.seed, "model": fix.spec.label(), "d": d, "lambda1": l1,
+                    "lambda2": l2, "n": n, "family": family, "measured": float(norms[f, i]),
+                    "bound": float(bounds[i]), "ratio": float(ratios[f, i]),
+                    "pass": bool(passed[f, i]),
+                })
+        checks.add("tidy/growth-bound", "ladder norms vs closed-form exponential bound",
+                   ratios.T, 1.0, audit=True)  # n-major, as the rows
         checks.add(f"tidy/growth-slope[{l1:g},{l2:g}]",
                    "fitted log-growth rate vs bound rate (n >= 0)",
-                   audit.slope_pos, audit.bound_slope_pos, audit=True)
+                   slope_pos, 0.5 * math.log(l2**2 + 4 * math.pi**2), audit=True)
         checks.add(f"tidy/growth-slope-neg[{l1:g},{l2:g}]",
                    "fitted log-growth rate vs mirrored bound rate (n <= 0)",
-                   audit.slope_neg, audit.bound_slope_neg, audit=True)
+                   slope_neg, 0.5 * math.log(1.0 / l1**2 + 4 * math.pi**2), audit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +303,7 @@ def _draw_offaxis_z(rng, w) -> complex:
     raise RuntimeError("could not draw an off-axis resolvent point")
 
 
-def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
+def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     w = t.delta_spec.eigenvalues
     # per sample, in stream order: z, a' in A', a in A, then z2 for the mirror
@@ -316,15 +313,13 @@ def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) ->
     zs, sources, mirror_sources, mirror_zs = (np.array(x) for x in zip(*draws))
     transfer = td.resolvent_transfer(t, sources, zs)
     mirror = td.resolvent_transfer(t, mirror_sources, mirror_zs, mirror=True)
-    for r, r_mirror in zip(transfer.measured_norm / transfer.bound,
-                           mirror.measured_norm / mirror.bound):
-        # 1e-9 relative slack absorbs floating error in the norm measurement;
-        # the bound itself is an exact inequality (equality at z = -1, Delta = 1)
-        checks.add("resolvent/transfer-bound",
-                   "|a| <= |a'| / sqrt(2 (|z| - Re z))", r, 1.0 + 1e-9)
-        checks.add("resolvent/transfer-bound-mirrored",
-                   "role-swapped transfer (source in A, modular operator inverted)",
-                   r_mirror, 1.0 + 1e-9, audit=True)
+    # 1e-9 relative slack absorbs floating error in the norm measurement;
+    # the bound itself is an exact inequality (equality at z = -1, Delta = 1)
+    checks.add("resolvent/transfer-bound", "|a| <= |a'| / sqrt(2 (|z| - Re z))",
+               transfer.measured_norm / transfer.bound, 1.0 + 1e-9)
+    checks.add("resolvent/transfer-bound-mirrored",
+               "role-swapped transfer (source in A, modular operator inverted)",
+               mirror.measured_norm / mirror.bound, 1.0 + 1e-9, audit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +327,7 @@ def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) ->
 # ---------------------------------------------------------------------------
 
 
-def run_density_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
+def run_density_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     windows = covering_windows(t)
 
@@ -374,7 +369,7 @@ def _spectrum_avoiding_lambdas(t):
     return candidates[:3]
 
 
-def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> None:
+def run_contour_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     d = t.dim
     lambdas = _spectrum_avoiding_lambdas(t)
@@ -424,13 +419,8 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet, tol_base: float) -> N
     fine = ct.contour_quadrature_fixed(t, n, k, lam, psi, trunc, 2 * n_line, 64)
     d1 = float(np.linalg.norm(coarse - target))
     d2 = float(np.linalg.norm(fine - target))
-    if d1 <= 1e-12:
-        checks.add("contour/convergence-order",
-                   "halving nodes shrinks the closure defect by >= 3", 0.0, 1.0 / 3.0)
-    else:
-        checks.add("contour/convergence-order",
-                   "halving nodes shrinks the closure defect by >= 3",
-                   d2 / d1, 1.0 / 3.0)
+    checks.add("contour/convergence-order", "halving nodes shrinks the closure defect by >= 3",
+               0.0 if d1 <= 1e-12 else d2 / d1, 1.0 / 3.0)
 
     # truncation robustness
     failed = isinstance(r1, ct.ContourError) or isinstance(r2, ct.ContourError)
@@ -470,15 +460,12 @@ class RunConfig:
     seed: int = 20260809
     models: tuple[str, ...] = DEFAULT_MODELS
     trials: int = 25
-    tol_base: float = 1e-9
     p_min: float = 0.01
     suites: tuple[str, ...] = ALL_SUITES
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol_base <= 0:
-            raise ValueError("tol_base must be positive")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -505,7 +492,7 @@ def run_suites(config: RunConfig) -> VerificationReport:
                     # looked up by module name, so a wrapper rebound there (such as
                     # perfbench's per-suite span) is the one that runs
                     suite = globals()[SUITES[name].__name__]
-                    suite(fix, _rng(config.seed, model_idx, trial, tag), checks, config.tol_base)
+                    suite(fix, _rng(config.seed, model_idx, trial, tag), checks)
     return VerificationReport(
         config=config.echo(),
         checks=checks.records(),

@@ -18,7 +18,7 @@ from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture
 from modlab.flow import tomita_check
 from modlab.linalg import rel_residual
 from modlab.report import emit
-from modlab.suites import AUDIT_WINDOWS, RunConfig, run_modular_suite, run_suites
+from modlab.suites import AUDIT_WINDOWS, TOL_BASE, RunConfig, run_modular_suite, run_suites
 from modlab.report import CheckSet
 from modlab.tidy import (
     dagger_ladder_check,
@@ -31,7 +31,6 @@ from modlab.tidy import (
     tidy_span_check,
 )
 
-TOL_BASE = 1e-9
 P_MIN = 0.01
 
 MODEL_MIX = (
@@ -69,7 +68,7 @@ def test_criterion_01_modular_identity_suite():
         spec = MODEL_MIX[i % len(MODEL_MIX)]
         fix = generate_fixture(spec, seed=2000 + i, p_min=P_MIN)
         rng = np.random.default_rng((2000, i))
-        run_modular_suite(fix, rng, checks, TOL_BASE)
+        run_modular_suite(fix, rng, checks)
         count += 1
     elapsed = time.monotonic() - start
     failures = [c for c in checks.records() if c.status == "fail"]
@@ -157,10 +156,12 @@ def test_criterion_05_ladder_identities():
         tidy_b = make_tidy(t, t.algebra.element(c2), w1[0], w1[1])
         ns = np.arange(-3, 4)
         a_n = ladder(t, t.orbit, tidy_a, ns)
-        for res, tol in (*zip(*dagger_ladder_check(t, tidy_a, a_n,
-                                                    ladder(t, t.commutant_orbit, tidy_a, ns + 1),
-                                                    TOL_BASE)),
-                         *zip(*powers_check(t, tidy_a, tidy_b, ns, a_n, TOL_BASE))):
+        res_d, scale_d = dagger_ladder_check(t, tidy_a, a_n,
+                                             ladder(t, t.commutant_orbit, tidy_a, ns + 1))
+        res_p, scale_p = powers_check(t, tidy_a, tidy_b, ns, a_n)
+        tol_d = TOL_BASE * math.sqrt(t.kappa) * t.dim * scale_d
+        tol_p = TOL_BASE * t.kappa ** ((np.abs(ns) + 1) / 2) * t.dim * scale_p
+        for res, tol in (*zip(res_d, tol_d), *zip(res_p, tol_p)):
             if res > 0:
                 worst = max(worst, res / tol)
     _report(
@@ -265,16 +266,17 @@ def test_criterion_09_growth_bound_audit(tmp_path):
         a = fix.triple.algebra
         src = a.element(rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim))
         for (l1, l2) in AUDIT_WINDOWS:
-            audit = growth_audit(fix.triple, src, l1, l2)
-            slopes.setdefault((l1, l2), []).append((audit.slope_pos, audit.slope_neg))
-            for r in audit.rows:
-                ratio = r.measured_norm / r.bound_value if r.bound_value > 0 else 0.0
-                rows.append({
-                    "seed": fix.seed, "model": fix.spec.label(), "d": fix.dim,
-                    "lambda1": r.lambda1, "lambda2": r.lambda2, "n": r.n,
-                    "family": r.family, "measured": r.measured_norm, "bound": r.bound_value,
-                    "ratio": ratio, "pass": r.passed,
-                })
+            ns, norms, bounds, pair = growth_audit(fix.triple, src, l1, l2)
+            slopes.setdefault((l1, l2), []).append(pair)
+            for n, bound, *measured in zip(ns.tolist(), bounds.tolist(), *norms.tolist()):
+                for family, m in zip(("a", "a_prime"), measured):
+                    rows.append({
+                        "seed": fix.seed, "model": fix.spec.label(), "d": fix.dim,
+                        "lambda1": l1, "lambda2": l2, "n": n, "family": family,
+                        "measured": m, "bound": bound,
+                        "ratio": m / bound if bound > 0 else 0.0,
+                        "pass": m <= bound * (1 + 1e-9),
+                    })
     from modlab.report import render_csv, CSV_COLUMNS, atomic_write_text
     path = tmp_path / "tidy_bounds.csv"
     atomic_write_text(path, render_csv(CSV_COLUMNS["tidy_bounds"], rows))

@@ -3,6 +3,7 @@ import pytest
 
 from modlab.algebra import (
     AlgebraError,
+    NotCyclicError,
     bicommutant,
     membership_residual,
     mutual_projection_residual,
@@ -115,11 +116,25 @@ def test_fixture_json_round_trip(tmp_path):
     loaded = load_fixture(path)
     assert loaded.spec == fix.spec
     assert loaded.seed == fix.seed
-    assert np.allclose(loaded.triple.omega, fix.triple.omega, atol=0)
-    assert np.allclose(loaded.triple.s.matrix, fix.triple.s.matrix, atol=0)
-    assert np.allclose(loaded.triple.delta, fix.triple.delta, atol=0)
-    assert mutual_projection_residual(loaded.triple.algebra, fix.triple.algebra) <= 1e-12
-    assert mutual_projection_residual(loaded.triple.commutant, fix.triple.commutant) <= 1e-12
+    # the loader recomputes the modular data from the stored bases and omega,
+    # and gets every bit back
+    a, b = loaded.triple, fix.triple
+    for x, y in ((a.omega, b.omega), (a.s.matrix, b.s.matrix), (a.j.matrix, b.j.matrix),
+                 (a.delta, b.delta), (a.delta_spec.eigenvalues, b.delta_spec.eigenvalues),
+                 (a.delta_spec.eigenvectors, b.delta_spec.eigenvectors),
+                 (a.orbit.matrix, b.orbit.matrix),
+                 (a.commutant_orbit.matrix, b.commutant_orbit.matrix)):
+        assert np.array_equal(x, y)
+    assert a.kappa == b.kappa
+    assert mutual_projection_residual(a.algebra, b.algebra) <= 1e-12
+    assert mutual_projection_residual(a.commutant, b.commutant) <= 1e-12
+
+
+def test_fixture_loader_refuses_a_vector_that_is_not_cyclic():
+    doc = fixture_to_json(generate_fixture(AlgebraSpec.standard_factor(2), seed=7))
+    doc["omega"][0] = [0.0, 0.0]  # omega = c |11> alone: a (x) 1 omega misses |00>, |01>
+    with pytest.raises(NotCyclicError):
+        fixture_from_json(doc)
 
 
 def test_commutant_dimension_formula_on_block_models():

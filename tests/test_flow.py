@@ -376,7 +376,7 @@ def test_flow_suite_takes_no_single_matrix_norm(monkeypatch):
         monkeypatch.setattr(mod, "opnorm", refused)
     checks = CheckSet()
     fix = generate_fixture(parse_spec("direct_sum(2:2,1:1)"), 3)
-    suites.run_flow_suite(fix, np.random.default_rng(4), checks, 1e-9)
+    suites.run_flow_suite(fix, np.random.default_rng(4), checks)
     records = {r.id: r for r in checks.records()}
     assert records["flow/integer-ladder-match"].samples == 3
     assert all(r.status == "pass" for r in records.values())

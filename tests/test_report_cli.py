@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modlab.cli import main
 from modlab.report import (
@@ -46,13 +49,13 @@ def test_report_json_deterministic_and_parseable(tmp_path):
     cs = CheckSet()
     for i, x in enumerate(xs):
         cs.add(f"x{i}", "r", x, 1.0)
-    rep = VerificationReport(config={"tol_base": 1 / 7}, checks=cs.records(), rows=cs.rows)
+    rep = VerificationReport(config={"p_min": 1 / 7}, checks=cs.records(), rows=cs.rows)
     for name in ("a", "b"):
         emit(rep, tmp_path / name, tables=())
     text = (tmp_path / "a" / "report.json").read_text()
     assert text == (tmp_path / "b" / "report.json").read_text()
     doc = json.loads(text)
-    assert doc["config"]["tol_base"] == 1 / 7
+    assert doc["config"]["p_min"] == 1 / 7
     assert [c["max_residual"] for c in doc["checks"]] == xs
     cs.add("y", "r", 1e-12, math.nan)  # a NaN tolerance cannot enter the file
     with pytest.raises(ValueError):
@@ -130,6 +133,40 @@ def test_nonfinite_sample_after_finite_one_is_counted():
     assert rec.status == "fail" and rec.nonfinite == 1 and rec.samples == 3
     assert rec.max_residual == 3e-12 and rec.tolerance == 2e-9
     assert aud.status == "fail" and aud.nonfinite == 1 and aud.max_residual == 0.5
+
+
+# residuals that exercise every branch of the fold: ties, signed zeros, NaN, inf
+RESIDUALS = st.sampled_from([0.0, -0.0, 1e-12, 1e-10, 5e-10, 2e-9, 1.0, -1.0,
+                             math.nan, math.inf, -math.inf])
+TOLERANCES = st.sampled_from([1e-9, 1e-10, 1.0, 2e-9, 0.0, math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=st.lists(st.lists(st.tuples(RESIDUALS, TOLERANCES), max_size=6), max_size=4),
+       audit=st.booleans(), scalar_tolerance=st.booleans())
+def test_array_add_equals_the_per_sample_loop(batches, audit, scalar_tolerance):
+    folded, looped = CheckSet(), CheckSet()
+    for batch in batches:
+        residuals = np.array([r for r, _ in batch])
+        tolerances = np.array([t for _, t in batch])
+        if scalar_tolerance:
+            tolerances = batch[0][1] if batch else 1e-9
+        folded.add("x", "r", residuals, tolerances, audit=audit)
+        for r, t in zip(residuals.tolist(), np.broadcast_to(tolerances, residuals.shape).tolist()):
+            looped.add("x", "r", r, t, audit=audit)
+    # repr tells NaNs equal, and tells apart -0.0 from 0.0 and np.float64 from float
+    assert [repr(dataclasses.astuple(r)) for r in folded.records()] == \
+        [repr(dataclasses.astuple(r)) for r in looped.records()]
+
+
+def test_array_add_takes_any_shape_and_skips_an_empty_one():
+    cs = CheckSet()
+    cs.add("x", "r", np.zeros((0,)), 1e-9)
+    assert cs.records() == []
+    cs.add("x", "r", np.array([[1e-12, 3e-12], [2e-12, 5e-9]]),
+           np.array([[1e-9, 1e-9], [2e-9, 1e-8]]))
+    [rec] = cs.records()
+    assert (rec.samples, rec.max_residual, rec.tolerance, rec.status) == (4, 5e-9, 1e-8, "pass")
 
 
 def test_report_must_pass_flag():
@@ -279,6 +316,15 @@ def test_cli_bad_arguments_exit_2_without_output(tmp_path, capsys, command, bad)
     assert err.strip().splitlines()[-1].startswith("modlab: error: ")
 
 
+def test_cli_has_no_tolerance_option(tmp_path, capsys):
+    # every kappa-scaled tolerance is fixed; no option can loosen a must-pass check
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--tol", "1", "--trials", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
+
 def test_cli_audit_tidy_bound_subcommand(tmp_path, capsys):
     code = main(["audit-tidy-bound", "--model", "standard", "--factor-size", "2",
                  "--trials", "1", "--seed", "11", "--out", str(tmp_path)])
@@ -379,6 +425,37 @@ def test_nan_ladder_norm_fails_the_growth_audit(tmp_path, monkeypatch):
     broken = [r for r in rows if r["measured"] == "nan"]
     assert broken and all(r["n"] == "2" for r in broken)
     assert not any(math.isfinite(float(r["ratio"])) for r in broken)
+
+
+def _nan_ladder(monkeypatch, side):
+    """Make tidy.ladder return NaN elements on one side ("algebra" or "commutant")."""
+    from modlab import tidy
+
+    ladder = tidy.ladder
+
+    def rigged(triple, orb, tid, n):
+        out = ladder(triple, orb, tid, n)
+        target = triple.orbit if side == "algebra" else triple.commutant_orbit
+        return np.full_like(out, np.nan) if orb is target else out
+
+    monkeypatch.setattr(tidy, "ladder", rigged)
+
+
+@pytest.mark.parametrize("side, cid", [("commutant", "tidy/dagger-ladder"),
+                                       ("algebra", "tidy/power-conjugation")])
+def test_nan_ladder_fails_the_identity_and_still_writes_the_report(tmp_path, monkeypatch,
+                                                                   side, cid):
+    # every sample of the identity is NaN; its tolerance stays finite, so the
+    # record fails instead of putting a NaN tolerance into report.json
+    _nan_ladder(monkeypatch, side)
+    code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
+                 "--suite", "tidy", "--out", str(tmp_path)])
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    record = checks[cid]
+    assert record["status"] == "fail"
+    assert record["nonfinite"] == record["samples"] == 7
+    assert record["max_residual"] is None and math.isfinite(record["tolerance"])
 
 
 @pytest.mark.parametrize("command, files", [

@@ -18,10 +18,10 @@ from modlab.algebra import mutual_projection_residual
 from modlab.fixtures import generate_fixture, parse_spec
 from modlab.linalg import AntilinearMap, rel_residual
 from modlab.report import CheckSet
+from modlab.suites import TOL_BASE
 
 MODELS = ("standard_factor(2)", "standard_factor(3)", "direct_sum(2:2,1:1)")
 SAMPLED = ("modular/s-on-algebra", "modular/s-star-on-commutant", "modular/j-antiunitary")
-TOL_BASE = 1e-9
 
 
 def _fixture(label="standard_factor(2)", seed=11):
@@ -35,7 +35,7 @@ def _with(fix, **fields):
 
 def _records(run, fix, seed=5):
     cs = CheckSet()
-    run(fix, np.random.default_rng(seed), cs, TOL_BASE)
+    run(fix, np.random.default_rng(seed), cs)
     return {r.id: r for r in cs.records()}
 
 
