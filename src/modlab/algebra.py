@@ -6,6 +6,7 @@ engine orthonormalizes spanning sets, computes commutants and bicommutants by
 nullspace computation on the d^2-dimensional operator space, and holds the
 orbit map a -> a omega as an :class:`Orbit`: its rank certifies omega cyclic
 and separating, and its solve is the package's one inverse of the map.
+A spanning set is an (m, d, d) stack of matrices, and every basis is one.
 Algebras enter as spanning sets (the block models of :mod:`modlab.fixtures`);
 nothing here closes generators into an algebra.
 
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .linalg import as_square_array, frob
 
 RANK_TOL = 1e-9  # singular values below RANK_TOL * max count as zero
 # commutant() takes the generic pair from this dim(a) on. Median times with
@@ -83,24 +82,17 @@ class OperatorSubspace:
         """Basis as a (k, d^2) row-orthonormal matrix (row-major flattening)."""
         return self.basis.reshape(self.dim, self.dim_space**2)
 
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Trace-inner-product coefficients of x against the basis."""
-        return self.flat().conj() @ np.asarray(x, dtype=complex).reshape(-1)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of x onto the subspace."""
-        d = self.dim_space
-        return np.dot(self.coefficients(x), self.flat()).reshape(d, d)
-
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        """The combination sum_i coeffs[i] basis[i].
+        """The combinations sum_i coeffs[..., i] basis[i], shape coeffs.shape[:-1] + (d, d).
 
-        ``np.dot`` gives the bits of ``np.tensordot(coeffs, basis, 1)``, which
-        calls it, without the wrapper cost; ``coeffs @ flat`` differs in the
+        One ``np.dot`` of the coefficient rows, as an (n, k) matrix, with the
+        flat basis: the bits of ``np.tensordot(coeffs, basis, 1)``, which makes
+        that call, without the wrapper cost; ``coeffs @ flat`` differs in the
         last bit for a one-element basis.
         """
+        c = np.asarray(coeffs, dtype=complex)
         d = self.dim_space
-        return np.dot(np.asarray(coeffs, dtype=complex), self.flat()).reshape(d, d)
+        return np.dot(c.reshape(-1, self.dim), self.flat()).reshape(*c.shape[:-1], d, d)
 
 
 def membership_residual(x, subspace: OperatorSubspace):
@@ -118,27 +110,23 @@ def membership_residual(x, subspace: OperatorSubspace):
     return float(residual) if m.ndim == 2 else residual
 
 
-def subspace_orthonormalize(mats, dim_space: int | None = None) -> OperatorSubspace:
-    """Orthonormalize a list of matrices under the trace inner product.
+def subspace_orthonormalize(mats) -> OperatorSubspace:
+    """Orthonormalize an (m, d, d) stack of matrices under the trace inner product.
 
-    The span is preserved, up to directions whose singular value is below
-    RANK_TOL times the largest. Empty input yields the zero-dimensional
-    subspace (the Hilbert space dimension must then be supplied).
+    A list of equal-shape matrices is taken as the stack it makes. The span is
+    preserved, up to directions whose singular value is below RANK_TOL times
+    the largest; an empty (0, d, d) stack gives the zero-dimensional subspace
+    of M_d.
     """
-    mats = [as_square_array(m) for m in mats]
-    if not mats:
-        if dim_space is None:
-            raise AlgebraError("cannot infer dimension from an empty generator list")
-        return OperatorSubspace(dim_space, np.zeros((0, dim_space, dim_space), dtype=complex))
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != d:
-            raise AlgebraError(f"dimension mismatch: {m.shape[0]} != {d}")
-    stack = np.stack(mats).reshape(len(mats), d * d)
-    _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return OperatorSubspace(d, np.zeros((0, d, d), dtype=complex))
-    keep = sv > RANK_TOL * sv[0]
+    try:
+        stack = np.asarray(mats, dtype=complex)
+    except ValueError:  # a ragged list
+        raise AlgebraError("spanning matrices differ in shape") from None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not np.isfinite(stack).all():
+        raise AlgebraError(f"need a finite (m, d, d) stack, got shape {stack.shape}")
+    m, d, _ = stack.shape
+    _, sv, vh = np.linalg.svd(stack.reshape(m, d * d), full_matrices=False)
+    keep = sv > RANK_TOL * np.max(sv, initial=0.0)
     return OperatorSubspace(d, vh[keep].reshape(-1, d, d))
 
 
@@ -156,7 +144,7 @@ def commutant(a: OperatorSubspace) -> OperatorSubspace:
     """
     d = a.dim_space
     if a.dim == 0:  # nothing to commute with: all of M_d, spanned by the E_ij
-        return subspace_orthonormalize(list(np.eye(d * d, dtype=complex).reshape(-1, d, d)))
+        return subspace_orthonormalize(np.eye(d * d, dtype=complex).reshape(-1, d, d))
     if a.dim >= PAIR_MIN_DIM:
         # unit-norm but not orthogonal: only the commutator stack reads it
         pair = np.tensordot(_pair_coefficients(a.dim), a.basis, axes=(1, 0))
@@ -193,7 +181,7 @@ def _nullspace(a: OperatorSubspace) -> tuple[OperatorSubspace, float]:
     scale = max(float(sv[0]), 1.0)
     null = sv <= RANK_TOL * scale
     gap = float(np.min(sv[~null], initial=np.inf)) / scale
-    return subspace_orthonormalize(list(vh[null].conj().reshape(-1, d, d))), gap
+    return subspace_orthonormalize(vh[null].conj().reshape(-1, d, d)), gap
 
 
 def _commutator_stack(a: OperatorSubspace) -> np.ndarray:
@@ -219,10 +207,8 @@ def mutual_projection_residual(a: OperatorSubspace, b: OperatorSubspace) -> floa
     """Largest distance of a basis element of either subspace from the other (NaN if any is)."""
     if a.dim != b.dim:
         return 1.0
-    if a.dim == 0:
-        return 0.0
-    return float(np.max([frob(x - b.project(x)) for x in a.basis]
-                        + [frob(y - a.project(y)) for y in b.basis]))
+    return float(np.max(np.concatenate([membership_residual(a.basis, b),
+                                        membership_residual(b.basis, a)]), initial=0.0))
 
 
 def numerical_rank(sv: np.ndarray) -> int:
@@ -273,12 +259,11 @@ class Orbit:
             raise IllConditionedError(self.cond)
         d = self.space.dim_space
         coeffs = np.linalg.solve(b, v.reshape(d, -1))
-        # np.dot, as OperatorSubspace.element: one coefficient row per element
-        return np.dot(coeffs.T, self.space.flat()).reshape(*v.shape[1:], d, d)
+        return self.space.element(coeffs.T).reshape(*v.shape[1:], d, d)
 
 
 def orbit(a: OperatorSubspace, omega) -> Orbit:
     """Build the orbit matrix of a at omega and factor it once."""
     omega = np.asarray(omega, dtype=complex)
-    m = np.column_stack([b @ omega for b in a.basis])
+    m = (a.basis @ omega).T
     return Orbit(a, omega, m, np.linalg.svd(m, compute_uv=False))

@@ -112,34 +112,29 @@ def _block_embedding(spec: AlgebraSpec):
     return offsets
 
 
-def _elementary(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
+def _block_basis(spec: AlgebraSpec, commutant: bool) -> np.ndarray:
+    """E_ij (x) 1 in each block, or 1 (x) E_ij for the commutant, embedded in d x d.
 
-
-def _block_basis(spec: AlgebraSpec, commutant: bool) -> list[np.ndarray]:
-    """E_ij (x) 1 in each block, or 1 (x) E_ij for the commutant, embedded in d x d."""
+    A (sum_k k^2, d, d) stack, E_ij at row i k + j of its block's rows.
+    """
     d = spec.dim
-    mats = []
+    stacks = []
     for (n, m), off in zip(spec.blocks, _block_embedding(spec)):
         size, k = n * m, (m if commutant else n)
-        for i in range(k):
-            for j in range(k):
-                e = _elementary(k, i, j)
-                x = np.zeros((d, d), dtype=complex)
-                x[off : off + size, off : off + size] = (
-                    np.kron(np.eye(n), e) if commutant else np.kron(e, np.eye(m)))
-                mats.append(x)
-    return mats
+        e = np.eye(k * k).reshape(k * k, k, k)
+        x = np.zeros((k * k, d, d), dtype=complex)
+        x[:, off : off + size, off : off + size] = (
+            np.kron(np.eye(n), e) if commutant else np.kron(e, np.eye(m)))
+        stacks.append(x)
+    return np.concatenate(stacks)
 
 
-def algebra_basis_matrices(spec: AlgebraSpec) -> list[np.ndarray]:
+def algebra_basis_matrices(spec: AlgebraSpec) -> np.ndarray:
     """Unnormalized basis E_ij (x) 1 in each block, embedded in d x d."""
     return _block_basis(spec, commutant=False)
 
 
-def commutant_basis_matrices(spec: AlgebraSpec) -> list[np.ndarray]:
+def commutant_basis_matrices(spec: AlgebraSpec) -> np.ndarray:
     """Unnormalized commutant basis 1 (x) E_ij in each block."""
     return _block_basis(spec, commutant=True)
 
@@ -261,7 +256,7 @@ def _from_pairs(items) -> np.ndarray:
 
 
 def fixture_to_json(fix: Fixture) -> dict:
-    """Serializable snapshot of a fixture, including the modular triple."""
+    """Serializable snapshot of a fixture: what :func:`fixture_from_json` reads back."""
     t = fix.triple
     return {
         "schema_version": SCHEMA_VERSION,
@@ -271,12 +266,6 @@ def fixture_to_json(fix: Fixture) -> dict:
         "omega": _to_pairs(t.omega),
         "algebra_basis": _to_pairs(t.algebra.basis),
         "commutant_basis": _to_pairs(t.commutant.basis),
-        "s_matrix": _to_pairs(t.s.matrix),
-        "j_matrix": _to_pairs(t.j.matrix),
-        "delta": _to_pairs(t.delta),
-        "delta_eigenvalues": [float(x) for x in t.delta_spec.eigenvalues],
-        "delta_eigenvectors": _to_pairs(t.delta_spec.eigenvectors),
-        "kappa": float(t.kappa),
         "block_weights": [float(x) for x in fix.block_weights],
         "block_probs": [[float(x) for x in q] for q in fix.block_probs],
     }
@@ -286,8 +275,9 @@ def fixture_from_json(doc: dict) -> Fixture:
     """Rebuild a fixture from its JSON snapshot.
 
     The modular triple is recomputed by :func:`modular_data` from the stored
-    bases and omega, which certifies omega cyclic and separating again; the
-    stored S, J and Delta are for readers of the file.
+    bases and omega, which certifies omega cyclic and separating again. Keys
+    the loader does not read, such as the S, J and Delta that older snapshots
+    stored, are ignored.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise AlgebraError(f"unsupported schema version {doc.get('schema_version')!r}")

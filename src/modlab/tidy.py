@@ -323,13 +323,16 @@ def powers_check(triple: ModularTriple, tidy_a: TidyOperator, tidy_b: TidyOperat
 # ---------------------------------------------------------------------------
 
 
-def _windowed_orbits(triple: ModularTriple, windows) -> list[np.ndarray]:
-    """Per window W, the (d, dim A) block W B of windowed vectors W a_i omega.
+def _windowed_orbits(triple: ModularTriple, windows) -> np.ndarray:
+    """The (d, W dim A) block [W_1 B, ..., W_W B] of windowed vectors W a_i omega.
 
     B is the algebra's orbit matrix, whose columns are the basis vectors
-    a_i omega; each window's projector is built once.
+    a_i omega; each window's projector is built once. The empty leading block
+    keeps an empty window list valid.
     """
-    return [spectral_window(triple, l1, l2) @ triple.orbit.matrix for (l1, l2) in windows]
+    b = triple.orbit.matrix
+    return np.hstack([np.zeros((triple.dim, 0)),
+                      *(spectral_window(triple, l1, l2) @ b for (l1, l2) in windows)])
 
 
 def tidy_span_check(
@@ -342,9 +345,7 @@ def tidy_span_check(
     expected exactly when the windows cover the spectrum of Delta; a missed
     eigenspace shows up as a rank deficit of its dimension.
     """
-    # the empty leading block keeps an empty window list valid
-    stack = np.hstack([np.zeros((triple.dim, 0)), *_windowed_orbits(triple, windows)])
-    sv = np.linalg.svd(stack, compute_uv=False)
+    sv = np.linalg.svd(_windowed_orbits(triple, windows), compute_uv=False)
     return numerical_rank(sv)
 
 
@@ -355,11 +356,9 @@ def tidy_bicommutant_check(
     """Mutual projection residual between (tidy set)'' and the algebra.
 
     The tidy set is built from every algebra basis element and every window
-    (n = 0); only its algebra side is solved, one stacked solve per window.
-    Covering windows must regenerate the algebra.
+    (n = 0); only its algebra side is solved, in one stacked solve. Covering
+    windows must regenerate the algebra.
     """
-    ops = [a for block in _windowed_orbits(triple, windows)
-           for a in triple.orbit.solve(block)]
-    tidy_span = subspace_orthonormalize(ops, dim_space=triple.dim)
+    tidy_span = subspace_orthonormalize(triple.orbit.solve(_windowed_orbits(triple, windows)))
     regenerated = bicommutant(tidy_span)
     return mutual_projection_residual(regenerated, triple.algebra)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -88,18 +89,34 @@ def test_orthonormalize_preserves_span():
     rng = np.random.default_rng(1)
     mats = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(6)]
     sub = subspace_orthonormalize(mats)
-    for m in mats:
-        assert np.linalg.norm(m - sub.project(m)) <= 1e-10 * np.linalg.norm(m)
+    assert np.max(membership_residual(np.array(mats), sub)) <= 1e-10
 
 
 def test_orthonormalize_empty():
-    sub = subspace_orthonormalize([], dim_space=3)
-    assert sub.dim == 0 and sub.dim_space == 3
+    sub = subspace_orthonormalize(np.zeros((0, 3, 3)))
+    assert sub.dim == 0 and sub.dim_space == 3 and sub.basis.shape == (0, 3, 3)
 
 
 def test_orthonormalize_rejects_dimension_mismatch():
     with pytest.raises(AlgebraError):
         subspace_orthonormalize([np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize("mats", [
+    np.eye(3),  # one matrix, not a stack of them
+    np.ones((2, 3, 4)),  # not square
+    np.stack([np.eye(3), np.full((3, 3), np.nan)]),
+    np.stack([np.eye(3), np.full((3, 3), np.inf)]),
+], ids=["2-D", "non-square", "nan", "inf"])
+def test_orthonormalize_refuses_what_is_not_a_finite_square_stack(mats):
+    with pytest.raises(AlgebraError, match="stack"):
+        subspace_orthonormalize(mats)
+
+
+def test_orthonormalize_takes_a_list_as_the_stack_it_makes():
+    mats = [np.eye(2), np.diag([1.0, 0.0]), SX]
+    a, b = subspace_orthonormalize(mats), subspace_orthonormalize(np.stack(mats))
+    assert a.dim_space == b.dim_space == 2 and np.array_equal(a.basis, b.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +126,7 @@ def test_orthonormalize_rejects_dimension_mismatch():
 
 def test_closure_of_nothing_is_scalars():
     # the commutant of the zero subspace is M_3, whose commutant is C 1
-    sub = bicommutant(subspace_orthonormalize([], dim_space=3))
+    sub = bicommutant(subspace_orthonormalize(np.zeros((0, 3, 3))))
     assert sub.dim == 1
     assert membership_residual(np.eye(3), sub) <= 1e-10
 
@@ -230,7 +247,7 @@ def reference_commutant(a):
     d = a.dim_space
     _, sv, vh = np.linalg.svd(reference_stack(a), full_matrices=False)
     null_rows = vh[sv <= RANK_TOL * max(float(sv[0]), 1.0)]
-    return subspace_orthonormalize(list(null_rows.conj().reshape(-1, d, d)))
+    return subspace_orthonormalize(null_rows.conj().reshape(-1, d, d))
 
 
 @pytest.mark.parametrize("mats,_closed", kernel_cases())
@@ -451,11 +468,11 @@ def test_membership_residual_of_a_stack_equals_the_per_element_calls(label):
         single = membership_residual(x, t.algebra)
         assert isinstance(single, float) and abs(r - single) <= 1e-15
         # the projection through the basis coefficients is an independent path
-        ref = np.linalg.norm(x - t.algebra.project(x)) / max(np.linalg.norm(x), 1e-30)
+        ref = np.linalg.norm(x - project(t.algebra, x)) / max(np.linalg.norm(x), 1e-30)
         assert abs(r - ref) <= 1e-15
 
 
-def test_element_and_project_bits_equal_tensordot():
+def test_element_bits_equal_tensordot():
     rng = np.random.default_rng(17)
     # a one-element basis is where ``coeffs @ flat`` would differ
     spaces = [
@@ -465,10 +482,65 @@ def test_element_and_project_bits_equal_tensordot():
                                  for _ in range(7)]),
     ]
     for a in spaces:
-        d = a.dim_space
         for _ in range(5):
             c = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             assert np.array_equal(a.element(c), np.tensordot(c, a.basis, axes=(0, 0)))
-            assert np.array_equal(a.project(x),
-                                  np.tensordot(a.coefficients(x), a.basis, axes=(0, 0)))
+        # coefficient rows of any leading shape, one element per row
+        c = rng.standard_normal((2, 3, a.dim)) + 1j * rng.standard_normal((2, 3, a.dim))
+        stacked = a.element(c)
+        assert stacked.shape == (2, 3, a.dim_space, a.dim_space)
+        assert np.array_equal(stacked, np.tensordot(c, a.basis, axes=1))
+        assert np.array_equal(a.element(c[:, :0]), np.zeros((2, 0) + stacked.shape[2:]))
+
+
+def project(space, x):
+    """Orthogonal projection of one matrix through its basis coefficients."""
+    coeffs = space.flat().conj() @ np.asarray(x, dtype=complex).reshape(-1)
+    return np.tensordot(coeffs, space.basis, axes=(0, 0))
+
+
+def mutual_projection_oracle(a, b) -> float:
+    """The largest frob(x - P x) over both bases, one basis element at a time."""
+    if a.dim != b.dim:
+        return 1.0
+    if a.dim == 0:
+        return 0.0
+    return float(np.max([np.linalg.norm(x - project(b, x)) for x in a.basis]
+                        + [np.linalg.norm(y - project(a, y)) for y in b.basis]))
+
+
+def mutual_projection_cases() -> list:
+    rng = np.random.default_rng(23)
+    cases = []
+    for spec in (AlgebraSpec.standard_factor(2), AlgebraSpec.direct_sum([(2, 2), (1, 1)]),
+                 AlgebraSpec.maximal_abelian(4)):
+        t = generate_fixture(spec, 3).triple
+        closed = subspace_orthonormalize(algebra_basis_matrices(spec))
+        label = spec.label()
+        cases += [pytest.param(commutant(t.commutant), t.algebra, id=f"double-commutant-{label}"),
+                  pytest.param(closed, t.algebra, id=f"closed-form-{label}")]
+    t = rotated_triple(4)
+    cases.append(pytest.param(bicommutant(t.algebra), t.algebra, id="rotated"))
+    # equal dimensions, different subspaces: residuals of order one
+    g = rng.standard_normal((2, 4, 4, 4))
+    cases.append(pytest.param(t.algebra, subspace_orthonormalize(g[0] + 1j * g[1]),
+                              id="rotated-random"))
+    broken = t.algebra.basis.copy()
+    broken[2, 1, 3] = np.nan
+    cases.append(pytest.param(t.algebra, dataclasses.replace(t.algebra, basis=broken), id="nan"))
+    cases.append(pytest.param(t.algebra, subspace_orthonormalize([np.eye(4)]), id="mismatched"))
+    empty = subspace_orthonormalize(np.zeros((0, 4, 4)))
+    cases.append(pytest.param(empty, empty, id="empty"))
+    cases.append(pytest.param(empty, t.algebra, id="empty-vs-algebra"))
+    return cases
+
+
+@pytest.mark.parametrize("a,b", mutual_projection_cases())
+def test_mutual_projection_residual_equals_the_per_element_oracle(a, b):
+    for x, y in ((a, b), (b, a)):
+        got, ref = mutual_projection_residual(x, y), mutual_projection_oracle(x, y)
+        assert isinstance(got, float)
+        if np.isnan(ref):
+            assert np.isnan(got)
+        else:
+            assert abs(got - ref) <= 1e-15 * max(1.0, ref)

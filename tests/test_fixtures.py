@@ -11,6 +11,7 @@ from modlab.algebra import (
 )
 from modlab.fixtures import (
     AlgebraSpec,
+    algebra_basis_matrices,
     commutant_basis_matrices,
     covering_windows,
     fixture_from_json,
@@ -171,6 +172,62 @@ def test_fixture_json_schema_fields():
     assert doc["model"] == "standard_factor(2)"
     assert len(doc["omega"]) == 4
     assert len(doc["omega"][0]) == 2  # [re, im] pairs
-    assert len(doc["delta"]) == 4 and len(doc["delta"][0]) == 4
+    assert set(doc) == {"schema_version", "model", "seed", "dim", "omega", "algebra_basis",
+                        "commutant_basis", "block_weights", "block_probs"}
+    assert np.array(doc["algebra_basis"]).shape == (4, 4, 4, 2)
     with pytest.raises(AlgebraError):
         fixture_from_json({**doc, "schema_version": "0"})
+
+
+def _pairs(x) -> list:
+    return np.stack([np.real(x), np.imag(x)], axis=-1).tolist()
+
+
+@pytest.mark.parametrize("label", ["standard_factor(2)", "direct_sum(2:2,1:1)"])
+def test_fixture_snapshot_of_the_older_format_still_loads(label):
+    # snapshots once also stored S, J, Delta, its eigendata and kappa; the
+    # loader never read them, so a file that has them (even stale) loads the same
+    fix = generate_fixture(parse_spec(label), seed=9)
+    t, doc = fix.triple, fixture_to_json(fix)
+    older = {**doc, "s_matrix": _pairs(t.s.matrix), "j_matrix": _pairs(t.j.matrix),
+             "delta": _pairs(np.zeros_like(t.delta)),  # stale: never compared
+             "delta_eigenvalues": t.delta_spec.eigenvalues.tolist(),
+             "delta_eigenvectors": _pairs(t.delta_spec.eigenvectors), "kappa": float(t.kappa)}
+    for loaded in (fixture_from_json(older), fixture_from_json(doc)):
+        assert fixture_to_json(loaded) == doc  # the round trip keeps every bit
+        a = loaded.triple
+        for x, y in ((a.s.matrix, t.s.matrix), (a.delta, t.delta),
+                     (a.orbit.matrix, t.orbit.matrix)):
+            assert np.array_equal(x, y)
+        assert a.kappa == t.kappa
+
+
+def explicit_block_basis(spec, commutant: bool) -> np.ndarray:
+    """E_ij (x) 1_m, or 1_n (x) E_ij, written entry by entry for each block and (i, j)."""
+    d, off, mats = spec.dim, 0, []
+    for n, m in spec.blocks:
+        k = m if commutant else n
+        for i in range(k):
+            for j in range(k):
+                x = np.zeros((d, d), dtype=complex)
+                if commutant:
+                    for p in range(n):
+                        x[off + p * m + i, off + p * m + j] = 1.0
+                else:
+                    for q in range(m):
+                        x[off + i * m + q, off + j * m + q] = 1.0
+                mats.append(x)
+        off += n * m
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("label", ["standard_factor(3)", "direct_sum(2:2,1:1)",
+                                   "maximal_abelian(4)", "direct_sum(3:3,1:1,2:2)"])
+def test_block_bases_are_stacks_of_the_explicit_matrix_units(label):
+    spec = parse_spec(label)
+    for commutant in (False, True):
+        got = (commutant_basis_matrices if commutant else algebra_basis_matrices)(spec)
+        ref = explicit_block_basis(spec, commutant)
+        assert got.dtype == complex and got.shape == (sum(n * n for n, _ in spec.blocks),
+                                                      spec.dim, spec.dim)
+        assert np.array_equal(got, ref)

@@ -202,6 +202,39 @@ def test_nan_commutator_ratio_fails_analytic_commutators(monkeypatch):
     assert recs["flow/integer-commutators"].nonfinite == 0
 
 
+def test_sample_above_its_own_tolerance_fails_analytic_commutators(monkeypatch):
+    # each analytic sample z has its own tolerance kappa_tol(Re z): one ratio
+    # ten times its (small) tolerance must fail the record even when another
+    # sample's ratio is larger but inside its own (larger) tolerance
+    fix = _fixture("standard_factor(3)", seed=7)
+    zs, injected = [], []
+
+    def wrap_flow(flow):
+        def recording(t, x, z):
+            if np.ndim(z) == 1 and len(z) == 13:
+                zs.extend(z)
+            return flow(t, x, z)
+        return recording
+
+    def wrap_ratio(ratio):
+        def rigged(xs, norms_x, basis, basis_norms):
+            out = ratio(xs, norms_x, basis, basis_norms)
+            tols = suites.kappa_tol(fix.triple, np.real(zs[7:]))
+            low, high = int(np.argmin(tols)), int(np.argmax(tols))
+            out[7:] = 0.0
+            out[7 + low], out[7 + high] = 10 * tols[low], 0.5 * tols[high]
+            injected.append((out[7 + low], out[7 + high]))
+            return out
+        return rigged
+
+    monkeypatch.setattr(suites, "analytic_flow", wrap_flow(suites.analytic_flow))
+    monkeypatch.setattr(suites, "commutator_ratio", wrap_ratio(suites.commutator_ratio))
+    rec = _records(suites.run_flow_suite, fix)["flow/analytic-commutators"]
+    (failing, passing), = injected
+    assert passing > failing  # a fold of the largest ratio alone would pass
+    assert rec.status == "fail" and rec.samples == 6 and rec.nonfinite == 0
+
+
 def test_nan_membership_fails_tidy_membership(monkeypatch):
     calls = []
 
