@@ -13,6 +13,9 @@ Subcommands:
   their audit CSVs row by row; exit 1 when a check id, a status, a CSV row
   count or a CSV key cell differs, 0 otherwise.
 
+``verify``, ``audit-tidy-bound`` and ``contour-study`` each write report.json
+and every audit table's CSV (an empty one as its header alone) into ``--out``.
+
 Exit codes: 0 when every must-pass check passes, 1 when one fails, and 2
 for bad arguments, which are rejected before any fixture is built.
 """
@@ -85,7 +88,7 @@ def cmd_verify(args) -> int:
 
 def cmd_audit_tidy_bound(args) -> int:
     report = run_suites(args.config)
-    emit(report, args.out, tables=("tidy_bounds",))
+    emit(report, args.out)
     for c in report.checks:
         if c.id.startswith("tidy/growth-slope"):
             print(f"{c.id}: fitted slope {_residual(c, '.4f')} vs bound rate {c.tolerance:.4f}")
@@ -97,7 +100,7 @@ def cmd_audit_tidy_bound(args) -> int:
 
 def cmd_contour_study(args) -> int:
     report = run_suites(args.config)
-    emit(report, args.out, tables=("contour_convergence",))
+    emit(report, args.out)
     _print_report(report)
     print(f"{len(report.rows['contour_convergence'])} convergence rows")
     return 0 if report.must_pass_ok else 1

@@ -41,7 +41,6 @@ import numpy as np
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_AUDIT = "audit"
-SCALARS = (float, np.float64)  # residual types that CheckSet.add folds without arrays
 
 # audit table -> its CSV columns; a run's rows are written to <table>.csv
 CSV_COLUMNS = {
@@ -69,7 +68,7 @@ class CheckRecord:
     samples: int = 0
     nonfinite: int = 0
 
-    def merge(self, residual: float, tolerance: float, ok: bool) -> None:
+    def merge(self, residual: float, tolerance: float) -> None:
         """Fold one more sample into the record, keeping the binding residual."""
         self.samples += 1
         if not math.isfinite(residual):
@@ -78,7 +77,7 @@ class CheckRecord:
         elif self.max_residual is None or residual > self.max_residual:
             self.max_residual = residual
             self.tolerance = tolerance
-        if self.status != STATUS_AUDIT and not ok:
+        if not residual <= tolerance and self.status != STATUS_AUDIT:
             self.status = STATUS_FAIL
 
 
@@ -93,40 +92,23 @@ class CheckSet:
     def add(self, check_id: str, ref: str, residual, tolerance, audit: bool = False) -> None:
         """Fold one residual, or an array of residuals in order, into the record ``check_id``.
 
-        ``tolerance`` is one value for every sample or an array of the
-        residuals' shape. Each sample follows :meth:`CheckRecord.merge`: the
-        first sample of a record sets its status and tolerance, the largest
-        finite residual (the first of a tie) sets the recorded tolerance, a
-        NaN or inf residual is counted and fails the record, and nothing else
-        fails an audit record. An empty array adds nothing.
+        ``tolerance`` is one value for every sample or an array that
+        broadcasts to the residuals' shape. Each sample follows
+        :meth:`CheckRecord.merge`: the first sample of a record sets its
+        tolerance, the largest finite residual (the first of a tie) sets the
+        recorded tolerance, a NaN or inf residual is counted and fails the
+        record, and nothing else fails an audit record. An empty array adds
+        nothing.
         """
-        if type(residual) in SCALARS:  # one sample, folded without arrays
-            ok = residual <= tolerance
-            rec = self._records.get(check_id) or self._record(check_id, ref, ok, tolerance, audit)
-            rec.merge(float(residual), float(tolerance), ok)
-            return
-        res = np.asarray(residual, dtype=float).ravel()
-        tol = np.broadcast_to(np.asarray(tolerance, dtype=float), np.shape(residual)).ravel()
-        if res.size == 0:
-            return
-        ok, finite = res <= tol, np.isfinite(res)
-        rec = self._record(check_id, ref, ok[0], tol[0], audit)
-        rec.samples += res.size
-        rec.nonfinite += res.size - int(np.count_nonzero(finite))
-        i = int(np.argmax(np.where(finite, res, -np.inf)))  # the first of a tie
-        if finite[i] and (rec.max_residual is None or res[i] > rec.max_residual):
-            rec.max_residual, rec.tolerance = float(res[i]), float(tol[i])
-        if not finite.all() or (rec.status != STATUS_AUDIT and not ok.all()):
-            rec.status = STATUS_FAIL
-
-    def _record(self, check_id: str, ref: str, ok, tolerance, audit: bool) -> CheckRecord:
-        """The record ``check_id``, created with the status and tolerance of its first sample."""
+        res = np.asarray(residual, dtype=float)
+        tols = np.empty_like(res)
+        tols[...] = tolerance  # raises unless the tolerance broadcasts to the residuals
         rec = self._records.get(check_id)
-        if rec is None:
-            status = STATUS_AUDIT if audit else (STATUS_PASS if ok else STATUS_FAIL)
-            rec = self._records[check_id] = CheckRecord(check_id, ref, status, None,
-                                                        float(tolerance))
-        return rec
+        for r, tol in zip(res.ravel().tolist(), tols.ravel().tolist()):
+            if rec is None:
+                status = STATUS_AUDIT if audit else STATUS_PASS
+                rec = self._records[check_id] = CheckRecord(check_id, ref, status, None, tol)
+            rec.merge(r, tol)
 
     def records(self) -> list[CheckRecord]:
         return [self._records[k] for k in sorted(self._records)]
@@ -295,13 +277,14 @@ def diff_tables(dir_a, dir_b) -> tuple[list[str], bool]:
     return lines, breaking
 
 
-def emit(report: VerificationReport, out_dir, tables=tuple(CSV_COLUMNS)) -> dict:
-    """Write report.json and the named audit tables' CSVs atomically; return the paths."""
+def emit(report: VerificationReport, out_dir) -> dict:
+    """Write report.json and every audit table's CSV atomically, an empty table as
+    its header alone, so each file in ``out_dir`` is of one run; return the paths."""
     out_dir = os.fspath(out_dir)
     paths = {"report": os.path.join(out_dir, "report.json")}
     atomic_write_text(paths["report"], json.dumps(
         report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
-    for table in tables:
+    for table in CSV_COLUMNS:
         paths[table] = os.path.join(out_dir, f"{table}.csv")
         atomic_write_text(paths[table], render_csv(CSV_COLUMNS[table], report.rows[table]))
     return paths

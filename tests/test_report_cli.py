@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from modlab.cli import main
 from modlab.report import (
     CSV_COLUMNS,
+    CheckRecord,
     CheckSet,
     VerificationReport,
     emit,
@@ -51,7 +52,7 @@ def test_report_json_deterministic_and_parseable(tmp_path):
         cs.add(f"x{i}", "r", x, 1.0)
     rep = VerificationReport(config={"p_min": 1 / 7}, checks=cs.records(), rows=cs.rows)
     for name in ("a", "b"):
-        emit(rep, tmp_path / name, tables=())
+        emit(rep, tmp_path / name)
     text = (tmp_path / "a" / "report.json").read_text()
     assert text == (tmp_path / "b" / "report.json").read_text()
     doc = json.loads(text)
@@ -59,8 +60,7 @@ def test_report_json_deterministic_and_parseable(tmp_path):
     assert [c["max_residual"] for c in doc["checks"]] == xs
     cs.add("y", "r", 1e-12, math.nan)  # a NaN tolerance cannot enter the file
     with pytest.raises(ValueError):
-        emit(VerificationReport(config={}, checks=cs.records(), rows=cs.rows),
-             tmp_path / "nan", tables=())
+        emit(VerificationReport(config={}, checks=cs.records(), rows=cs.rows), tmp_path / "nan")
     assert not (tmp_path / "nan" / "report.json").exists()
 
 
@@ -141,22 +141,59 @@ RESIDUALS = st.sampled_from([0.0, -0.0, 1e-12, 1e-10, 5e-10, 2e-9, 1.0, -1.0,
 TOLERANCES = st.sampled_from([1e-9, 1e-10, 1.0, 2e-9, 0.0, math.inf, math.nan])
 
 
+def _folded_by_hand(samples, audit) -> list[CheckRecord]:
+    """The fold's rules, stated once more over (residual, tolerance) pairs."""
+    if not samples:
+        return []
+    rec = CheckRecord("x", "r", "audit" if audit else "pass", None, samples[0][1])
+    for r, t in samples:
+        rec.samples += 1
+        if math.isnan(r) or math.isinf(r):
+            rec.nonfinite += 1
+            rec.status = "fail"
+        elif rec.max_residual is None or r > rec.max_residual:  # the first of a tie stays
+            rec.max_residual, rec.tolerance = r, t
+        if not audit and not r <= t:
+            rec.status = "fail"
+    return [rec]
+
+
 @settings(max_examples=300, deadline=None)
 @given(batches=st.lists(st.lists(st.tuples(RESIDUALS, TOLERANCES), max_size=6), max_size=4),
        audit=st.booleans(), scalar_tolerance=st.booleans())
 def test_array_add_equals_the_per_sample_loop(batches, audit, scalar_tolerance):
-    folded, looped = CheckSet(), CheckSet()
+    # the fold is one rule: the samples in one call, split into batches (empty
+    # ones too) or one scalar at a time give the record the rules give by hand
+    whole, batched, looped = CheckSet(), CheckSet(), CheckSet()
+    samples = []
     for batch in batches:
         residuals = np.array([r for r, _ in batch])
         tolerances = np.array([t for _, t in batch])
         if scalar_tolerance:
             tolerances = batch[0][1] if batch else 1e-9
-        folded.add("x", "r", residuals, tolerances, audit=audit)
+        batched.add("x", "r", residuals, tolerances, audit=audit)
         for r, t in zip(residuals.tolist(), np.broadcast_to(tolerances, residuals.shape).tolist()):
             looped.add("x", "r", r, t, audit=audit)
+            samples.append((r, t))
+    whole.add("x", "r", np.array([r for r, _ in samples]), np.array([t for _, t in samples]),
+              audit=audit)
     # repr tells NaNs equal, and tells apart -0.0 from 0.0 and np.float64 from float
-    assert [repr(dataclasses.astuple(r)) for r in folded.records()] == \
-        [repr(dataclasses.astuple(r)) for r in looped.records()]
+    expected = [repr(dataclasses.astuple(r)) for r in _folded_by_hand(samples, audit)]
+    for cs in (whole, batched, looped):
+        assert [repr(dataclasses.astuple(r)) for r in cs.records()] == expected
+
+
+@pytest.mark.parametrize("residual, tolerance", [
+    (np.zeros(3), np.ones(2)),
+    (1e-12, np.ones(2)),
+    (np.zeros((2, 3)), np.ones((3, 2))),
+    (np.zeros(0), np.ones(2)),
+], ids=["length", "scalar-residual", "transposed", "empty"])
+def test_tolerance_that_does_not_broadcast_raises(residual, tolerance):
+    cs = CheckSet()
+    with pytest.raises(ValueError):
+        cs.add("x", "r", residual, tolerance)
+    assert cs.records() == []
 
 
 def test_array_add_takes_any_shape_and_skips_an_empty_one():
@@ -458,16 +495,30 @@ def test_nan_ladder_fails_the_identity_and_still_writes_the_report(tmp_path, mon
     assert record["max_residual"] is None and math.isfinite(record["tolerance"])
 
 
-@pytest.mark.parametrize("command, files", [
-    (["verify", "--suite", "modular"],
-     {"report.json", "tidy_bounds.csv", "contour_convergence.csv"}),
-    (["audit-tidy-bound"], {"report.json", "tidy_bounds.csv"}),
-    (["contour-study"], {"report.json", "contour_convergence.csv"}),
-], ids=["verify", "audit-tidy-bound", "contour-study"])
-def test_cli_run_commands_write_their_file_sets(tmp_path, command, files):
+@pytest.mark.parametrize("command", [["verify", "--suite", "modular"], ["audit-tidy-bound"],
+                                     ["contour-study"]],
+                         ids=["verify", "audit-tidy-bound", "contour-study"])
+def test_cli_run_commands_write_their_file_sets(tmp_path, command):
     assert main([*command, "--model", "standard", "--factor-size", "2", "--trials", "1",
                  "--out", str(tmp_path)]) == 0
-    assert set(os.listdir(tmp_path)) == files
+    assert set(os.listdir(tmp_path)) == {"report.json", "tidy_bounds.csv",
+                                         "contour_convergence.csv"}
+
+
+def test_reused_out_dir_holds_one_run(tmp_path):
+    # a table the later run leaves empty is rewritten as its header, so no
+    # row of the earlier run survives beside the later report.json
+    common = ["--model", "standard", "--factor-size", "2", "--out", str(tmp_path)]
+    assert main(["verify", "--trials", "1", *common]) == 0
+    assert len((tmp_path / "contour_convergence.csv").read_text().splitlines()) > 1
+    assert main(["audit-tidy-bound", "--trials", "2", "--seed", "5", *common]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["seed"] == 5 and report["config"]["suites"] == ["tidy"]
+    header = ",".join(CSV_COLUMNS["contour_convergence"]) + "\n"
+    assert (tmp_path / "contour_convergence.csv").read_text() == header
+    seeds = {row.split(",")[0]
+             for row in (tmp_path / "tidy_bounds.csv").read_text().splitlines()[1:]}
+    assert len(seeds) == 2
 
 
 def test_cli_contour_rows_name_their_fixture(tmp_path):

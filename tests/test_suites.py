@@ -1,10 +1,11 @@
 """The suites' sampled checks: batched kernels against per-sample loops, and
 non-finite and defect injection.
 
-A record that takes the maximum over samples must see a NaN sample: Python's
-``max(0.0, nan)`` is ``0.0``, so a running maximum would record a broken
-measurement as a pass. Each injection below passes silently under such a
-running maximum.
+Every sample reaches ``CheckSet.add`` as a sample of its own, so a NaN
+among them is counted and fails the record. A hand reduction before the fold
+could hide it: Python's ``max(0.0, nan)`` is ``0.0``, so a running maximum
+would record a broken measurement as a pass. Each injection below passes
+silently under such a running maximum.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 from modlab import suites
 from modlab.algebra import mutual_projection_residual
 from modlab.fixtures import generate_fixture, parse_spec
+from modlab.flow import STRIP_RE_MAX
 from modlab.linalg import AntilinearMap, rel_residual
 from modlab.report import CheckSet
 from modlab.suites import TOL_BASE
@@ -91,15 +93,16 @@ def test_batched_modular_records_match_the_loop_oracle(label, seed, defect):
     fix = _perturbed(_fixture(label, seed=100 + seed), defect)
     t = fix.triple
     recs = _records(suites.run_modular_suite, fix, seed)
-    oracle = {cid: max(r) for cid, r in _loop_oracle(fix, np.random.default_rng(seed)).items()}
+    loop = _loop_oracle(fix, np.random.default_rng(seed))
     tols = dict.fromkeys(SAMPLED[:2], TOL_BASE * math.sqrt(t.kappa) * t.dim)
     tols["modular/j-antiunitary"] = 1e-10 * t.dim
     for cid in SAMPLED:
-        rec = recs[cid]
-        assert rec.samples == 1 and rec.nonfinite == 0
+        rec, worst = recs[cid], max(loop[cid])
+        # every element or vector pair reaches the record as its own sample
+        assert rec.samples == len(loop[cid]) and rec.nonfinite == 0
         assert rec.tolerance == tols[cid]
-        assert abs(rec.max_residual - oracle[cid]) <= 1e-15, cid
-        assert rec.status == ("pass" if oracle[cid] <= tols[cid] else "fail")
+        assert abs(rec.max_residual - worst) <= 1e-15, cid
+        assert rec.status == ("pass" if worst <= tols[cid] else "fail")
 
 
 @pytest.mark.parametrize("label", MODELS)
@@ -150,6 +153,28 @@ def test_relative_defect_of_ten_tolerances_flips_the_record(label, field, cid, t
     assert rec.status == "fail" and rec.nonfinite == 0
 
 
+class _NanPair(AntilinearMap):
+    """J, except that a stack of vectors comes back with one column NaN."""
+
+    def __call__(self, psi):
+        out = super().__call__(psi)
+        if out.ndim == 2:
+            out[:, 3] = np.nan
+        return out
+
+
+def test_nan_in_one_j_antiunitary_pair_fails_one_sample_of_a_hundred():
+    # only the pair's two stacked J calls see the NaN; the other 99 pairs
+    # reach the record as finite samples of their own
+    fix = _fixture()
+    broken = _NanPair(fix.triple.j.matrix)
+    recs = _records(suites.run_modular_suite, _with(fix, j=broken))
+    rec = recs["modular/j-antiunitary"]
+    assert rec.status == "fail" and rec.nonfinite == 1 and rec.samples == 100
+    assert 0.0 <= rec.max_residual <= rec.tolerance
+    assert recs["modular/fixed-vector"].status == "pass"
+
+
 def _flow_records(monkeypatch, name, wrap):
     """Flow-suite records with suites.<name> replaced by wrap(original)."""
     monkeypatch.setattr(suites, name, wrap(getattr(suites, name)))
@@ -165,7 +190,7 @@ def test_nan_flowed_state_fails_fixes_state(monkeypatch):
         return rigged
 
     rec = _flow_records(monkeypatch, "analytic_flow", wrap)["flow/fixes-state"]
-    assert rec.status == "fail" and rec.nonfinite == 1
+    assert rec.status == "fail" and rec.nonfinite == 1 and rec.samples == 3
 
 
 @pytest.mark.parametrize("position", [0, 2])  # the line's base norm, and a later one
@@ -179,6 +204,17 @@ def test_nan_strip_norm_fails_strip_constancy(monkeypatch, position):
 
     rec = _flow_records(monkeypatch, "strip_growth_scan", wrap)["flow/strip-constancy"]
     assert rec.status == "fail" and rec.nonfinite == 1
+
+
+def test_strip_constancy_samples_each_line_and_one_zero_when_all_are_skipped(monkeypatch):
+    rec = _records(suites.run_flow_suite, _fixture())["flow/strip-constancy"]
+    assert rec.samples == STRIP_RE_MAX + 1  # one per vertical line
+
+    def wrap(scan):
+        return lambda t, a: np.zeros_like(scan(t, a))  # every line has zero norm
+
+    rec = _flow_records(monkeypatch, "strip_growth_scan", wrap)["flow/strip-constancy"]
+    assert (rec.status, rec.samples, rec.max_residual, rec.nonfinite) == ("pass", 1, 0.0, 0)
 
 
 def test_nan_commutator_ratio_fails_analytic_commutators(monkeypatch):
@@ -244,7 +280,7 @@ def test_nan_membership_fails_tidy_membership(monkeypatch):
 
     monkeypatch.setattr(suites, "membership_residual", rigged)
     rec = _records(suites.run_tidy_suite, _fixture())["tidy/membership"]
-    assert rec.status == "fail" and rec.nonfinite == 1
+    assert rec.status == "fail" and rec.nonfinite == 1 and rec.samples == 2
 
 
 def test_mutual_projection_residual_propagates_nan():
