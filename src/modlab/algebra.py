@@ -11,13 +11,16 @@ Algebras enter as spanning sets (the block models of :mod:`modlab.fixtures`);
 nothing here closes generators into an algebra.
 
 A commutant is the nullspace of a stacked commutator map, read from the R
-factor of its QR: R is d^2 x d^2 and has the stack's singular values and
-right singular vectors, so the stack's square left singular factor is never
-formed. A finite-dimensional von Neumann algebra has a single generator
-(Pearcy, Proc. AMS 13, 1962), so from dim >= PAIR_MIN_DIM the stack is that of
-two seeded generic elements (2 d^2 rows, 51 MiB at d = 36) rather than of the
-whole basis (dim * d^2 rows); the result is certified against the whole basis,
-and the full stack decides when the certificate fails.
+factor of its QR: R is square in the number of unknowns and has the stack's
+singular values and right singular vectors, so the stack's left singular
+factor is never formed. From dim >= PAIR_MIN_DIM the unknowns are only the
+entries of x inside the eigenspaces of one generic Hermitian element h of
+the input, where every element of the commutant lives, and the stack is that
+of two seeded generic elements: 2 d^2 rows and |P| columns, |P| the number of
+same-eigenspace index pairs (n^3 of the n^4 for standard_factor(n), 8.5 MiB
+at d = 36). The clustering of h's eigenvalues and the result are certified,
+and the full stack (dim * d^2 rows, d^2 columns) decides when either
+certificate fails.
 """
 
 from __future__ import annotations
@@ -28,13 +31,17 @@ from functools import lru_cache
 import numpy as np
 
 RANK_TOL = 1e-9  # singular values below RANK_TOL * max count as zero
-# commutant() takes the generic pair from this dim(a) on. Median times with
-# one BLAS thread, full stack against pair: dim 4-5, 0.17-0.30 ms against
-# 0.27-0.40 ms; a tie at dim 6; dim 7, 1.1 against 0.7 ms; dim 9, 6.1 against
-# 3.0 ms; dim 16, 178 against 36 ms. The margin above the crossover covers a
-# fallback, which pays for both.
-PAIR_MIN_DIM = 8
-PAIR_GAP_MIN = 1e-3  # smallest accepted rank gap of the pair's stack
+# commutant() takes the eigenspace route from this dim(a) on. Median times with
+# one BLAS thread, full stack against eigenspace route: dim 4-5, 0.12-0.21 ms
+# against 0.33-0.36 ms; dim 6, 0.24-0.30 against 0.42 ms; dim 7, 0.73-0.78
+# against 0.48 ms; dim 8, 1.7-1.8 against 0.54 ms; dim 9, 3.8-4.9 against
+# 0.64-0.80 ms; dim 16, 162 against 4.1 ms; dim 25, 1,984 against 25 ms.
+PAIR_MIN_DIM = 7
+PAIR_GAP_MIN = 1e-3  # smallest accepted rank gap of the eigenspace stack
+# eigenvalues of h closer than CLUSTER_TOL |h| share a cluster: far above the
+# rounding spread of a multiple eigenvalue (~1e-15 |h|) and above the smallest
+# gap the clustering certificate accepts (2e9 err, ~1e-5 |h| at d = 49)
+CLUSTER_TOL = 1e-4
 COND_CAP = 1e6  # refuse orbit solves beyond this condition number
 
 
@@ -134,26 +141,72 @@ def commutant(a: OperatorSubspace) -> OperatorSubspace:
     """Commutant {x : [x, b] = 0 for every basis element b of a}.
 
     Computed as the nullspace of a stacked commutator map on the
-    d^2-dimensional operator space. From dim(a) >= PAIR_MIN_DIM the stack is
-    that of two generic elements x1, x2 of a, 2 d^2 rows instead of
-    dim(a) d^2. Its nullspace always contains the commutant; it is accepted
-    when its rank gap is at least PAIR_GAP_MIN and every result element
-    commutes with every basis element of a to RANK_TOL, and otherwise the
-    full stack decides. The result of a (certified) algebra is itself an
-    algebra.
+    d^2-dimensional operator space. From dim(a) >= PAIR_MIN_DIM it is first
+    solved inside the eigenspaces of a generic Hermitian element of a
+    (:func:`_eigenspace_commutant`); when that route does not certify its
+    result, and below PAIR_MIN_DIM, the full stack of dim(a) d^2 rows
+    decides. The result of a (certified) algebra is itself an algebra.
     """
     d = a.dim_space
     if a.dim == 0:  # nothing to commute with: all of M_d, spanned by the E_ij
         return subspace_orthonormalize(np.eye(d * d, dtype=complex).reshape(-1, d, d))
     if a.dim >= PAIR_MIN_DIM:
-        # unit-norm but not orthogonal: only the commutator stack reads it
-        pair = np.tensordot(_pair_coefficients(a.dim), a.basis, axes=(1, 0))
-        c, gap = _nullspace(OperatorSubspace(d, pair))
-        y = c.basis[:, None]
-        leak = np.linalg.norm(y @ a.basis - a.basis @ y, axis=(-2, -1))
-        if gap >= PAIR_GAP_MIN and np.max(leak, initial=0.0) <= RANK_TOL:
+        c = _eigenspace_commutant(a)
+        if c is not None:
             return c
-    return _nullspace(a)[0]
+    return _nullspace(a.basis, *np.divmod(np.arange(d * d), d))[0]
+
+
+def _eigenspace_commutant(a: OperatorSubspace) -> OperatorSubspace | None:
+    """The commutant solved inside the eigenspaces of h = x1 + x1^H, or None.
+
+    x1, x2 are two seeded generic elements of a; a finite-dimensional von
+    Neumann algebra has a single generator (Pearcy, Proc. AMS 13, 1962), so
+    generically {x1, x2}' = A' for a *-closed a. When h lies in a
+    (membership residual at most RANK_TOL), every element of A' commutes
+    with h and is block diagonal in h's eigenbasis, one block per eigenvalue
+    cluster (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math.
+    27, 2010): the
+    unknowns are the entries on the same-cluster index pairs P, and the stack
+    of y^ -> ([y^, x1^], [y^, x2^]), x^ = U^H x U for h's eigenvectors U, is
+    2 d^2 x |P| (|P| = n^3 of n^4 for standard_factor(n)).
+
+    Certificate of the clustering. Write h = h_A + e with h_A in a, and let
+    the computed eigenpairs satisfy h U = U diag(w) + R. For y in A',
+    [y, h_A] = 0, so in the eigenbasis (y^ = U^H y U) the commutator
+    [y^, diag(w)] = U^H [y, e - R U^H] U has Frobenius norm at most
+    2 |y|_F err, err = |e|_F + |R|_F; its entries are y^_ij (w_j - w_i). So
+    the off-pattern part of a unit y has Frobenius norm, and each of its
+    entries has modulus, at most 2 err / g, g the smallest gap between
+    clusters. Merging clusters only grows P and loses nothing; splitting a
+    true cluster would lose elements that no later check can see, so the
+    route requires 2 err / g <= RANK_TOL. As g <= 2 |h|, that implies the
+    membership gate whenever h has two clusters; the gate is the early exit
+    for an input that is not *-closed. The nullspace is then read as in
+    :func:`_nullspace`, mapped back by y = U y^ U^H, and accepted when its
+    rank gap is at least PAIR_GAP_MIN and every element commutes with every
+    basis element of a to RANK_TOL.
+    """
+    pair = np.tensordot(_pair_coefficients(a.dim), a.basis, axes=(1, 0))
+    h = pair[0] + pair[0].conj().T
+    residual = membership_residual(h, a)
+    if not residual <= RANK_TOL:  # h outside a (a not *-closed): A' need not commute with h
+        return None
+    w, u = np.linalg.eigh(h)
+    gaps = np.diff(w)
+    split = gaps > CLUSTER_TOL * np.max(np.abs(w))
+    err = residual * np.linalg.norm(h) + np.linalg.norm(h @ u - u * w)
+    if not 2.0 * err <= RANK_TOL * np.min(gaps[split], initial=np.inf):
+        return None
+    cluster = np.concatenate(([0], np.cumsum(split)))
+    rows, cols = np.nonzero(cluster[:, None] == cluster)
+    c, gap = _nullspace(u.conj().T @ pair @ u, rows, cols, u)
+    # commutators with the whole basis, a few result elements at a time, so
+    # that the temporaries stay below the stack
+    parts = np.array_split(c.basis[:, None], max(1, 2 * a.dim * c.dim // len(rows)))
+    leak = np.max([np.max(np.linalg.norm(y @ a.basis - a.basis @ y, axis=(-2, -1)), initial=0.0)
+                   for y in parts], initial=0.0)
+    return c if gap >= PAIR_GAP_MIN and leak <= RANK_TOL else None
 
 
 @lru_cache(maxsize=None)
@@ -166,37 +219,44 @@ def _pair_coefficients(k: int) -> np.ndarray:
     return g
 
 
-def _nullspace(a: OperatorSubspace) -> tuple[OperatorSubspace, float]:
-    """Nullspace of a's commutator stack, and its rank gap.
+def _nullspace(xs: np.ndarray, rows, cols, u=None) -> tuple[OperatorSubspace, float]:
+    """Nullspace of the commutator stack of xs on the pattern (rows, cols), and its rank gap.
 
-    Read from the SVD of the stack's d^2 x d^2 R factor; memory is the stack
+    Read from the SVD of the stack's |P| x |P| R factor; memory is the stack
     plus the QR's one copy. The gap is the smallest singular value above the
-    null threshold, relative to max(sv0, 1) (inf when every one is null).
+    null threshold, relative to max(sv0, 1) (inf when every one is null). The
+    null vectors are scattered onto the pattern and, given u, mapped back by
+    y -> u y u^H. The full stack passes no u: a product with the identity
+    keeps the values but can flip the sign of a zero, which moves LAPACK's
+    reflectors and so the bits of the basis.
     """
-    d = a.dim_space
-    r = np.linalg.qr(_commutator_stack(a), mode="r")
+    d = xs.shape[-1]
+    r = np.linalg.qr(_commutator_stack(xs, rows, cols), mode="r")
     _, sv, vh = np.linalg.svd(r)
     # basis elements are trace-normalized, so genuine non-commutation shows up
     # at scale O(1); the floor keeps noise-level singular values in the nullspace
     scale = max(float(sv[0]), 1.0)
     null = sv <= RANK_TOL * scale
     gap = float(np.min(sv[~null], initial=np.inf)) / scale
-    return subspace_orthonormalize(vh[null].conj().reshape(-1, d, d)), gap
+    y = np.zeros((int(null.sum()), d, d), dtype=complex)
+    y[:, rows, cols] = vh[null].conj()
+    return subspace_orthonormalize(y if u is None else u @ y @ u.conj().T), gap
 
 
-def _commutator_stack(a: OperatorSubspace) -> np.ndarray:
-    """The (dim(a)*d^2, d^2) stack whose block n maps vec(x) to vec([x, b_n]).
+def _commutator_stack(xs: np.ndarray, rows, cols) -> np.ndarray:
+    """The (k d^2, |P|) stack whose block n maps y, supported on P, to vec([y, x_n]).
 
-    Row-major vec: vec(x b) = (1 (x) b^T) vec(x), vec(b x) = (b (x) 1) vec(x);
-    entry (i*d + j, p*d + q) of block n is stack[n, i, j, p, q].
+    Column l is vec([E_pq, x_n]) for (p, q) = (rows[l], cols[l]), row-major:
+    entry (i, j) is delta_ip x_n[q, j] - delta_qj x_n[i, p]. With every index
+    pair in row-major order it is the full stack, vec(x b) = (1 (x) b^T) vec(x)
+    and vec(b x) = (b (x) 1) vec(x).
     """
-    d, k = a.dim_space, a.dim
-    stack = np.zeros((k, d, d, d, d), dtype=complex)
-    for i in range(d):
-        stack[:, i, :, i, :] += a.basis.transpose(0, 2, 1)
-    for c in range(d):
-        stack[:, :, c, :, c] -= a.basis
-    return stack.reshape(k * d * d, d * d)
+    k, d, _ = xs.shape
+    col = np.arange(len(rows))
+    stack = np.zeros((k, d, d, len(rows)), dtype=complex)
+    stack[:, rows, :, col] = xs[:, cols, :].transpose(1, 0, 2)
+    stack[:, :, cols, col] -= xs[:, :, rows]
+    return stack.reshape(k * d * d, len(rows))
 
 
 def bicommutant(a: OperatorSubspace) -> OperatorSubspace:

@@ -67,32 +67,50 @@ def analytic_flow(triple: ModularTriple, x, z) -> np.ndarray:
 
 
 def commutator_ratio(xs: np.ndarray, norms_x, basis: np.ndarray, basis_norms) -> np.ndarray:
-    """Largest relative commutator |[x, b]| / (|x| |b|) over the basis, per x of an (n, d, d) stack.
+    """Largest relative commutator |[x, b]| / (|x| |b|) over the basis, per x of a stack.
 
-    norms_x (n of them, or one for all) and basis_norms are the caller's
-    operator norms; a floor of 1e-30 on each scale keeps zero elements from
-    dividing by zero, and a NaN norm stays in its own sample's ratio. The
-    result equals ``np.max(opnorm_stack(c) / scale, axis=1, initial=0.0)``
-    bit for bit. Below PRUNE_MIN_DIM that is how it is computed. From there
-    on each commutator C gets the upper bound m |(C^H C / m^2)^2|_F^{1/4}
+    xs is one (n, d, d) block or a (k, n, d, d) stack of them, and the result
+    has shape xs.shape[:-2]. norms_x (broadcast against xs.shape[:-2]) and
+    basis_norms are the caller's operator norms; a floor of 1e-30 on each
+    scale keeps zero elements from dividing by zero, and a NaN norm stays in
+    its own sample's ratio. Per block the result equals
+    ``np.max(opnorm_stack(c) / scale, axis=1, initial=0.0)`` bit for bit.
+    Below PRUNE_MIN_DIM that is how it is computed. From there on each
+    commutator C gets the upper bound m |(C^H C / m^2)^2|_F^{1/4}
     (1 + BOUND_MARGIN), m = max |c_ij|, which is >= |C|; per sample the SVD
     of the largest bound / scale is taken first, then those of the rivals
     whose bound / scale reaches that exact ratio. A non-finite bound and an
     all-zero commutator always count as rivals. Any other commutator has a
-    ratio below one already taken, so it cannot change the maximum.
+    ratio below one already taken, so it cannot change the maximum. The
+    pruned sweep writes every block into one set of work arrays, allocated
+    once per call, and overwrites each of them before it reads it.
     """
-    x = xs[:, None]
+    blocks = xs if xs.ndim == 4 else xs[None]
+    norms = np.broadcast_to(norms_x, xs.shape[:-2]).reshape(blocks.shape[:2])
+    shape = blocks.shape[1:2] + basis.shape
+    work = None
+    if basis.shape[-1] >= PRUNE_MIN_DIM and 0 not in shape:
+        work = [np.empty(shape, dtype=complex) for _ in range(4)] + [np.empty(shape)]
+    ratios = np.empty(blocks.shape[:2])
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite input gives a NaN ratio
-        c = x @ basis - basis @ x
-        scale = np.broadcast_to(np.maximum(np.multiply.outer(norms_x, basis_norms), 1e-30),
-                                c.shape[:2])
-        if c.shape[-1] < PRUNE_MIN_DIM or c.size == 0:
-            return np.max(opnorm_stack(c) / scale, axis=1, initial=0.0)
-        m = np.max(np.abs(c), axis=(-2, -1))
-        unit = c * (1.0 / np.where(m == 0, 1.0, m))[..., None, None]
-        gram = unit.conj().swapaxes(-2, -1) @ unit
-        bound = (m * np.sqrt(np.sqrt(np.linalg.norm(gram @ gram, axis=(-2, -1))))
-                 * (1.0 + BOUND_MARGIN) / scale)
+        for out, x, norm in zip(ratios, blocks, norms):
+            scale = np.maximum(np.multiply.outer(norm, basis_norms), 1e-30)
+            out[...] = _block_ratio(x[:, None], basis, scale, work)
+    return ratios.reshape(xs.shape[:-2])
+
+
+def _block_ratio(x, basis, scale, work) -> np.ndarray:
+    """commutator_ratio of one (n, 1, d, d) block, in the work arrays when given."""
+    if work is None:
+        return np.max(opnorm_stack(x @ basis - basis @ x) / scale, axis=1, initial=0.0)
+    c, unit, conj, gram, modulus = work
+    np.subtract(np.matmul(x, basis, out=c), np.matmul(basis, x, out=unit), out=c)
+    m = np.max(np.abs(c, out=modulus), axis=(-2, -1))
+    np.multiply(c, (1.0 / np.where(m == 0, 1.0, m))[..., None, None], out=unit)
+    np.matmul(np.conjugate(unit, out=conj).swapaxes(-2, -1), unit, out=gram)
+    square = np.matmul(gram, gram, out=conj).view(float).reshape(*scale.shape, -1)
+    frob = np.sqrt(np.einsum("...i,...i->...", square, square))  # |gram @ gram|_F
+    bound = m * np.sqrt(np.sqrt(frob)) * (1.0 + BOUND_MARGIN) / scale
     rows = np.arange(len(c))
     first = np.argmax(bound, axis=1)  # a NaN bound, if any, comes first
     best = opnorm_stack(c[rows, first]) / scale[rows, first]
@@ -113,9 +131,9 @@ def tomita_check(triple: ModularTriple, basis: np.ndarray, t_samples):
     tolerance. Commutators are taken one a at a time, T dim(A') matrices.
     """
     flowed = analytic_flow(triple, basis, 1j * np.asarray(t_samples, dtype=float))
-    commutator = [commutator_ratio(fa, norm_a, triple.commutant.basis, triple.commutant_norms)
-                  for fa, norm_a in zip(flowed, opnorm_stack(basis))]
-    return membership_residual(flowed, triple.algebra), np.array(commutator)
+    commutator = commutator_ratio(flowed, opnorm_stack(basis)[:, None], triple.commutant.basis,
+                                  triple.commutant_norms)
+    return membership_residual(flowed, triple.algebra), commutator
 
 
 def strip_growth_scan(triple: ModularTriple, a) -> np.ndarray:

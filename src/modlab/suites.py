@@ -279,7 +279,9 @@ def _draw_offaxis_z(rng, w) -> complex:
         r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         theta = rng.uniform(0.05, 2 * math.pi - 0.05)
         z = r * complex(math.cos(theta), math.sin(theta))
-        if td.axis_gap(z) > 1e-5 and np.min(np.abs(z - w)) > 1e-5:
+        # td.axis_gap in scalar arithmetic: |z| - Re z without cancellation
+        gap = z.imag ** 2 / (abs(z) + z.real) if z.real > 0 else abs(z) - z.real
+        if gap > 1e-5 and np.min(np.abs(z - w)) > 1e-5:
             return z
     raise RuntimeError("could not draw an off-axis resolvent point")
 

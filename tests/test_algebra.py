@@ -253,9 +253,14 @@ def reference_commutant(a):
 @pytest.mark.parametrize("mats,_closed", kernel_cases())
 def test_commutant_kernel_matches_kron_svd_reference(mats, _closed):
     a = subspace_orthonormalize(mats)
-    assert np.array_equal(_commutator_stack(a), reference_stack(a))
+    d = a.dim_space
+    full = _commutator_stack(a.basis, *np.divmod(np.arange(d * d), d))  # every index pair
+    assert np.array_equal(full, reference_stack(a))
+    # a pattern's stack is the full stack's columns at its index pairs
+    rows, cols = np.nonzero(np.random.default_rng(d).random((d, d)) < 0.4)
+    assert np.array_equal(_commutator_stack(a.basis, rows, cols), full[:, rows * d + cols])
     got, ref = commutant(a), reference_commutant(a)
-    eye = np.eye(a.dim_space)
+    eye = np.eye(d)
     assert got.dim == ref.dim
     assert membership_residual(eye, got) <= 1e-10
     assert membership_residual(eye, ref) <= 1e-10
@@ -289,13 +294,17 @@ def traced_commutant(a):
     return c, peak
 
 
+def eigenspace_stack_bytes(n):
+    # standard_factor(n): h has n eigenvalues of multiplicity n, so the
+    # pattern holds n^3 of the d^2 = n^4 index pairs, and the stack 2 d^2 n^3 entries
+    return 2 * n**4 * n**3 * 16
+
+
 def test_commutant_memory_is_stack_plus_one_copy():
     a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(4)))
-    d = a.dim_space
     assert a.dim >= PAIR_MIN_DIM
-    pair_stack_bytes = 2 * d**4 * 16  # 2 MiB; the full stack would be 16 MiB
     _, peak = traced_commutant(a)
-    assert peak <= 4 * pair_stack_bytes
+    assert peak <= 3 * eigenspace_stack_bytes(4)  # 0.5 MiB; the full stack would be 16 MiB
 
 
 def test_commutant_at_d25_equals_closed_form():
@@ -307,54 +316,115 @@ def test_commutant_at_d25_equals_closed_form():
     assert mutual_projection_residual(c, subspace_orthonormalize(commutant_basis_matrices(spec))) <= 1e-9
 
 
-def test_commutant_at_d36_equals_closed_form():
-    # the top of the supported range: standard_factor(6), d = 36, A' = 1 (x) M_6,
-    # within four pair stacks (51 MiB each)
-    spec = AlgebraSpec.standard_factor(6)
+def assert_closed_form_within_three_stacks(n):
+    spec = AlgebraSpec.standard_factor(n)
     a = subspace_orthonormalize(algebra_basis_matrices(spec))
     c, peak = traced_commutant(a)
-    assert peak <= 4 * 2 * 36**4 * 16
-    assert c.dim == 36 and membership_residual(np.eye(36), c) <= 1e-10
+    assert peak <= 3 * eigenspace_stack_bytes(n)
+    assert c.dim == n * n and membership_residual(np.eye(n * n), c) <= 1e-10
     assert mutual_projection_residual(c, subspace_orthonormalize(commutant_basis_matrices(spec))) <= 1e-9
 
 
+def test_commutant_at_d36_equals_closed_form():
+    # standard_factor(6), d = 36, A' = 1 (x) M_6, within three eigenspace stacks (8.5 MiB each)
+    assert_closed_form_within_three_stacks(6)
+
+
+def test_commutant_at_d49_equals_closed_form():
+    # the top of the supported range: standard_factor(7), d = 49, within three
+    # eigenspace stacks (25 MiB each)
+    assert_closed_form_within_three_stacks(7)
+
+
 def nilpotent_corner() -> list:
-    # S = {[[0, X], [0, 0]] : X in M_3}: any two elements multiply to 0, so two
-    # generic ones generate only span{1, x1, x2}, whose commutant (dim 12) is
-    # larger than S' (dim 10: x_11 = x_22 blocks, x_12 free, x_21 = 0)
+    # S = {[[0, X], [0, 0]] : X in M_3} is not closed under adjoints:
+    # h = x1 + x1^dag lies outside S, and S' (dim 10: x_11 = x_22 blocks,
+    # x_12 free, x_21 = 0) need not commute with it
     return [np.kron(elementary(2, 0, 1), elementary(3, i, j)) for i in range(3) for j in range(3)]
 
 
 def count_stacks(monkeypatch) -> list:
-    """Record the dimension of every subspace whose commutator stack is built."""
+    """Record (elements, pattern size) of every commutator stack that is built."""
     stacks = []
 
-    def counting_stack(space):
-        stacks.append(space.dim)
-        return _commutator_stack(space)
+    def counting_stack(xs, rows, cols):
+        stacks.append((len(xs), len(rows)))
+        return _commutator_stack(xs, rows, cols)
 
     monkeypatch.setattr(algebra, "_commutator_stack", counting_stack)
     return stacks
 
 
-def test_commutant_falls_back_to_full_stack_when_pair_certificate_fails(monkeypatch):
+def test_commutant_builds_only_the_full_stack_for_a_set_not_closed_under_adjoints(monkeypatch):
     a = subspace_orthonormalize(nilpotent_corner())
     assert a.dim >= PAIR_MIN_DIM
     stacks = count_stacks(monkeypatch)
     got = commutant(a)
-    assert stacks == [2, a.dim]
+    assert stacks == [(a.dim, 36)]
     ref = reference_commutant(a)
     assert got.dim == ref.dim == 10
     assert mutual_projection_residual(got, ref) <= 1e-12
 
 
 def test_commutant_falls_back_to_full_stack_below_the_gap_margin(monkeypatch):
-    # the gap is at most 1, so a margin of 2 rejects every pair
+    # the gap is at most 1, so a margin of 2 rejects every eigenspace stack
     a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(3)))
     monkeypatch.setattr(algebra, "PAIR_GAP_MIN", 2.0)
     stacks = count_stacks(monkeypatch)
     got = commutant(a)
-    assert stacks == [2, 9]
+    assert stacks == [(2, 27), (9, 81)]
+    assert mutual_projection_residual(got, reference_commutant(a)) <= 1e-12
+
+
+def eigenspace_cases() -> list:
+    specs = (AlgebraSpec.standard_factor(3), AlgebraSpec.standard_factor(4),
+             AlgebraSpec.direct_sum([(3, 3), (1, 1)]), AlgebraSpec.maximal_abelian(9))
+    cases = [pytest.param(algebra_basis_matrices(s), commutant_basis_matrices(s), id=s.label())
+             for s in specs]
+    cases += [pytest.param(commutant_basis_matrices(s), algebra_basis_matrices(s),
+                           id=f"commutant-{s.label()}") for s in specs]
+    # standard_factor(4) conjugated by a seeded unitary: a generic, complex basis
+    spec = AlgebraSpec.standard_factor(4)
+    g = np.random.default_rng(16).standard_normal((2, 16, 16))
+    q, _ = np.linalg.qr(g[0] + 1j * g[1])
+    rotated = [q @ m @ q.conj().T for m in (algebra_basis_matrices(spec), commutant_basis_matrices(spec))]
+    return cases + [pytest.param(*rotated, id="rotated")]
+
+
+@pytest.mark.parametrize("mats,closed", eigenspace_cases())
+def test_commutant_of_every_model_takes_the_eigenspace_route(monkeypatch, mats, closed):
+    a = subspace_orthonormalize(mats)
+    d = a.dim_space
+    assert a.dim >= PAIR_MIN_DIM
+    stacks = count_stacks(monkeypatch)
+    got = commutant(a)
+    [(k, size)] = stacks  # no full stack
+    assert k == 2 and size < d * d
+    assert mutual_projection_residual(got, subspace_orthonormalize(closed)) <= 1e-9
+
+
+def test_commutant_falls_back_when_the_pair_does_not_generate_the_algebra(monkeypatch):
+    # x1 = x2 = E_11 (x) 1 / sqrt(3) generates only C p + C (1 - p): the
+    # eigenspace stack's nullspace holds every block-diagonal y (dim 9 + 36),
+    # and the leak certificate against the whole basis refuses it
+    a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(3)))
+    p = np.kron(elementary(3, 0, 0), np.eye(3)) / np.sqrt(3)
+    coeffs = np.stack([a.flat().conj() @ p.ravel()] * 2)  # <b_i, p>, twice
+    monkeypatch.setattr(algebra, "_pair_coefficients", lambda k: coeffs)
+    stacks = count_stacks(monkeypatch)
+    got = commutant(a)
+    assert stacks == [(2, 45), (9, 81)]
+    assert mutual_projection_residual(got, reference_commutant(a)) <= 1e-12
+
+
+def test_commutant_falls_back_when_the_clustering_fails_its_certificate(monkeypatch):
+    # a zero cluster tolerance splits h's multiple eigenvalues at rounding
+    # gaps, far below 2 err / RANK_TOL; the route refuses before any stack
+    a = subspace_orthonormalize(algebra_basis_matrices(AlgebraSpec.standard_factor(3)))
+    monkeypatch.setattr(algebra, "CLUSTER_TOL", 0.0)
+    stacks = count_stacks(monkeypatch)
+    got = commutant(a)
+    assert stacks == [(9, 81)]
     assert mutual_projection_residual(got, reference_commutant(a)) <= 1e-12
 
 

@@ -205,6 +205,29 @@ def test_pruned_commutator_sweep_equals_the_full_sweep(n, k, d, seed, zeros, tie
     assert np.array_equal(got, expected, equal_nan=True)
 
 
+@pytest.mark.parametrize("case", ["nan-then-finite", "zero-commutator"])
+def test_reused_sweep_buffers_carry_nothing_between_blocks(case):
+    # a (k, n, d, d) stack goes through one set of work arrays; each block
+    # must read as if it were swept alone
+    d = flow.PRUNE_MIN_DIM + 1
+    g = np.random.default_rng(12).standard_normal((2, 3 * 4 + 5, d, d))
+    xs, basis = np.split(g[0] + 1j * g[1], [12])
+    xs = xs.reshape(3, 4, d, d)
+    if case == "nan-then-finite":
+        xs[0, 1, 2, 3] = np.nan  # blocks 1 and 2 follow a block with a NaN sample
+    else:
+        xs[1, 2] = 2.5 * np.eye(d)  # its commutators are all exactly zero
+    norms_x, basis_norms = opnorm_stack(xs), opnorm_stack(basis)
+    got = commutator_ratio(xs, norms_x, basis, basis_norms)
+    assert got.shape == (3, 4)
+    for block, norms, ratios in zip(xs, norms_x, got):
+        assert np.array_equal(ratios, full_sweep(block, norms, basis, basis_norms), equal_nan=True)
+        fresh = commutator_ratio(block.copy(), norms, basis, basis_norms)
+        assert np.array_equal(ratios, fresh, equal_nan=True)
+    assert np.isnan(got[0, 1]) if case == "nan-then-finite" else got[1, 2] == 0.0
+    assert np.all(np.isfinite(got[1:]))
+
+
 def loop_tomita_check(t, basis, times):
     """tomita_check one (a, t, b') triple at a time: the reference flow,
     membership_residual and opnorm on single matrices."""
