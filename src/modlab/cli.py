@@ -112,7 +112,7 @@ def cmd_fixture(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"fixture_{spec.label()}_{args.seed}.json")
     save_fixture(fix, path)
-    print(f"wrote {path} (d={fix.dim}, kappa={fix.triple.kappa:.3f})")
+    print(f"wrote {path} (d={spec.dim}, kappa={fix.triple.kappa:.3f})")
     return 0
 
 

@@ -23,7 +23,8 @@ with matrices as row-major nested arrays of [re, im] pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -49,6 +50,7 @@ class AlgebraSpec:
 
     kind: str  # "standard_factor" | "direct_sum" | "maximal_abelian"
     blocks: tuple[tuple[int, int], ...]
+    _chain: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @staticmethod
     def standard_factor(n: int) -> "AlgebraSpec":
@@ -78,6 +80,19 @@ class AlgebraSpec:
     def dim(self) -> int:
         return sum(n * m for n, m in self.blocks)
 
+    @property
+    def offsets(self) -> list[int]:
+        """Offset of each block's subspace inside C^d."""
+        return list(accumulate((n * m for n, m in self.blocks[:-1]), initial=0))
+
+    def commutant_chain(self, depth: int) -> list[OperatorSubspace]:
+        """The first depth of A, A', A'', A''', ...: they depend on the model alone,
+        so each is built on first use and kept on this spec object."""
+        while len(self._chain) < depth:
+            self._chain.append(commutant(self._chain[-1]) if self._chain
+                               else subspace_orthonormalize(algebra_basis_matrices(self)))
+        return self._chain[:depth]
+
     def label(self) -> str:
         if self.kind == "standard_factor":
             return f"standard_factor({self.blocks[0][0]})"
@@ -102,16 +117,6 @@ def parse_spec(label: str) -> AlgebraSpec:
     raise AlgebraError(f"unknown model label {label!r}")
 
 
-def _block_embedding(spec: AlgebraSpec):
-    """Offsets and sizes of the block subspaces inside C^d."""
-    offsets = []
-    pos = 0
-    for n, m in spec.blocks:
-        offsets.append(pos)
-        pos += n * m
-    return offsets
-
-
 def _block_basis(spec: AlgebraSpec, commutant: bool) -> np.ndarray:
     """E_ij (x) 1 in each block, or 1 (x) E_ij for the commutant, embedded in d x d.
 
@@ -119,7 +124,7 @@ def _block_basis(spec: AlgebraSpec, commutant: bool) -> np.ndarray:
     """
     d = spec.dim
     stacks = []
-    for (n, m), off in zip(spec.blocks, _block_embedding(spec)):
+    for (n, m), off in zip(spec.blocks, spec.offsets):
         size, k = n * m, (m if commutant else n)
         e = np.eye(k * k).reshape(k * k, k, k)
         x = np.zeros((k * k, d, d), dtype=complex)
@@ -160,18 +165,13 @@ class Fixture:
     block_weights: np.ndarray          # weight of each block in omega
     block_probs: list[np.ndarray]      # within-block Schmidt weights
 
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
     def closed_form_delta(self) -> np.ndarray:
         """Independent construction of the modular operator from the Schmidt data."""
         d = self.spec.dim
         out = np.zeros((d, d), dtype=complex)
-        for (n, m), off, q in zip(self.spec.blocks, _block_embedding(self.spec), self.block_probs):
+        for (n, m), off, q in zip(self.spec.blocks, self.spec.offsets, self.block_probs):
             rho = np.diag(q.astype(complex))
-            blk = np.kron(rho, np.linalg.inv(np.conj(rho)))
-            out[off : off + n * m, off : off + n * m] = blk
+            out[off : off + n * m, off : off + n * m] = np.kron(rho, np.linalg.inv(np.conj(rho)))
         return out
 
 
@@ -182,26 +182,24 @@ def generate_fixture(
 ) -> Fixture:
     """Deterministically generate a certified fixture for (spec, seed).
 
-    The vector is drawn with floored Schmidt weights and random phases; if
-    certification (cyclic and separating) fails the draw is retried with a
-    perturbed seed, at most CERTIFY_ATTEMPTS times.
+    The algebra and its commutant come from ``spec.commutant_chain``, built
+    once per spec object; only the vector is drawn here, with floored Schmidt
+    weights and random phases. If certification (cyclic and separating) fails
+    the draw is retried with a perturbed seed, at most CERTIFY_ATTEMPTS times.
     """
-    a = subspace_orthonormalize(algebra_basis_matrices(spec))
-    a_prime = commutant(a)
-    d = spec.dim
+    a, a_prime = spec.commutant_chain(2)
     for attempt in range(CERTIFY_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         weights = _draw_weights(rng, len(spec.blocks), min(0.05, 1.0 / (2 * len(spec.blocks))))
-        probs = []
-        omega = np.zeros(d, dtype=complex)
-        for (n, m), off, w in zip(spec.blocks, _block_embedding(spec), weights):
+        probs, parts = [], []
+        for (n, m), w in zip(spec.blocks, weights):
             q = _draw_weights(rng, n, p_min)
             probs.append(q)
             phases = np.exp(2j * np.pi * rng.random(n))
             block_vec = np.zeros(n * m, dtype=complex)
-            for i in range(n):
-                block_vec[i * m + i] = np.sqrt(q[i]) * phases[i]
-            omega[off : off + n * m] = np.sqrt(w) * block_vec
+            block_vec[np.arange(n) * (m + 1)] = np.sqrt(q) * phases  # the |ii> entries
+            parts.append(np.sqrt(w) * block_vec)
+        omega = np.concatenate(parts)
         omega = omega / np.linalg.norm(omega)
         try:
             triple = modular_data(a, omega, a_prime)
@@ -262,7 +260,7 @@ def fixture_to_json(fix: Fixture) -> dict:
         "schema_version": SCHEMA_VERSION,
         "model": fix.spec.label(),
         "seed": fix.seed,
-        "dim": fix.dim,
+        "dim": fix.spec.dim,
         "omega": _to_pairs(t.omega),
         "algebra_basis": _to_pairs(t.algebra.basis),
         "commutant_basis": _to_pairs(t.commutant.basis),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import contour as ct
 from . import tidy as td
-from .algebra import commutant, membership_residual, mutual_projection_residual
+from .algebra import membership_residual, mutual_projection_residual
 from .fixtures import Fixture, covering_windows, generate_fixture, parse_spec
 from .flow import analytic_flow, commutator_ratio, strip_growth_scan, tomita_check
 from .linalg import complex_power, frob, opnorm_stack, rel_residual
@@ -283,7 +283,7 @@ def _draw_offaxis_z(rng, w) -> complex:
         gap = z.imag ** 2 / (abs(z) + z.real) if z.real > 0 else abs(z) - z.real
         if gap > 1e-5 and np.min(np.abs(z - w)) > 1e-5:
             return z
-    raise RuntimeError("could not draw an off-axis resolvent point")
+    raise td.ResolventDomainError("could not draw an off-axis resolvent point")
 
 
 def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet) -> None:
@@ -321,12 +321,12 @@ def run_density_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     res = td.tidy_bicommutant_check(t, windows)
     checks.add("density/tidy-bicommutant", "(tidy set)'' = A", res, 1e-9)
 
-    # A' is already the fixture's commutant(A), so A'' = commutant(A') serves both checks
-    double = commutant(t.commutant)
+    # A'' and A''' depend on the model alone, so its spec builds them once
+    double, tricommutant = fix.spec.commutant_chain(4)[2:]
     checks.add("density/algebra-bicommutant", "A'' = A",
                mutual_projection_residual(double, t.algebra), 1e-9)
     checks.add("density/commutant-triple", "A''' = A'",
-               mutual_projection_residual(commutant(double), t.commutant), 1e-9)
+               mutual_projection_residual(tricommutant, t.commutant), 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +452,6 @@ class RunConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        for label in self.models:
-            parse_spec(label)
         dmax = max(parse_spec(label).dim for label in self.models)
         if not (0.0 < self.p_min <= 1.0 / dmax):
             raise ValueError(f"p_min must lie in (0, 1/d] = (0, {1.0 / dmax:.4f}]")

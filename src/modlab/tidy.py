@@ -360,7 +360,10 @@ def tidy_bicommutant_check(
 
     The tidy set is built from every algebra basis element and every window
     (n = 0); only its algebra side is solved, in one stacked solve. Covering
-    windows must regenerate the algebra.
+    windows must regenerate the algebra. The solved coefficients are
+    B^-1 [W_1 B, ..., W_W B], B the orbit matrix, so their rank is the one
+    :func:`tidy_span_check` measures, and the bicommutant re-derives A'' from
+    a rotated basis of A.
     """
     tidy_span = subspace_orthonormalize(triple.orbit.solve(_windowed_orbits(triple, windows)))
     regenerated = bicommutant(tidy_span)

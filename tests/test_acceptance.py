@@ -271,7 +271,7 @@ def test_criterion_09_growth_bound_audit(tmp_path):
             for n, bound, *measured in zip(ns.tolist(), bounds.tolist(), *norms.tolist()):
                 for family, m in zip(("a", "a_prime"), measured):
                     rows.append({
-                        "seed": fix.seed, "model": fix.spec.label(), "d": fix.dim,
+                        "seed": fix.seed, "model": fix.spec.label(), "d": fix.spec.dim,
                         "lambda1": l1, "lambda2": l2, "n": n, "family": family,
                         "measured": m, "bound": bound,
                         "ratio": m / bound if bound > 0 else 0.0,

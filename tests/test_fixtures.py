@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modlab import fixtures
 from modlab.algebra import (
     AlgebraError,
     NotCyclicError,
@@ -85,6 +86,27 @@ def test_fixture_closed_form_delta_matches():
     ):
         fix = generate_fixture(spec, seed=31)
         assert rel_residual(fix.triple.delta, fix.closed_form_delta()) <= 1e-10
+
+
+@pytest.mark.parametrize("label", ["standard_factor(3)", "direct_sum(2:2,1:1)",
+                                   "maximal_abelian(3)"])
+def test_omega_equals_the_entry_by_entry_draw_at_the_block_offsets(label):
+    # the reference: the same stream drawn block by block, each |ii> entry
+    # written at its block's offset one at a time; the arithmetic is the
+    # same, so the vectors are equal bit for bit
+    spec = parse_spec(label)
+    fix = generate_fixture(spec, seed=8)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=8, spawn_key=(0,)))
+    k = len(spec.blocks)
+    weights = fixtures._draw_weights(rng, k, min(0.05, 1.0 / (2 * k)))
+    omega = np.zeros(spec.dim, dtype=complex)
+    for (n, m), off, w in zip(spec.blocks, spec.offsets, weights):
+        q = fixtures._draw_weights(rng, n, 0.01)
+        phases = np.exp(2j * np.pi * rng.random(n))
+        for i in range(n):
+            omega[off + i * m + i] = np.sqrt(w) * (np.sqrt(q[i]) * phases[i])
+    assert np.array_equal(fix.triple.omega, omega / np.linalg.norm(omega))
+    assert spec.offsets == [sum(n * m for n, m in spec.blocks[:j]) for j in range(k)]
 
 
 def test_rectangular_multiplicity_rejected():

@@ -9,12 +9,15 @@ silently under such a running maximum.
 """
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from modlab import suites
+import modlab
+from modlab import algebra, suites
 from modlab.algebra import mutual_projection_residual
 from modlab.fixtures import generate_fixture, parse_spec
 from modlab.flow import STRIP_RE_MAX
@@ -334,3 +337,108 @@ def test_resolvent_suite_draws_the_per_sample_stream(monkeypatch, label):
         assert np.array_equal(z, np.array(expected[mirror][1]))
     assert records["resolvent/transfer-bound"].samples == suites.RESOLVENT_SAMPLES
     assert records["resolvent/transfer-bound-mirrored"].samples == suites.RESOLVENT_SAMPLES
+
+
+# ---------------------------------------------------------------------------
+# the algebra side is the model's, the vector the trial's
+# ---------------------------------------------------------------------------
+
+SPLIT_MODELS = ("standard_factor(2)", "direct_sum(1:1,1:1)")
+
+
+def _counting_commutant(monkeypatch) -> list:
+    """Rebind every modlab module's ``commutant`` to a wrapper that records its inputs."""
+    calls, original = [], algebra.commutant
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    for info in pkgutil.iter_modules(modlab.__path__, "modlab."):
+        module = importlib.import_module(info.name)
+        if getattr(module, "commutant", None) is original:
+            monkeypatch.setattr(module, "commutant", counting)
+    return calls
+
+
+def _drawn_fixtures(monkeypatch) -> list:
+    """Record every fixture that run_suites draws."""
+    fixtures, generate = [], suites.generate_fixture
+
+    def recording(*args, **kwargs):
+        fixtures.append(generate(*args, **kwargs))
+        return fixtures[-1]
+
+    monkeypatch.setattr(suites, "generate_fixture", recording)
+    return fixtures
+
+
+def test_every_fixture_of_a_model_shares_its_algebra_and_commutant(monkeypatch):
+    fixtures = _drawn_fixtures(monkeypatch)
+    suites.run_suites(suites.RunConfig(models=SPLIT_MODELS, trials=3, suites=("modular",)))
+    assert len(fixtures) == 6
+    for model in (fixtures[:3], fixtures[3:]):
+        first = model[0].triple
+        assert len({fix.spec.label() for fix in model}) == 1
+        assert all(f.triple.algebra is first.algebra for f in model)
+        assert all(f.triple.commutant is first.commutant for f in model)
+        assert len({f.seed for f in model}) == 3  # the vectors are drawn per trial
+    assert fixtures[0].triple.algebra is not fixtures[3].triple.algebra
+
+
+def test_density_suite_adds_two_commutants_per_model_and_two_per_trial(monkeypatch):
+    # A' per model; with the density suite A'' and A''' per model, and the two
+    # of the tidy bicommutant per trial
+    calls = _counting_commutant(monkeypatch)
+    config = suites.RunConfig(models=SPLIT_MODELS, trials=3, suites=("modular", "density"))
+    suites.run_suites(config)
+    assert len(calls) == len(SPLIT_MODELS) * (3 + 2 * 3)
+
+
+def test_a_run_without_the_density_suite_builds_only_the_commutant(monkeypatch):
+    calls = _counting_commutant(monkeypatch)
+    fixtures = _drawn_fixtures(monkeypatch)
+    suites.run_suites(suites.RunConfig(models=SPLIT_MODELS, trials=3,
+                                       suites=tuple(set(suites.ALL_SUITES) - {"density"})))
+    # one call per model, on its algebra: no A'' or A''' was built
+    assert len(calls) == len(SPLIT_MODELS)
+    assert calls[0] is fixtures[0].triple.algebra and calls[1] is fixtures[3].triple.algebra
+
+
+def test_a_commutant_patched_after_a_run_is_called_by_the_next(monkeypatch):
+    config = suites.RunConfig(models=SPLIT_MODELS, trials=2, suites=("modular",))
+    suites.run_suites(config)
+    calls = _counting_commutant(monkeypatch)
+    suites.run_suites(config)
+    # each run parses fresh spec objects, so no algebra outlives its run
+    assert len(calls) == len(SPLIT_MODELS)
+
+
+def test_commutant_chain_grows_on_demand_and_is_kept_per_spec_object(monkeypatch):
+    calls = _counting_commutant(monkeypatch)
+    spec = parse_spec("standard_factor(2)")
+    a, a_prime = spec.commutant_chain(2)
+    assert len(calls) == 1 and calls[0] is a
+    assert spec.commutant_chain(1)[0] is a and spec.commutant_chain(2)[1] is a_prime
+    assert len(calls) == 1
+    double, tricommutant = spec.commutant_chain(4)[2:]
+    assert len(calls) == 3 and calls[1] is a_prime and calls[2] is double
+    assert mutual_projection_residual(double, a) <= 1e-9
+    assert mutual_projection_residual(tricommutant, a_prime) <= 1e-9
+    other = parse_spec("standard_factor(2)")
+    assert other == spec and other.commutant_chain(1)[0] is not a
+
+
+def test_offaxis_draw_raises_a_typed_error_after_64_rejected_draws():
+    # every uniform draw is 0, so each z = exp(0) e^(0i) = 1 lies on the positive axis
+    class AxisRng:
+        draws = 0
+
+        def uniform(self, low, high):
+            self.draws += 1
+            return 0.0
+
+    rng = AxisRng()
+    with pytest.raises(suites.td.ResolventDomainError, match="off-axis"):
+        suites._draw_offaxis_z(rng, np.array([0.5, 2.0]))
+    assert rng.draws == 2 * 64

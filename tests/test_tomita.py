@@ -116,7 +116,7 @@ def _assert_triple_invariants(fix, tol_scale=1e-9):
 
 def test_direct_sum_fixture_all_invariants():
     fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=42)
-    assert fix.dim == 5
+    assert fix.spec.dim == 5
     _assert_triple_invariants(fix)
 
 
