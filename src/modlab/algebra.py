@@ -5,7 +5,8 @@ of d x d matrices under the trace inner product <X, Y> = tr(X^dag Y). The
 engine orthonormalizes spanning sets, computes commutants and bicommutants by
 nullspace computation on the d^2-dimensional operator space, and holds the
 orbit map a -> a omega as an :class:`Orbit`: its rank certifies omega cyclic
-and separating, and its solve is the package's one inverse of the map.
+and separating, and its gated coefficient solve is the package's one
+inverse of the map.
 A spanning set is an (m, d, d) stack of matrices, and every basis is one.
 Algebras enter as spanning sets (the block models of :mod:`modlab.fixtures`);
 nothing here closes generators into an algebra.
@@ -284,7 +285,9 @@ class Orbit:
 
     ``matrix`` is the d x dim(space) matrix with columns b_i omega. Its one
     SVD gives the rank, d when omega is cyclic and dim(space) when it is
-    separating, and the condition number that every solve is gated on.
+    separating, and the condition number that every solve is gated on: the
+    gate sits in :meth:`coefficients`, and :meth:`solve` combines the basis
+    with what it returns.
     """
 
     space: OperatorSubspace
@@ -301,13 +304,13 @@ class Orbit:
     def rank(self) -> int:
         return numerical_rank(self.singular_values)
 
-    def solve(self, v) -> np.ndarray:
-        """The unique element a of the space with a omega = v.
+    def coefficients(self, v) -> np.ndarray:
+        """Basis coefficients c of the unique element a = sum_i c_i b_i with a omega = v.
 
         v is one vector (d,) or a block of them, (d, m) or (d, ...), one per
-        column; the result holds one element per vector, shape v.shape[1:] +
-        (d, d), from one solve. The orbit matrix must be square (omega cyclic
-        and separating) with cond at most COND_CAP.
+        column; the result has v's shape, one coefficient column per vector,
+        from one solve. The orbit matrix must be square (omega cyclic and
+        separating) with cond at most COND_CAP.
         """
         v = np.asarray(v, dtype=complex)
         b = self.matrix
@@ -317,9 +320,11 @@ class Orbit:
             )
         if self.cond > COND_CAP:
             raise IllConditionedError(self.cond)
-        d = self.space.dim_space
-        coeffs = np.linalg.solve(b, v.reshape(d, -1))
-        return self.space.element(coeffs.T).reshape(*v.shape[1:], d, d)
+        return np.linalg.solve(b, v.reshape(len(b), -1)).reshape(v.shape)
+
+    def solve(self, v) -> np.ndarray:
+        """The elements a with a omega = v, shape v.shape[1:] + (d, d), as :meth:`coefficients`."""
+        return self.space.element(np.moveaxis(self.coefficients(v), 0, -1))
 
 
 def orbit(a: OperatorSubspace, omega) -> Orbit:

@@ -312,13 +312,9 @@ def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet) -> None:
 
 def run_density_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
-    windows = covering_windows(t)
-
-    span = td.tidy_span_check(t, windows)
+    span, res = td.tidy_bicommutant_check(t, covering_windows(t))
     checks.add("density/tidy-span", "covering-window tidy vectors span H",
                float(t.dim - span), 0.5)
-
-    res = td.tidy_bicommutant_check(t, windows)
     checks.add("density/tidy-bicommutant", "(tidy set)'' = A", res, 1e-9)
 
     # A'' and A''' depend on the model alone, so its spec builds them once

@@ -9,10 +9,11 @@ commutant (two independent solves that must agree on the vector).
 
 Every solve is :meth:`modlab.algebra.Orbit.solve` on the orbit map
 a -> a omega of either side, for one vector or for a (d, m) block of them in
-one LAPACK call. The ladder, the growth audit, the resolvent transfer and
-the density checks each hand it all their vectors at once, and take the
-norms of what comes back with one batched SVD. On top of the construction
-sit the quantitative checks:
+one LAPACK call. The ladder, the growth audit and the resolvent transfer
+each hand it all their vectors at once, and take the norms of what comes
+back with one batched SVD; the density check keeps its block's coefficients
+over A's basis instead, so no SVD runs over d^2 columns. On top of the
+construction sit the quantitative checks:
 
 - the resolvent transfer bound |a| <= |a'| / sqrt(2(|z| - Re z)) for the
   solve a omega = (z - Delta)^{-1} a' omega,
@@ -30,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    Orbit,
-    bicommutant,
-    mutual_projection_residual,
-    numerical_rank,
-    subspace_orthonormalize,
-)
+from .algebra import (Orbit, OperatorSubspace, bicommutant, mutual_projection_residual,
+                      numerical_rank)
 from .linalg import (LinalgError, as_square_array, complex_power, matrix_function, opnorm,
                      opnorm_stack)
 from .tomita import ModularTriple
@@ -326,45 +322,35 @@ def powers_check(triple: ModularTriple, tidy_a: TidyOperator, tidy_b: TidyOperat
 # ---------------------------------------------------------------------------
 
 
-def _windowed_orbits(triple: ModularTriple, windows) -> np.ndarray:
-    """The (d, W dim A) block [W_1 B, ..., W_W B] of windowed vectors W a_i omega.
-
-    B is the algebra's orbit matrix, whose columns are the basis vectors
-    a_i omega; each window's projector is built once. The empty leading block
-    keeps an empty window list valid.
-    """
-    b = triple.orbit.matrix
-    return np.hstack([np.zeros((triple.dim, 0)),
-                      *(spectral_window(triple, l1, l2) @ b for (l1, l2) in windows)])
-
-
-def tidy_span_check(
-    triple: ModularTriple,
-    windows,
-) -> int:
-    """Numerical rank of the span of the windowed vectors W a_i omega.
-
-    One vector per algebra basis element a_i and window W. Full rank d is
-    expected exactly when the windows cover the spectrum of Delta; a missed
-    eigenspace shows up as a rank deficit of its dimension.
-    """
-    sv = np.linalg.svd(_windowed_orbits(triple, windows), compute_uv=False)
-    return numerical_rank(sv)
-
-
 def tidy_bicommutant_check(
     triple: ModularTriple,
     windows,
-) -> float:
-    """Mutual projection residual between (tidy set)'' and the algebra.
+) -> tuple[int, float]:
+    """Span rank of the windowed vectors W a_i omega, and the residual of (tidy set)'' = A.
 
-    The tidy set is built from every algebra basis element and every window
-    (n = 0); only its algebra side is solved, in one stacked solve. Covering
-    windows must regenerate the algebra. The solved coefficients are
-    B^-1 [W_1 B, ..., W_W B], B the orbit matrix, so their rank is the one
-    :func:`tidy_span_check` measures, and the bicommutant re-derives A'' from
-    a rotated basis of A.
+    The tidy set has one algebra element per basis element a_i and window W
+    (n = 0), with vector W a_i omega. Its coefficients over A's orthonormal
+    basis, C = B^-1 [W_1 B, ..., W_W B] with B the orbit matrix, come from
+    one :meth:`Orbit.coefficients` solve, and one SVD of this d x (W dim A)
+    matrix gives both records:
+
+    - the span rank, the numerical rank of C: B is invertible, so it is the
+      rank of the windowed vectors B C, and a missed eigenspace shows up as a
+      deficit of its dimension. When the window projectors sum to 1 (disjoint
+      covering windows), C [1; ...; 1] = 1, so sigma_min(C) >= 1 / sqrt(W),
+      while sigma_max(C) <= sqrt(W) cond(B) <= sqrt(W) COND_CAP: rank d holds
+      at every kappa the solve accepts, for W < 1 / (RANK_TOL COND_CAP);
+    - the residual: A's basis is orthonormal, so the elements with C's
+      leading left singular vectors as coefficients are an orthonormal basis
+      of the tidy span, and the bicommutant re-derives A'' from this rotated
+      basis of A.
+
+    The empty leading block keeps an empty window list valid.
     """
-    tidy_span = subspace_orthonormalize(triple.orbit.solve(_windowed_orbits(triple, windows)))
-    regenerated = bicommutant(tidy_span)
-    return mutual_projection_residual(regenerated, triple.algebra)
+    b = triple.orbit.matrix
+    block = np.hstack([np.zeros((triple.dim, 0)),
+                       *(spectral_window(triple, l1, l2) @ b for (l1, l2) in windows)])
+    u, sv, _ = np.linalg.svd(triple.orbit.coefficients(block), full_matrices=False)
+    rank = numerical_rank(sv)
+    tidy_span = OperatorSubspace(triple.dim, triple.orbit.space.element(u[:, :rank].T))
+    return rank, mutual_projection_residual(bicommutant(tidy_span), triple.algebra)

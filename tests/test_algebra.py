@@ -331,9 +331,14 @@ def test_commutant_at_d36_equals_closed_form():
 
 
 def test_commutant_at_d49_equals_closed_form():
-    # the top of the supported range: standard_factor(7), d = 49, within three
-    # eigenspace stacks (25 MiB each)
+    # standard_factor(7), d = 49, within three eigenspace stacks (25 MiB each)
     assert_closed_form_within_three_stacks(7)
+
+
+def test_commutant_at_d64_equals_closed_form():
+    # the top of the supported range: standard_factor(8), d = 64, within three
+    # eigenspace stacks (64 MiB each)
+    assert_closed_form_within_three_stacks(8)
 
 
 def nilpotent_corner() -> list:
@@ -509,8 +514,9 @@ def test_solve_of_a_non_square_orbit_is_refused():
     scalars = subspace_orthonormalize([np.eye(4)])
     orb = orbit(scalars, np.array([1.0, 0, 0, 0], dtype=complex))
     assert orb.matrix.shape == (4, 1)
-    with pytest.raises(AlgebraError, match="dim = d"):
-        orb.solve(np.ones(4))
+    for call in (orb.solve, orb.coefficients):
+        with pytest.raises(AlgebraError, match="dim = d"):
+            call(np.ones(4))
 
 
 def test_membership_residual_values():

@@ -1,13 +1,15 @@
 import dataclasses
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modlab.algebra import IllConditionedError, Orbit, membership_residual, subspace_orthonormalize
+from modlab.algebra import (RANK_TOL, IllConditionedError, Orbit, bicommutant, membership_residual,
+                            mutual_projection_residual, subspace_orthonormalize)
 from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture, parse_spec
 from modlab.linalg import complex_power, matrix_function, rel_residual
 from modlab.suites import TOL_BASE
@@ -24,7 +26,6 @@ from modlab.tidy import (
     spectral_window,
     tidy_bicommutant_check,
     tidy_bound,
-    tidy_span_check,
 )
 from modlab.tomita import modular_data
 from rotated import rotated_triple
@@ -171,8 +172,9 @@ def test_orbit_solve_uses_the_cached_singular_values(monkeypatch):
 def test_orbit_solve_refuses_ill_conditioned_orbit():
     _, _, omega, t = two_qubit()
     skewed = dataclasses.replace(t.orbit, singular_values=np.array([1e7, 1.0, 1.0, 1.0]))
-    with pytest.raises(IllConditionedError):
-        skewed.solve(omega)
+    for call in (skewed.solve, skewed.coefficients):
+        with pytest.raises(IllConditionedError):
+            call(omega)
 
 
 # ---------------------------------------------------------------------------
@@ -454,37 +456,47 @@ def test_powers_check_range():
 
 def test_tidy_span_full_window_is_cyclic_span():
     a, comm, omega, t = two_qubit()
-    assert tidy_span_check(t, [(0.1, 100.0)]) == 4
+    assert tidy_bicommutant_check(t, [(0.1, 100.0)])[0] == 4
 
 
 def test_tidy_span_split_windows_full_rank():
     a, comm, omega, t = two_qubit()
-    assert tidy_span_check(t, [(0.3, 1.4), (1.4, 3.0)]) == 4
+    assert tidy_bicommutant_check(t, [(0.3, 1.4), (1.4, 3.0)])[0] == 4
 
 
 def test_tidy_span_missing_eigenspace_deficit():
     # projector rank arithmetic: dropping the eigenvalue-2 eigenspace (|01>,
-    # dimension 1) reduces the span rank by exactly 1
+    # dimension 1) reduces the span rank by exactly 1. Three elements of
+    # M_2 (x) 1 still generate it, so only the span rank sees the miss
     a, comm, omega, t = two_qubit()
-    assert tidy_span_check(t, [(0.3, 1.4)]) == 3
+    span, res = tidy_bicommutant_check(t, [(0.3, 1.4)])
+    assert span == 3 and res <= 1e-9
 
 
 def test_tidy_bicommutant_full_window():
     a, comm, omega, t = two_qubit()
-    assert tidy_bicommutant_check(t, [(0.1, 100.0)]) <= 1e-9
+    assert tidy_bicommutant_check(t, [(0.1, 100.0)])[1] <= 1e-9
 
 
 def test_tidy_bicommutant_partial_covering_windows():
     a, comm, omega, t = two_qubit()
     wins = covering_windows(t)
     assert len(wins) >= 2
-    assert tidy_bicommutant_check(t, wins) <= 1e-9
+    span, res = tidy_bicommutant_check(t, wins)
+    assert span == 4 and res <= 1e-9
 
 
 def test_tidy_bicommutant_abelian():
     fix = generate_fixture(AlgebraSpec.maximal_abelian(4), seed=9)
     wins = covering_windows(fix.triple)
-    assert tidy_bicommutant_check(fix.triple, wins) <= 1e-9
+    span, res = tidy_bicommutant_check(fix.triple, wins)
+    assert span == 4 and res <= 1e-9
+
+
+def test_tidy_density_without_windows_is_empty():
+    a, comm, omega, t = two_qubit()
+    span, res = tidy_bicommutant_check(t, [])
+    assert span == 0 and res == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +539,63 @@ def test_stacked_orbit_solve_matches_the_column_loop(label):
         assert_close(orb.solve(block[:, 2]), stack[2])
 
 
+@pytest.mark.parametrize("label", STACK_CASES)
+def test_tidy_density_matches_the_orthonormalized_solve(label):
+    # the reference route: solve every windowed vector for its element and
+    # orthonormalize the d x d stack with one SVD over d^2 columns
+    t = stack_case(label)
+    wins = covering_windows(t)
+    block = np.hstack([spectral_window(t, l1, l2) @ t.orbit.matrix for (l1, l2) in wins])
+    reference = subspace_orthonormalize(t.orbit.solve(block))
+    span, res = tidy_bicommutant_check(t, wins)
+    assert span == reference.dim == t.dim
+    assert res <= RANK_TOL
+    assert mutual_projection_residual(bicommutant(reference), t.algebra) <= RANK_TOL
+
+
+def traced_density(t, wins):
+    tracemalloc.start()
+    try:
+        out = tidy_bicommutant_check(t, wins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_tidy_density_memory_is_the_bicommutant_plus_a_few_bases():
+    # standard_factor(6), d = 36, 17 covering windows. Each commutant of the
+    # bicommutant peaks at its eigenspace stack plus the QR's copy,
+    # 2 * (2 d^2 n^3) * 16 bytes = 17.1 MiB. Everything else is counted in
+    # d^3-entry arrays (0.71 MiB each: a basis of A, A' or the tidy span) and
+    # is allowed six; measured: 20.1 MiB in all, about 4.2 such arrays above
+    # the two stacks. Orthonormalizing the W d solved elements instead holds
+    # their W d^3 entries, 17 arrays, beside its SVD: 30.6 MiB.
+    n, d = 6, 36
+    t = generate_fixture(AlgebraSpec.standard_factor(n), seed=3).triple
+    (span, res), peak = traced_density(t, covering_windows(t))
+    assert span == d and res <= RANK_TOL
+    assert peak <= 2 * (2 * d**2 * n**3) * 16 + 6 * d**3 * 16  # 21.4 MiB
+
+
 def test_stacked_orbit_solve_refuses_ill_conditioned_orbit():
     _, _, omega, t = two_qubit()
     skewed = dataclasses.replace(t.orbit, singular_values=np.array([1e7, 1.0, 1.0, 1.0]))
-    with pytest.raises(IllConditionedError):
-        skewed.solve(np.stack([omega, omega], axis=1))
+    for call in (skewed.solve, skewed.coefficients):
+        with pytest.raises(IllConditionedError):
+            call(np.stack([omega, omega], axis=1))
+
+
+@pytest.mark.parametrize("label", STACK_CASES)
+def test_orbit_solve_combines_the_basis_with_its_coefficients(label):
+    t = stack_case(label)
+    rng = np.random.default_rng(33)
+    block = rng.standard_normal((t.dim, 5)) + 1j * rng.standard_normal((t.dim, 5))
+    for orb in (t.orbit, t.commutant_orbit):
+        for v in (block[:, 0], block):
+            coeffs = orb.coefficients(v)
+            assert coeffs.shape == v.shape
+            assert np.array_equal(orb.solve(v), orb.space.element(coeffs.T))
 
 
 @pytest.mark.parametrize("label", STACK_CASES)
@@ -626,11 +690,18 @@ def test_tidy_bicommutant_builds_each_window_once_and_solves_one_side(monkeypatc
     fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=5)
     t = fix.triple
     wins = covering_windows(t)
-    windows, orbits = [], []
-    window, solve = tidy.spectral_window, Orbit.solve
+    windows, orbits, shapes = [], [], []
+    window, coefficients, svd = tidy.spectral_window, Orbit.coefficients, np.linalg.svd
     monkeypatch.setattr(tidy, "spectral_window",
                         lambda *args: windows.append(args[1:]) or window(*args))
-    monkeypatch.setattr(Orbit, "solve", lambda orb, v: orbits.append(orb) or solve(orb, v))
-    assert tidy_bicommutant_check(t, wins) <= 1e-9
+    monkeypatch.setattr(Orbit, "coefficients",
+                        lambda orb, v: orbits.append(orb) or coefficients(orb, v))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    span, res = tidy_bicommutant_check(t, wins)
+    assert span == t.dim and res <= 1e-9
     assert windows == list(wins)
     assert len(orbits) == 1 and orbits[0] is t.orbit  # every window's vectors in one solve
+    # one SVD of the d x (W dim A) coefficients serves both records, and no
+    # stack of the W dim A solved elements is orthonormalized
+    wd = len(wins) * t.dim
+    assert [s for s in shapes if wd in s] == [(t.dim, wd)]
