@@ -2,8 +2,8 @@
 
 An algebra (or any operator subspace) is represented by an orthonormal basis
 of d x d matrices under the trace inner product <X, Y> = tr(X^dag Y). The
-engine orthonormalizes spanning sets, computes commutants and bicommutants by
-nullspace computation on the d^2-dimensional operator space, and holds the
+engine orthonormalizes spanning sets, computes commutants by nullspace
+computation on the d^2-dimensional operator space, and holds the
 orbit map a -> a omega as an :class:`Orbit`: its rank certifies omega cyclic
 and separating, and its gated coefficient solve is the package's one
 inverse of the map.
@@ -258,10 +258,6 @@ def _commutator_stack(xs: np.ndarray, rows, cols) -> np.ndarray:
     stack[:, rows, :, col] = xs[:, cols, :].transpose(1, 0, 2)
     stack[:, :, cols, col] -= xs[:, :, rows]
     return stack.reshape(k * d * d, len(rows))
-
-
-def bicommutant(a: OperatorSubspace) -> OperatorSubspace:
-    return commutant(commutant(a))
 
 
 def mutual_projection_residual(a: OperatorSubspace, b: OperatorSubspace) -> float:

@@ -29,6 +29,7 @@ from itertools import accumulate
 import numpy as np
 
 from .algebra import (
+    RANK_TOL,
     AlgebraError,
     NotCyclicError,
     NotSeparatingError,
@@ -269,22 +270,41 @@ def fixture_to_json(fix: Fixture) -> dict:
     }
 
 
+def _stored_basis(doc: dict, key: str, d: int) -> OperatorSubspace:
+    """The basis stored under key, refused unless a finite (k, d, d) trace-orthonormal stack."""
+    basis = _from_pairs(doc[key])
+    if basis.shape[1:] != (d, d) or not np.isfinite(basis).all():
+        raise AlgebraError(f"{key} must be a finite (k, {d}, {d}) stack, got shape {basis.shape}")
+    flat = basis.reshape(len(basis), d * d)
+    gram_error = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis))), initial=0.0)
+    if not gram_error <= RANK_TOL:
+        raise AlgebraError(f"{key} is not trace-orthonormal: Gram error {gram_error:.3e}")
+    return OperatorSubspace(d, basis)
+
+
 def fixture_from_json(doc: dict) -> Fixture:
     """Rebuild a fixture from its JSON snapshot.
 
     The modular triple is recomputed by :func:`modular_data` from the stored
     bases and omega, which certifies omega cyclic and separating again. Keys
     the loader does not read, such as the S, J and Delta that older snapshots
-    stored, are ignored.
+    stored, are ignored. A snapshot is refused with AlgebraError when its model
+    and dim disagree, when a basis is not a finite trace-orthonormal
+    (k, dim, dim) stack, or when the two bases do not commute, each to RANK_TOL.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise AlgebraError(f"unsupported schema version {doc.get('schema_version')!r}")
-    d = int(doc["dim"])
-    triple = modular_data(OperatorSubspace(d, _from_pairs(doc["algebra_basis"])),
-                          _from_pairs(doc["omega"]),
-                          OperatorSubspace(d, _from_pairs(doc["commutant_basis"])))
+    d, spec = int(doc["dim"]), parse_spec(doc["model"])
+    if spec.dim != d:
+        raise AlgebraError(f"model {spec.label()} has dimension {spec.dim}, the snapshot {d}")
+    a, c = _stored_basis(doc, "algebra_basis", d), _stored_basis(doc, "commutant_basis", d)
+    leak = max((np.max(np.linalg.norm(x @ c.basis - c.basis @ x, axis=(-2, -1)), initial=0.0)
+                for x in a.basis), default=0.0)
+    if not leak <= RANK_TOL:
+        raise AlgebraError(f"stored bases do not commute: a commutator of norm {leak:.3e}")
+    triple = modular_data(a, _from_pairs(doc["omega"]), c)
     return Fixture(
-        spec=parse_spec(doc["model"]),
+        spec=spec,
         seed=int(doc["seed"]),
         triple=triple,
         block_weights=np.array(doc["block_weights"], dtype=float),

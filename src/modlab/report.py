@@ -204,8 +204,8 @@ def diff_reports(a: dict, b: dict) -> tuple[list[str], bool]:
     """Per-check differences between two report bodies; ``environment`` is ignored.
 
     Returns one line per check id that is in one report only, flips status,
-    or changes max_residual, tolerance, samples or nonfinite, and whether any
-    id or status differs.
+    or changes max_residual, tolerance, samples, nonfinite or ref, and whether
+    any id or status differs.
     """
     recs_a = {c["id"]: c for c in a["checks"]}
     recs_b = {c["id"]: c for c in b["checks"]}
@@ -225,6 +225,8 @@ def diff_reports(a: dict, b: dict) -> tuple[list[str], bool]:
         for key in ("tolerance", "samples", "nonfinite"):
             if x[key] != y[key]:
                 parts.append(f"{key} {x[key]} -> {y[key]}")
+        if x["ref"] != y["ref"]:
+            parts.append(f"ref {x['ref']!r} -> {y['ref']!r}")
         if parts:
             lines.append(f"{cid}: " + "; ".join(parts))
     return lines, breaking

@@ -17,7 +17,7 @@ import numpy as np
 from . import contour as ct
 from . import tidy as td
 from .algebra import membership_residual, mutual_projection_residual
-from .fixtures import Fixture, covering_windows, generate_fixture, parse_spec
+from .fixtures import P_MIN_DEFAULT, Fixture, covering_windows, generate_fixture, parse_spec
 from .flow import analytic_flow, commutator_ratio, strip_growth_scan, tomita_check
 from .linalg import complex_power, frob, opnorm_stack, rel_residual
 from .linalg import opnorm  # noqa: F401  perfbench's tracer tests call modlab.suites.opnorm
@@ -279,9 +279,7 @@ def _draw_offaxis_z(rng, w) -> complex:
         r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         theta = rng.uniform(0.05, 2 * math.pi - 0.05)
         z = r * complex(math.cos(theta), math.sin(theta))
-        # td.axis_gap in scalar arithmetic: |z| - Re z without cancellation
-        gap = z.imag ** 2 / (abs(z) + z.real) if z.real > 0 else abs(z) - z.real
-        if gap > 1e-5 and np.min(np.abs(z - w)) > 1e-5:
+        if td.axis_gap(z) > 1e-5 and np.min(np.abs(z - w)) > 1e-5:
             return z
     raise td.ResolventDomainError("could not draw an off-axis resolvent point")
 
@@ -315,7 +313,7 @@ def run_density_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     span, res = td.tidy_bicommutant_check(t, covering_windows(t))
     checks.add("density/tidy-span", "covering-window tidy vectors span H",
                float(t.dim - span), 0.5)
-    checks.add("density/tidy-bicommutant", "(tidy set)'' = A", res, 1e-9)
+    checks.add("density/tidy-bicommutant", "(tidy set)' = A', so (tidy set)'' = A", res, 1e-9)
 
     # A'' and A''' depend on the model alone, so its spec builds them once
     double, tricommutant = fix.spec.commutant_chain(4)[2:]
@@ -439,7 +437,7 @@ class RunConfig:
     seed: int = 20260809
     models: tuple[str, ...] = DEFAULT_MODELS
     trials: int = 25
-    p_min: float = 0.01
+    p_min: float = P_MIN_DEFAULT
     suites: tuple[str, ...] = ALL_SUITES
 
     def __post_init__(self):

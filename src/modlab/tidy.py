@@ -21,7 +21,7 @@ construction sit the quantitative checks:
   under lambda -> 1/lambda, n -> -n,
 - the adjoint-ladder and power-conjugation identities relating ladder
   elements across integer steps,
-- span and bicommutant density of covering-window tidy families.
+- span and commutant density of covering-window tidy families.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (Orbit, OperatorSubspace, bicommutant, mutual_projection_residual,
+from .algebra import (Orbit, OperatorSubspace, commutant, mutual_projection_residual,
                       numerical_rank)
 from .linalg import (LinalgError, as_square_array, complex_power, matrix_function, opnorm,
                      opnorm_stack)
@@ -326,7 +326,7 @@ def tidy_bicommutant_check(
     triple: ModularTriple,
     windows,
 ) -> tuple[int, float]:
-    """Span rank of the windowed vectors W a_i omega, and the residual of (tidy set)'' = A.
+    """Span rank of the windowed vectors W a_i omega, and the residual of (tidy set)' = A'.
 
     The tidy set has one algebra element per basis element a_i and window W
     (n = 0), with vector W a_i omega. Its coefficients over A's orthonormal
@@ -342,8 +342,10 @@ def tidy_bicommutant_check(
       at every kappa the solve accepts, for W < 1 / (RANK_TOL COND_CAP);
     - the residual: A's basis is orthonormal, so the elements with C's
       leading left singular vectors as coefficients are an orthonormal basis
-      of the tidy span, and the bicommutant re-derives A'' from this rotated
-      basis of A.
+      of the tidy span T, and one commutant of it is compared with A'. Given
+      A'' = A (``density/algebra-bicommutant``), T' = A' holds exactly when
+      T'' = A, as T''' = T' for any set; the engine does not run a second
+      time on its own output (T' -> T'').
 
     The empty leading block keeps an empty window list valid.
     """
@@ -353,4 +355,4 @@ def tidy_bicommutant_check(
     u, sv, _ = np.linalg.svd(triple.orbit.coefficients(block), full_matrices=False)
     rank = numerical_rank(sv)
     tidy_span = OperatorSubspace(triple.dim, triple.orbit.space.element(u[:, :rank].T))
-    return rank, mutual_projection_residual(bicommutant(tidy_span), triple.algebra)
+    return rank, mutual_projection_residual(commutant(tidy_span), triple.commutant)

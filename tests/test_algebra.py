@@ -10,7 +10,6 @@ from modlab.algebra import (
     RANK_TOL,
     AlgebraError,
     _commutator_stack,
-    bicommutant,
     commutant,
     membership_residual,
     mutual_projection_residual,
@@ -126,14 +125,14 @@ def test_orthonormalize_takes_a_list_as_the_stack_it_makes():
 
 def test_closure_of_nothing_is_scalars():
     # the commutant of the zero subspace is M_3, whose commutant is C 1
-    sub = bicommutant(subspace_orthonormalize(np.zeros((0, 3, 3))))
+    sub = commutant(commutant(subspace_orthonormalize(np.zeros((0, 3, 3)))))
     assert sub.dim == 1
     assert membership_residual(np.eye(3), sub) <= 1e-10
 
 
 def test_closure_of_sigma_x():
     # sigma_x^2 = 1, so the closure is span{1, sigma_x} worked out by hand
-    for sub in (bicommutant(subspace_orthonormalize([SX])), spectral_algebra(SX)):
+    for sub in (commutant(commutant(subspace_orthonormalize([SX]))), spectral_algebra(SX)):
         assert sub.dim == 2
         assert membership_residual(np.eye(2), sub) <= 1e-10
         assert membership_residual(SX, sub) <= 1e-10
@@ -141,7 +140,7 @@ def test_closure_of_sigma_x():
 
 def test_closure_of_elementary_tensor_generators():
     g = np.kron(elementary(2, 0, 1), np.eye(2))
-    sub = bicommutant(subspace_orthonormalize([g, g.conj().T]))
+    sub = commutant(commutant(subspace_orthonormalize([g, g.conj().T])))
     known = subspace_orthonormalize(m2_tensor_1())
     assert sub.dim == 4
     assert mutual_projection_residual(sub, known) <= 1e-9
@@ -179,18 +178,18 @@ def test_commutant_of_diagonal_algebra_is_itself():
 
 def test_bicommutant_of_scalars_is_scalars():
     scalars = subspace_orthonormalize([np.eye(2)])
-    assert mutual_projection_residual(bicommutant(scalars), scalars) <= 1e-9
+    assert mutual_projection_residual(commutant(commutant(scalars)), scalars) <= 1e-9
 
 
 def test_bicommutant_of_m2_tensor_1_is_itself():
     a = subspace_orthonormalize(m2_tensor_1())
-    assert mutual_projection_residual(bicommutant(a), a) <= 1e-9
+    assert mutual_projection_residual(commutant(commutant(a)), a) <= 1e-9
 
 
 def test_bicommutant_matches_closure_of_generators():
     closed = spectral_algebra(SX)
     gen_span = subspace_orthonormalize([np.eye(2), SX])
-    assert mutual_projection_residual(bicommutant(gen_span), closed) <= 1e-9
+    assert mutual_projection_residual(commutant(commutant(gen_span)), closed) <= 1e-9
 
 
 def test_commutant_idempotence_triple():
@@ -596,7 +595,7 @@ def mutual_projection_cases() -> list:
         cases += [pytest.param(commutant(t.commutant), t.algebra, id=f"double-commutant-{label}"),
                   pytest.param(closed, t.algebra, id=f"closed-form-{label}")]
     t = rotated_triple(4)
-    cases.append(pytest.param(bicommutant(t.algebra), t.algebra, id="rotated"))
+    cases.append(pytest.param(commutant(commutant(t.algebra)), t.algebra, id="rotated"))
     # equal dimensions, different subspaces: residuals of order one
     g = rng.standard_normal((2, 4, 4, 4))
     cases.append(pytest.param(t.algebra, subspace_orthonormalize(g[0] + 1j * g[1]),

@@ -5,7 +5,7 @@ from modlab import fixtures
 from modlab.algebra import (
     AlgebraError,
     NotCyclicError,
-    bicommutant,
+    commutant,
     membership_residual,
     mutual_projection_residual,
     subspace_orthonormalize,
@@ -71,7 +71,7 @@ def test_fixture_algebra_certified_and_commutant_consistent():
     # adjoints then makes it a star-algebra
     fix = generate_fixture(AlgebraSpec.direct_sum([(2, 2), (1, 1)]), seed=5)
     for sub in (fix.triple.algebra, fix.triple.commutant):
-        assert mutual_projection_residual(bicommutant(sub), sub) <= 1e-9
+        assert mutual_projection_residual(commutant(commutant(sub)), sub) <= 1e-9
         assert max(membership_residual(x.conj().T, sub) for x in sub.basis) <= 1e-10
     assert fix.triple.algebra.dim == 5
     assert fix.triple.commutant.dim == 5
@@ -157,6 +157,32 @@ def test_fixture_loader_refuses_a_vector_that_is_not_cyclic():
     doc = fixture_to_json(generate_fixture(AlgebraSpec.standard_factor(2), seed=7))
     doc["omega"][0] = [0.0, 0.0]  # omega = c |11> alone: a (x) 1 omega misses |00>, |01>
     with pytest.raises(NotCyclicError):
+        fixture_from_json(doc)
+
+
+def _factor_snapshot() -> dict:
+    return fixture_to_json(generate_fixture(AlgebraSpec.standard_factor(2), seed=7))
+
+
+def test_fixture_loader_refuses_a_basis_that_is_not_orthonormal():
+    # scaled by 2, the basis still spans A, but the loaded A would read a
+    # membership residual of 3.0 for the identity
+    doc = _factor_snapshot()
+    doc["algebra_basis"] = (2.0 * np.array(doc["algebra_basis"])).tolist()
+    with pytest.raises(AlgebraError, match="trace-orthonormal"):
+        fixture_from_json(doc)
+
+
+def test_fixture_loader_refuses_bases_that_do_not_commute():
+    doc = _factor_snapshot()
+    doc["commutant_basis"] = doc["algebra_basis"]  # M_2 (x) 1 does not commute with itself
+    with pytest.raises(AlgebraError, match="do not commute"):
+        fixture_from_json(doc)
+
+
+def test_fixture_loader_refuses_a_model_of_another_dimension():
+    doc = {**_factor_snapshot(), "model": "standard_factor(3)"}  # d = 9 against dim 4
+    with pytest.raises(AlgebraError, match="dimension 9"):
         fixture_from_json(doc)
 
 

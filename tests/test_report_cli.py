@@ -631,6 +631,17 @@ def test_diff_report_lists_moved_numbers_without_failing(tmp_path, capsys):
     assert "-> 1.0; samples 1 -> 7" in line and "max_residual" not in line
 
 
+def test_diff_report_shows_a_changed_ref_without_failing(tmp_path, capsys):
+    a = _small_report(tmp_path, "a")
+    renamed = json.loads(json.dumps(a))
+    rec = next(c for c in renamed["checks"] if c["id"] == "modular/polar-s")
+    old, rec["ref"] = rec["ref"], "S = J Delta^(1/2), restated"
+    assert main(["diff-report", _write(tmp_path, "a", a), _write(tmp_path, "r", renamed)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"modular/polar-s: ref {old!r} -> 'S = J Delta^(1/2), restated'",
+                   f"{len(a['checks'])} check ids, 1 differ"]
+
+
 def _edit_csv(path, row, column, value):
     import csv
 

@@ -386,13 +386,13 @@ def test_every_fixture_of_a_model_shares_its_algebra_and_commutant(monkeypatch):
     assert fixtures[0].triple.algebra is not fixtures[3].triple.algebra
 
 
-def test_density_suite_adds_two_commutants_per_model_and_two_per_trial(monkeypatch):
-    # A' per model; with the density suite A'' and A''' per model, and the two
-    # of the tidy bicommutant per trial
+def test_density_suite_adds_two_commutants_per_model_and_one_per_trial(monkeypatch):
+    # A' per model; with the density suite A'' and A''' per model, and the
+    # tidy span's commutant per trial
     calls = _counting_commutant(monkeypatch)
     config = suites.RunConfig(models=SPLIT_MODELS, trials=3, suites=("modular", "density"))
     suites.run_suites(config)
-    assert len(calls) == len(SPLIT_MODELS) * (3 + 2 * 3)
+    assert len(calls) == len(SPLIT_MODELS) * (3 + 1 * 3)
 
 
 def test_a_run_without_the_density_suite_builds_only_the_commutant(monkeypatch):

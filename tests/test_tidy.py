@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modlab.algebra import (RANK_TOL, IllConditionedError, Orbit, bicommutant, membership_residual,
+from modlab.algebra import (RANK_TOL, IllConditionedError, Orbit, commutant, membership_residual,
                             mutual_projection_residual, subspace_orthonormalize)
 from modlab.fixtures import AlgebraSpec, covering_windows, generate_fixture, parse_spec
 from modlab.linalg import complex_power, matrix_function, rel_residual
@@ -541,8 +541,9 @@ def test_stacked_orbit_solve_matches_the_column_loop(label):
 
 @pytest.mark.parametrize("label", STACK_CASES)
 def test_tidy_density_matches_the_orthonormalized_solve(label):
-    # the reference route: solve every windowed vector for its element and
-    # orthonormalize the d x d stack with one SVD over d^2 columns
+    # the reference route: solve every windowed vector for its element,
+    # orthonormalize the d x d stack with one SVD over d^2 columns, and run
+    # the engine twice on it, (tidy set)'' against A
     t = stack_case(label)
     wins = covering_windows(t)
     block = np.hstack([spectral_window(t, l1, l2) @ t.orbit.matrix for (l1, l2) in wins])
@@ -550,7 +551,7 @@ def test_tidy_density_matches_the_orthonormalized_solve(label):
     span, res = tidy_bicommutant_check(t, wins)
     assert span == reference.dim == t.dim
     assert res <= RANK_TOL
-    assert mutual_projection_residual(bicommutant(reference), t.algebra) <= RANK_TOL
+    assert mutual_projection_residual(commutant(commutant(reference)), t.algebra) <= RANK_TOL
 
 
 def traced_density(t, wins):
@@ -564,18 +565,38 @@ def traced_density(t, wins):
 
 
 def test_tidy_density_memory_is_the_bicommutant_plus_a_few_bases():
-    # standard_factor(6), d = 36, 17 covering windows. Each commutant of the
-    # bicommutant peaks at its eigenspace stack plus the QR's copy,
+    # standard_factor(6), d = 36, 17 covering windows. The tidy span's
+    # commutant peaks at its eigenspace stack plus the QR's copy,
     # 2 * (2 d^2 n^3) * 16 bytes = 17.1 MiB. Everything else is counted in
     # d^3-entry arrays (0.71 MiB each: a basis of A, A' or the tidy span) and
-    # is allowed six; measured: 20.1 MiB in all, about 4.2 such arrays above
-    # the two stacks. Orthonormalizing the W d solved elements instead holds
-    # their W d^3 entries, 17 arrays, beside its SVD: 30.6 MiB.
+    # is allowed six; measured: 19.4 MiB in all, about 3.2 such arrays above
+    # the stack and its copy. Orthonormalizing the W d solved elements
+    # instead holds their W d^3 entries, 17 arrays, beside its SVD: 30.6 MiB.
     n, d = 6, 36
     t = generate_fixture(AlgebraSpec.standard_factor(n), seed=3).triple
     (span, res), peak = traced_density(t, covering_windows(t))
     assert span == d and res <= RANK_TOL
     assert peak <= 2 * (2 * d**2 * n**3) * 16 + 6 * d**3 * 16  # 21.4 MiB
+
+
+def test_tidy_bicommutant_runs_the_commutant_engine_once(monkeypatch):
+    from modlab import algebra, tidy
+
+    t = stack_case("rotated")
+    calls, engine = [], algebra.commutant
+
+    def counting(a):
+        calls.append(a)
+        return engine(a)
+
+    for module in (algebra, tidy):
+        monkeypatch.setattr(module, "commutant", counting, raising=False)
+    span, res = tidy_bicommutant_check(t, covering_windows(t))
+    assert span == t.dim and res <= RANK_TOL
+    # one pass, on the tidy span: a rotated, complex basis of A
+    assert len(calls) == 1
+    assert mutual_projection_residual(calls[0], t.algebra) <= RANK_TOL
+    assert np.max(np.abs(calls[0].basis.imag)) > 0.1
 
 
 def test_stacked_orbit_solve_refuses_ill_conditioned_orbit():
