@@ -202,12 +202,19 @@ def _eigenspace_commutant(a: OperatorSubspace) -> OperatorSubspace | None:
     cluster = np.concatenate(([0], np.cumsum(split)))
     rows, cols = np.nonzero(cluster[:, None] == cluster)
     c, gap = _nullspace(u.conj().T @ pair @ u, rows, cols, u)
-    # commutators with the whole basis, a few result elements at a time, so
-    # that the temporaries stay below the stack
-    parts = np.array_split(c.basis[:, None], max(1, 2 * a.dim * c.dim // len(rows)))
-    leak = np.max([np.max(np.linalg.norm(y @ a.basis - a.basis @ y, axis=(-2, -1)), initial=0.0)
-                   for y in parts], initial=0.0)
+    # in slices of about |P| / (2 dim a) elements, so the temporaries stay below the stack
+    leak = commutator_leak(c.basis, a.basis, 2 * a.dim * c.dim // len(rows))
     return c if gap >= PAIR_GAP_MIN and leak <= RANK_TOL else None
+
+
+def commutator_leak(xs: np.ndarray, bs: np.ndarray, parts: int) -> float:
+    """Largest Frobenius norm of [x, b] over the (k, d, d) stacks xs and bs; 0.0 if one is empty.
+
+    xs is swept in max(1, parts) slices, so the temporaries hold one slice's
+    commutators with every b at a time. A NaN norm propagates.
+    """
+    return float(np.max([np.max(np.linalg.norm(x @ bs - bs @ x, axis=(-2, -1)), initial=0.0)
+                         for x in np.array_split(xs[:, None], max(1, parts))], initial=0.0))
 
 
 @lru_cache(maxsize=None)

@@ -30,14 +30,14 @@ is real and k is an integer, so the integrand g(z) = z^n f_k(z) is real on
 the real axis and g(conj z) = conj g(z) (Schwarz reflection); the nodes and
 poles are conjugation-symmetric and the weights satisfy w(conj z) =
 -conj w(z). A node and its mirror image therefore add up to 2i Im of one
-term, and each eigencomponent is (1/pi) sum Im(g(z) w(z) / (z - w_j)) psi_j
-over the nodes with Im z <= 0 (a self-conjugate node at z = -2 pi gets
-weight 1/2).
+term: the rule is the function of Delta with value (1/pi) sum Im(g(z) w(z) /
+(z - w_j)) at w_j, over the nodes with Im z <= 0 (a self-conjugate node at
+z = -2 pi gets weight 1/2), applied to psi by ``SpectralDecomposition.apply``.
 
 ``contour_apply`` evaluates a family of integrals (n, k, T) that share
 Delta, lambda and psi. Integrals with the same truncation share its node
 sets: each rule's nodes and resolvent table 1/(z - w_j) are built once, and
-one matmul takes every integral's eigencomponents,
+one matmul takes every integral's values at the eigenvalues,
 Im(g C) = Re g Im C + Im g Re C. Each integral is refined by nested
 trapezoid levels: the trapezoid rule of step h/2 is the mean of the
 trapezoid and midpoint rules of step h, so each midpoint pass turns the
@@ -59,7 +59,6 @@ from itertools import compress
 
 import numpy as np
 
-from .linalg import matrix_function
 from .tomita import ModularTriple
 
 QUAD_TOL = 1e-8
@@ -160,22 +159,21 @@ def _contour_nodes(t: float, n_line: int, n_circ: int, midpoint: bool):
     return np.concatenate([z_line, z_circ]), np.concatenate([w_line, w_circ])
 
 
-def _half_rule(triple: ModularTriple, integrands, lam: float, psi_eig: np.ndarray,
-               t: float, n_line: int, n_circ: int, midpoint: bool) -> np.ndarray:
+def _half_rule(triple: ModularTriple, integrands, lam: float, psi, t: float, n_line: int,
+               n_circ: int, midpoint: bool) -> np.ndarray:
     """Evaluate one composite rule of ``_contour_nodes`` for a family of (n, k).
 
-    psi_eig holds the eigencomponents U^dag psi. Eigencomponent j of
-    integrand (n, k) is (1/pi) sum Im(g(z) / (z - w_j)) psi_j with
-    g = z^n f_k(z) w(z); the nodes and the resolvent table are shared.
-    Returns one row of d values per integrand.
+    Integrand (n, k) takes the value (1/pi) sum Im(g(z) / (z - w_j)) at
+    eigenvalue w_j, g = z^n f_k(z) w(z); the nodes and the resolvent table are
+    shared. Returns one row of d values per integrand, applied to psi.
     """
     z, wts = _contour_nodes(t, n_line, n_circ, midpoint)
     powers = {n: z**n for n, _ in integrands}
     sigmoids = {k: sigmoid(z, k, lam) for _, k in integrands}
     g = np.array([powers[n] * sigmoids[k] * wts for n, k in integrands])
     resolvent = 1.0 / (z[:, None] - triple.delta_spec.eigenvalues)
-    comps = g.real @ resolvent.imag + g.imag @ resolvent.real
-    return (comps * psi_eig) @ triple.delta_spec.eigenvectors.T / math.pi
+    return triple.delta_spec.apply(g.real @ resolvent.imag + g.imag @ resolvent.real,
+                                   psi) / math.pi
 
 
 @dataclass(frozen=True)
@@ -194,11 +192,8 @@ def spectral_oracle(triple: ModularTriple, n: int, k, lam: float, psi) -> np.nda
     k is an integer, or an integer array of shape (K, 1) for the K vectors of
     a steepness ladder as the rows of a (K, d) array.
     """
-    psi = np.asarray(psi, dtype=complex)
     w = triple.delta_spec.eigenvalues.astype(complex)
-    vals = w**n * sigmoid(w, k, lam)
-    u = triple.delta_spec.eigenvectors
-    return (vals * (u.conj().T @ psi)) @ u.T
+    return triple.delta_spec.apply(w**n * sigmoid(w, k, lam), psi)
 
 
 def pole_sum(triple: ModularTriple, n: int, k: int, lam: float, psi) -> np.ndarray:
@@ -207,12 +202,9 @@ def pole_sum(triple: ModularTriple, n: int, k: int, lam: float, psi) -> np.ndarr
     Summed in the eigenbasis of Delta, one resolvent per pole and eigenvalue.
     """
     _check_steepness(k)
-    psi = np.asarray(psi, dtype=complex)
     poles = sigmoid_poles(k, lam)
-    w = triple.delta_spec.eigenvalues
-    u = triple.delta_spec.eigenvectors
-    weights = (poles**n * (-1.0 / k))[:, None] / (poles[:, None] - w[None, :])
-    return u @ (weights.sum(axis=0) * (u.conj().T @ psi))
+    weights = (poles**n * (-1.0 / k))[:, None] / (poles[:, None] - triple.delta_spec.eigenvalues)
+    return triple.delta_spec.apply(weights.sum(axis=0), psi)
 
 
 def contour_quadrature_fixed(triple: ModularTriple, n: int, k: int, lam: float, psi,
@@ -220,14 +212,12 @@ def contour_quadrature_fixed(triple: ModularTriple, n: int, k: int, lam: float, 
     """Single-pass midpoint rule at a fixed resolution, without pole correction.
 
     Evaluates only the lower half of the contour truncated at T = truncation
-    (see the module docstring): eigencomponent j is
-    (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)) psi_j. At height 2 pi no node
+    (see the module docstring): its value at eigenvalue w_j is
+    (1/pi) sum Im(z^n f_k(z) w(z) / (z - w_j)). At height 2 pi no node
     meets a pole. Neither failure of ``contour_apply`` applies: the arguments
     are not checked, and one pass has no node cap.
     """
-    psi_eig = triple.delta_spec.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)
-    return _half_rule(triple, [(n, k)], lam, psi_eig, truncation, n_line, n_circ,
-                      midpoint=True)[0]
+    return _half_rule(triple, [(n, k)], lam, psi, truncation, n_line, n_circ, midpoint=True)[0]
 
 
 def _romberg_row(prev: list, trapezoid):
@@ -261,7 +251,7 @@ def _checked_truncation(triple: ModularTriple, n, k, lam: float, t: float | None
     return t
 
 
-def _refine(triple: ModularTriple, family: list, lam: float, psi: np.ndarray, t: float) -> dict:
+def _refine(triple: ModularTriple, family: list, lam: float, psi, t: float) -> dict:
     """Refine the integrals (n, k) truncated at t together; (n, k) -> result or error.
 
     Each level's Romberg row holds one (m, d) entry per column, a row of it
@@ -269,8 +259,7 @@ def _refine(triple: ModularTriple, family: list, lam: float, psi: np.ndarray, t:
     """
     n_line = max(8, int(t * NODES_PER_UNIT))
     n_circ = HALFCIRCLE_NODES
-    psi_eig = triple.delta_spec.eigenvectors.conj().T @ psi
-    prev = [_half_rule(triple, family, lam, psi_eig, t, n_line, n_circ, midpoint=False)]
+    prev = [_half_rule(triple, family, lam, psi, t, n_line, n_circ, midpoint=False)]
     out = {}
     evaluations = n_line + 1 + n_circ // 2
     err = np.full(len(family), math.inf)
@@ -281,7 +270,7 @@ def _refine(triple: ModularTriple, family: list, lam: float, psi: np.ndarray, t:
                                          f"within the node cap (last diagonal change {e:.3e})"))
                        for nk, e in zip(family, err))
             break
-        mid = _half_rule(triple, family, lam, psi_eig, t, n_line, n_circ, midpoint=True)
+        mid = _half_rule(triple, family, lam, psi, t, n_line, n_circ, midpoint=True)
         evaluations += step
         n_line *= 2
         n_circ *= 2
@@ -330,7 +319,6 @@ def contour_apply(
     lambda and spec(Delta)), or a next pass that would take its evaluations
     past NODE_CAP.
     """
-    psi = np.asarray(psi, dtype=complex)
     slots, families = [], {}  # truncation -> its distinct (n, k), in order (dict keys)
     for n, k, t in integrands:
         try:
@@ -363,7 +351,6 @@ def sigmoid_limit_check(
     check passes when the last error, the one at k_max, is at most
     SIGMOID_FINAL_TOL.
     """
-    psi = np.asarray(psi, dtype=complex)
     w = triple.delta_spec.eigenvalues
     gap = float(np.min(np.abs(w - lam)))
     if gap < LAMBDA_GAP:
@@ -376,9 +363,7 @@ def sigmoid_limit_check(
         k_list.append(k)
         k *= 2
     k_list.append(k_max)
-    theta_vec = matrix_function(
-        triple.delta_spec, lambda x: x**n * np.where(x < lam, 1.0, 0.0)
-    ) @ psi
+    theta_vec = triple.delta_spec.apply(w**n * np.where(w < lam, 1.0, 0.0), psi)
     ks = np.array(k_list)
     approx = spectral_oracle(triple, n, ks[:, None], lam, psi)
     return ks, np.linalg.norm(approx - theta_vec, axis=1)

@@ -35,6 +35,7 @@ from .algebra import (
     NotSeparatingError,
     OperatorSubspace,
     commutant,
+    commutator_leak,
     subspace_orthonormalize,
 )
 from .tomita import ModularTriple, modular_data
@@ -226,16 +227,16 @@ def covering_windows(
     the spectrum and the last ends above it, so the union always covers.
     """
     w = triple.delta_spec.eigenvalues
-    lo, hi = float(w[0]), float(w[-1])
-    cuts = [lo / 2.0]
-    for x, y in zip(w[:-1], w[1:]):
-        if y <= x * (1 + 1e-9):
-            continue
-        g = float(np.sqrt(x * y))
-        if (g - x) >= WINDOW_MARGIN * x and (y - g) >= WINDOW_MARGIN * y:
-            cuts.append(g)
-    cuts.append(hi * 2.0)
+    cuts = [float(w[0]) / 2.0]
+    cuts += [g for x, g, y in spectral_gaps(w)
+             if (g - x) >= WINDOW_MARGIN * x and (y - g) >= WINDOW_MARGIN * y]
+    cuts.append(float(w[-1]) * 2.0)
     return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+
+
+def spectral_gaps(w: np.ndarray) -> list[tuple[float, float, float]]:
+    """(x, sqrt(x y), y) for each pair of consecutive distinct ascending eigenvalues x < y."""
+    return [(x, float(np.sqrt(x * y)), y) for x, y in zip(w[:-1], w[1:]) if y > x * (1 + 1e-9)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,8 @@ def fixture_from_json(doc: dict) -> Fixture:
     the loader does not read, such as the S, J and Delta that older snapshots
     stored, are ignored. A snapshot is refused with AlgebraError when its model
     and dim disagree, when a basis is not a finite trace-orthonormal
-    (k, dim, dim) stack, or when the two bases do not commute, each to RANK_TOL.
+    (k, dim, dim) stack, when the two bases do not commute, or when omega is
+    not a finite unit vector of dimension dim, each to RANK_TOL.
     """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise AlgebraError(f"unsupported schema version {doc.get('schema_version')!r}")
@@ -298,11 +300,15 @@ def fixture_from_json(doc: dict) -> Fixture:
     if spec.dim != d:
         raise AlgebraError(f"model {spec.label()} has dimension {spec.dim}, the snapshot {d}")
     a, c = _stored_basis(doc, "algebra_basis", d), _stored_basis(doc, "commutant_basis", d)
-    leak = max((np.max(np.linalg.norm(x @ c.basis - c.basis @ x, axis=(-2, -1)), initial=0.0)
-                for x in a.basis), default=0.0)
+    leak = commutator_leak(a.basis, c.basis, len(a.basis))  # one element of a at a time
     if not leak <= RANK_TOL:
         raise AlgebraError(f"stored bases do not commute: a commutator of norm {leak:.3e}")
-    triple = modular_data(a, _from_pairs(doc["omega"]), c)
+    omega = _from_pairs(doc["omega"])
+    norm = float(np.linalg.norm(omega))
+    if omega.shape != (d,) or not abs(norm - 1.0) <= RANK_TOL:  # a NaN entry fails too
+        raise AlgebraError(f"omega must be a finite unit vector of dimension {d}, got shape "
+                           f"{omega.shape} and norm {norm:.3e}")
+    triple = modular_data(a, omega, c)
     return Fixture(
         spec=spec,
         seed=int(doc["seed"]),

@@ -1,11 +1,10 @@
 """Dense complex linear algebra substrate.
 
-Everything downstream runs on three primitives defined here:
+Everything downstream runs on two primitives defined here:
 
-- Hermitian eigendecomposition of a symmetrized input
-  (:func:`hermitian_eig`), plus functional calculus built on it
-  (:func:`matrix_function`, and :func:`complex_power`, which takes a whole
-  array of exponents in one expression and keeps no cache).
+- Hermitian eigendecomposition of a symmetrized input (:func:`hermitian_eig`).
+  Its :class:`SpectralDecomposition` alone reads the eigenbasis: every
+  function of the matrix goes through its ``apply`` or ``function``.
 - Antilinear maps, stored as a matrix ``M`` acting by ``psi -> M @ conj(psi)``
   (:class:`AntilinearMap`), with composition, adjoint, and a polar
   decomposition into an antiunitary factor and a positive operator
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +38,7 @@ class EigensolverError(LinalgError):
 
 
 class FunctionDomainError(LinalgError):
-    """Scalar function undefined (non-finite) at an eigenvalue."""
+    """Function undefined at an eigenvalue: a complex power of a nonpositive spectrum."""
 
 
 class SingularMapError(LinalgError):
@@ -105,6 +103,16 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
 
+    def apply(self, values, v) -> np.ndarray:
+        """U (values * U^dag v) for the rows v of a (..., d) array; values broadcast against v."""
+        u = self.eigenvectors
+        return (values * (np.asarray(v, dtype=complex) @ u.conj())) @ u.T
+
+    def function(self, values) -> np.ndarray:
+        """U diag(values) U^dag for values of shape (..., d): shape (..., d, d)."""
+        u = self.eigenvectors
+        return (u * np.asarray(values)[..., None, :]) @ u.conj().T
+
 
 def hermitian_eig(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix.
@@ -129,37 +137,24 @@ def hermitian_eig(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def matrix_function(dec: SpectralDecomposition, f: Callable) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its eigendata.
-
-    ``f`` is called once on the eigenvalue array, so it must be vectorized,
-    and must be finite at every eigenvalue.
-    """
+def power_values(dec: SpectralDecomposition, z) -> np.ndarray:
+    """The values exp(z ln w) of Delta^z at a positive spectrum w, shape z.shape + (d,)."""
     w = dec.eigenvalues
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fw = np.asarray(f(w), dtype=complex)
-    if not np.isfinite(fw).all():
-        bad = w[~np.isfinite(fw)]
-        raise FunctionDomainError(f"function undefined at eigenvalue(s) {bad}")
-    u = dec.eigenvectors
-    return (u * fw) @ u.conj().T
+    if np.min(w) <= 0.0:
+        raise FunctionDomainError(
+            f"complex power needs a positive spectrum, min eigenvalue {np.min(w):.3e}"
+        )
+    return np.exp(np.asarray(z)[..., None] * np.log(w.astype(complex)))
 
 
 def complex_power(dec: SpectralDecomposition, z) -> np.ndarray:
     """Matrix powers ``Delta^z = U diag(exp(z ln w)) U^dag``, at one z or an array of them.
 
     The result has shape z.shape + (d, d); each power has the bits of the
-    single-exponent formula. Requires strictly positive eigenvalues. For
-    purely imaginary z each power is unitary to working precision.
+    single-exponent formula. For purely imaginary z each power is unitary to
+    working precision.
     """
-    w = dec.eigenvalues
-    if np.min(w) <= 0.0:
-        raise FunctionDomainError(
-            f"complex power needs a positive spectrum, min eigenvalue {np.min(w):.3e}"
-        )
-    fw = np.exp(np.asarray(z)[..., None] * np.log(w.astype(complex)))
-    u = dec.eigenvectors
-    return (u * fw[..., None, :]) @ u.conj().T
+    return dec.function(power_values(dec, z))
 
 
 @dataclass(frozen=True)

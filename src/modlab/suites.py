@@ -17,7 +17,8 @@ import numpy as np
 from . import contour as ct
 from . import tidy as td
 from .algebra import membership_residual, mutual_projection_residual
-from .fixtures import P_MIN_DEFAULT, Fixture, covering_windows, generate_fixture, parse_spec
+from .fixtures import (P_MIN_DEFAULT, Fixture, covering_windows, generate_fixture, parse_spec,
+                       spectral_gaps)
 from .flow import analytic_flow, commutator_ratio, strip_growth_scan, tomita_check
 from .linalg import complex_power, frob, opnorm_stack, rel_residual
 from .linalg import opnorm  # noqa: F401  perfbench's tracer tests call modlab.suites.opnorm
@@ -330,12 +331,7 @@ def run_density_suite(fix: Fixture, rng, checks: CheckSet) -> None:
 
 def _spectrum_avoiding_lambdas(t):
     w = t.delta_spec.eigenvalues
-    candidates = []
-    for x, y in zip(w[:-1], w[1:]):
-        if y > x * (1 + 1e-9):
-            g = float(np.sqrt(x * y))
-            if np.min(np.abs(w - g)) >= ct.LAMBDA_GAP:
-                candidates.append(g)
+    candidates = [g for _, g, _ in spectral_gaps(w) if np.min(np.abs(w - g)) >= ct.LAMBDA_GAP]
     below = float(w[0]) / 2.0
     if np.min(np.abs(w - below)) >= ct.LAMBDA_GAP:
         candidates.append(below)

@@ -33,8 +33,7 @@ import numpy as np
 
 from .algebra import (Orbit, OperatorSubspace, commutant, mutual_projection_residual,
                       numerical_rank)
-from .linalg import (LinalgError, as_square_array, complex_power, matrix_function, opnorm,
-                     opnorm_stack)
+from .linalg import LinalgError, as_square_array, opnorm, opnorm_stack, power_values
 from .tomita import ModularTriple
 
 N_CAP = 8  # |n| cap from the kappa <= 1e4 conditioning budget
@@ -70,10 +69,8 @@ def spectral_window(
         raise WindowError(f"window must satisfy 0 < lambda1 < lambda2, got ({lambda1}, {lambda2})")
     e1 = BOUNDARY_EPS * max(1.0, abs(lambda1))
     e2 = BOUNDARY_EPS * max(1.0, abs(lambda2))
-
-    return matrix_function(
-        triple.delta_spec, lambda w: _step(lambda2 - w, e2) * _step(w - lambda1, e1)
-    )
+    w = triple.delta_spec.eigenvalues
+    return triple.delta_spec.function(_step(lambda2 - w, e2) * _step(w - lambda1, e1))
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,8 @@ def ladder(
     ns = np.asarray(n)
     if np.any(np.abs(ns) > N_CAP):
         raise WindowError(f"|n| = {np.max(np.abs(ns))} exceeds the conditioning cap {N_CAP}")
-    powers = complex_power(triple.delta_spec, ns.ravel())
-    v = (powers @ tidy.vector).T.reshape(triple.dim, *ns.shape)
-    return orb.solve(v)
+    v = triple.delta_spec.apply(power_values(triple.delta_spec, ns), tidy.vector)
+    return orb.solve(np.moveaxis(v, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +184,8 @@ def resolvent_transfer(
     inside = np.any(np.abs(zf - spectrum) <= AXIS_GAP, axis=1)
     if inside.any():
         raise ResolventDomainError(f"z = {zf[inside, 0][0]} is inside the spectrum of {name}")
-    u = triple.delta_spec.eigenvectors
     # row i: U diag(1 / (z_i - spectrum)) U^dag a'_i omega
-    v = ((sources @ triple.omega) @ u.conj() / (zf - spectrum)) @ u.T
-    a = orb.solve(v.T)
+    a = orb.solve(triple.delta_spec.apply(1.0 / (zf - spectrum), sources @ triple.omega).T)
     norms = opnorm_stack(np.concatenate([a, sources])).reshape(2, *zs.shape)
     return ResolventTransfer(a=a.reshape(src.shape), measured_norm=norms[0][()],
                              bound=(norms[1] / np.sqrt(2.0 * gap.reshape(zs.shape)))[()])
@@ -297,19 +291,20 @@ def powers_check(triple: ModularTriple, tidy_a: TidyOperator, tidy_b: TidyOperat
     """Residuals of Delta^n a Delta^{-n} b omega = a_n b omega, one per n of ns.
 
     a_n is the caller's (len(ns), d, d) ladder stack of tidy_a on the algebra
-    side. The two sides travel independent paths: matrix powers of Delta on
-    the left, a ladder solve on the right. Returns (residuals, scales): each
-    scale is the largest of the two sides' norms and |a| |b omega|, and the
-    caller's tolerance multiplies it by the kappa^{(|n| + 1)/2} amplification
-    of the power sandwich. A NaN side leaves the scale finite.
+    side. The two sides travel independent paths: powers of Delta applied in
+    its eigenbasis on the left, a ladder solve on the right. Returns
+    (residuals, scales): each scale is the largest of the two sides' norms and
+    |a| |b omega|, and the caller's tolerance multiplies it by the
+    kappa^{(|n| + 1)/2} amplification of the power sandwich. A NaN side leaves
+    the scale finite.
     """
     ns = np.asarray(ns)
     if np.any(np.abs(ns) > 6):
         raise WindowError(f"|n| = {np.max(np.abs(ns))} exceeds the power-identity cap 6")
     spec = triple.delta_spec
     b_omega = tidy_b.vector
-    inner = tidy_a.a @ (complex_power(spec, -ns) @ b_omega)[..., None]
-    lhs = (complex_power(spec, ns) @ inner)[..., 0]
+    inner = tidy_a.a @ spec.apply(power_values(spec, -ns), b_omega)[..., None]
+    lhs = spec.apply(power_values(spec, ns), inner[..., 0])
     rhs = a_n @ b_omega
     residual = np.linalg.norm(lhs - rhs, axis=-1)
     scale = np.fmax(np.fmax(np.linalg.norm(lhs, axis=-1), np.linalg.norm(rhs, axis=-1)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,7 +157,10 @@ def test_fixture_json_round_trip(tmp_path):
 
 def test_fixture_loader_refuses_a_vector_that_is_not_cyclic():
     doc = fixture_to_json(generate_fixture(AlgebraSpec.standard_factor(2), seed=7))
-    doc["omega"][0] = [0.0, 0.0]  # omega = c |11> alone: a (x) 1 omega misses |00>, |01>
+    # omega = c |11> alone, |c| = 1 so that it stays a unit vector: a (x) 1 omega
+    # misses |00>, |01>
+    doc["omega"][0] = [0.0, 0.0]
+    doc["omega"][3] = (np.array(doc["omega"][3]) / np.linalg.norm(doc["omega"][3])).tolist()
     with pytest.raises(NotCyclicError):
         fixture_from_json(doc)
 
@@ -177,6 +182,28 @@ def test_fixture_loader_refuses_bases_that_do_not_commute():
     doc = _factor_snapshot()
     doc["commutant_basis"] = doc["algebra_basis"]  # M_2 (x) 1 does not commute with itself
     with pytest.raises(AlgebraError, match="do not commute"):
+        fixture_from_json(doc)
+
+
+def test_fixture_loader_refuses_an_omega_that_is_not_a_unit_vector():
+    # scaled by 2, omega is still cyclic and separating, so only this check sees it
+    doc = _factor_snapshot()
+    doc["omega"] = (2.0 * np.array(doc["omega"])).tolist()
+    with pytest.raises(AlgebraError, match="unit vector"):
+        fixture_from_json(doc)
+
+
+def test_fixture_loader_refuses_an_omega_with_a_nan_entry():
+    doc = _factor_snapshot()
+    doc["omega"][1] = [math.nan, 0.0]
+    with pytest.raises(AlgebraError, match="unit vector"):
+        fixture_from_json(doc)
+
+
+def test_fixture_loader_refuses_an_omega_of_another_dimension():
+    doc = _factor_snapshot()
+    doc["omega"] = doc["omega"][:3]
+    with pytest.raises(AlgebraError, match="dimension 4"):
         fixture_from_json(doc)
 
 

@@ -14,7 +14,6 @@ from modlab.linalg import (
     SpectralDecomposition,
     complex_power,
     hermitian_eig,
-    matrix_function,
     opnorm,
     opnorm_stack,
     polar_antilinear,
@@ -71,40 +70,50 @@ def test_eig_rejects_nan():
 
 
 # ---------------------------------------------------------------------------
-# matrix_function / complex_power
+# SpectralDecomposition.function / apply, complex_power
 # ---------------------------------------------------------------------------
 
 
-def test_matrix_function_identity_map():
+def test_function_identity_map():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 5)
     dec = hermitian_eig(h)
-    assert np.linalg.norm(matrix_function(dec, lambda x: x) - h) <= 1e-12 * np.linalg.norm(h)
+    assert np.linalg.norm(dec.function(dec.eigenvalues) - h) <= 1e-12 * np.linalg.norm(h)
 
 
-def test_matrix_function_inverse_on_diagonal():
+def test_function_inverse_on_diagonal():
     dec = hermitian_eig(np.diag([2.0, 4.0]))
-    out = matrix_function(dec, lambda x: 1.0 / x)
+    out = dec.function(1.0 / dec.eigenvalues)
     assert np.allclose(out, np.diag([0.5, 0.25]))
 
 
-def test_matrix_function_step_gives_projector():
+def test_function_step_gives_projector():
     # eigenvalue-by-eigenvalue oracle: the step at 1.5 keeps {1/2, 1, 1},
     # drops {2}, so the result is a rank-3 orthogonal projector
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(random_complex(rng, 4, 4))
     h = q @ np.diag([0.5, 1.0, 1.0, 2.0]) @ q.conj().T
     dec = hermitian_eig(h)
-    p = matrix_function(dec, lambda x: np.where(1.5 - x > 0, 1.0, 0.0))
+    p = dec.function(np.where(1.5 - dec.eigenvalues > 0, 1.0, 0.0))
     assert np.allclose(p @ p, p, atol=1e-12)
     assert np.allclose(p, p.conj().T, atol=1e-12)
     assert abs(np.trace(p).real - 3.0) <= 1e-10
 
 
-def test_matrix_function_rejects_undefined_value():
-    dec = hermitian_eig(np.diag([0.0, 1.0]))
-    with pytest.raises(FunctionDomainError):
-        matrix_function(dec, lambda x: x ** (-1.0))
+def test_apply_equals_the_function_times_each_row():
+    # a complex eigenbasis, and values that broadcast: a stack of (2, 3)
+    # functions applied to 3 vectors, and one function applied to all of them
+    rng = np.random.default_rng(13)
+    dec = hermitian_eig(random_hermitian(rng, 4))
+    assert np.abs(dec.eigenvectors.imag).max() > 0.1
+    values = random_complex(rng, 2, 3, 4)
+    vs = random_complex(rng, 3, 4)
+    out = dec.apply(values, vs)
+    assert out.shape == (2, 3, 4)
+    ref = (dec.function(values) @ vs[..., None])[..., 0]
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+    one = dec.apply(values[0, 0], vs)
+    assert np.linalg.norm(one - vs @ dec.function(values[0, 0]).T) <= 1e-12 * np.linalg.norm(one)
 
 
 def test_complex_power_trivial_cases():

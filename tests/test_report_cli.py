@@ -405,11 +405,12 @@ def test_contour_error_becomes_a_fail_record(tmp_path, monkeypatch):
     assert len(lines) == 1  # header only: a failed call writes no row
 
 
-def _nan_power(monkeypatch, module, at, first_call_only=False):
-    """Replace module.complex_power by one whose power at the exponent ``at``,
-    wherever it sits in the exponent array, has a NaN entry: in every call,
-    or only in the first call that holds it."""
-    power = module.complex_power
+def _nan_power(monkeypatch, module, name, at, first_call_only=False):
+    """Replace module.<name>, complex_power or power_values, by one whose power
+    (or its values) at the exponent ``at``, wherever it sits in the exponent
+    array, has a NaN entry: in every call, or only in the first call that
+    holds it."""
+    power = getattr(module, name)
     hits = []
 
     def rigged(dec, z):
@@ -417,10 +418,10 @@ def _nan_power(monkeypatch, module, at, first_call_only=False):
         hit = np.asarray(z) == at
         if np.any(hit) and not (first_call_only and hits):
             hits.append(z)
-            p[hit, 0, 0] = np.nan
+            p[(hit,) + (0,) * (p.ndim - hit.ndim)] = np.nan
         return p
 
-    monkeypatch.setattr(module, "complex_power", rigged)
+    monkeypatch.setattr(module, name, rigged)
 
 
 def test_nan_flowed_operator_fails_the_flow_records(tmp_path, monkeypatch):
@@ -430,7 +431,7 @@ def test_nan_flowed_operator_fails_the_flow_records(tmp_path, monkeypatch):
 
     # Delta^(-10i) is the left factor of the flow at t = 10 and the right one at
     # t = -10; the first call that holds it is the left factors' of tomita_check
-    _nan_power(monkeypatch, flow, -10j, first_call_only=True)
+    _nan_power(monkeypatch, flow, "complex_power", -10j, first_call_only=True)
     code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
                  "--suite", "flow", "--out", str(tmp_path)])
     assert code == 1
@@ -446,7 +447,7 @@ def test_nan_ladder_norm_fails_the_growth_audit(tmp_path, monkeypatch):
 
     from modlab import tidy
 
-    _nan_power(monkeypatch, tidy, 2)  # Delta^2, the ladder's power at n = 2
+    _nan_power(monkeypatch, tidy, "power_values", 2)  # Delta^2, the ladder's power at n = 2
     code = main(["verify", "--model", "standard", "--factor-size", "2", "--trials", "1",
                  "--suite", "tidy", "--out", str(tmp_path)])
     assert code == 1
