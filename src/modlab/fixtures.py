@@ -11,13 +11,15 @@ Every model is a direct sum of full matrix blocks with multiplicities,
 
 The reference vector is drawn per block as ``sum_i c_i |ii>`` with random
 phases and Schmidt weights floored at p_min, which caps the condition number
-of the modular operator at (1 - p_min) / p_min. For these models the modular
-operator has the closed form ``(+)_k rho_k (x) conj(rho_k)^{-1}`` with
-rho_k the within-block Schmidt weights, which downstream checks use as an
+of the modular operator at ((1 - p_min) / p_min)^2. For any cyclic-separating
+vector on these models, with X_k its block reshaped to n_k x m_k, the modular
+operator has the closed form ``(+)_k rho_k (x) conj(rho'_k)^{-1}`` with
+rho_k = X_k X_k^* and rho'_k = X_k^* X_k, which downstream checks use as an
 independent construction path.
 
-Fixtures and modular triples serialize to a JSON schema (schema_version "1")
-with matrices as row-major nested arrays of [re, im] pairs.
+A fixture is its model, seed and omega: everything else is derived. It
+serializes to a JSON snapshot (schema_version "1") of exactly those and the
+dimension, with omega as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .algebra import (
     NotSeparatingError,
     OperatorSubspace,
     commutant,
-    commutator_leak,
     subspace_orthonormalize,
 )
 from .tomita import ModularTriple, modular_data
@@ -105,18 +106,26 @@ class AlgebraSpec:
 
 
 def parse_spec(label: str) -> AlgebraSpec:
-    """Inverse of :meth:`AlgebraSpec.label`."""
-    label = label.strip()
-    kind, _, rest = label.partition("(")
-    rest = rest.rstrip(")")
-    if kind == "standard_factor":
-        return AlgebraSpec.standard_factor(int(rest))
-    if kind == "maximal_abelian":
-        return AlgebraSpec.maximal_abelian(int(rest))
-    if kind == "direct_sum":
-        blocks = [tuple(int(x) for x in item.split(":")) for item in rest.split(",")]
-        return AlgebraSpec.direct_sum(blocks)
-    raise AlgebraError(f"unknown model label {label!r}")
+    """Inverse of :meth:`AlgebraSpec.label`, whitespace aside: any other label is refused."""
+    compact = "".join(label.split())
+    kind, _, rest = compact.partition("(")
+    rest = rest.removesuffix(")")
+    try:
+        if kind == "standard_factor":
+            spec = AlgebraSpec.standard_factor(int(rest))
+        elif kind == "maximal_abelian":
+            spec = AlgebraSpec.maximal_abelian(int(rest))
+        elif kind == "direct_sum":
+            spec = AlgebraSpec.direct_sum(item.split(":") for item in rest.split(","))
+        else:
+            raise AlgebraError(f"unknown model label {label!r}")
+    except AlgebraError:
+        raise
+    except ValueError as exc:  # a size that is not an integer, or a block that is not n:m
+        raise AlgebraError(f"malformed model label {label!r}: {exc}") from None
+    if spec.label() != compact:
+        raise AlgebraError(f"malformed model label {label!r}: it reads as {spec.label()!r}")
+    return spec
 
 
 def _block_basis(spec: AlgebraSpec, commutant: bool) -> np.ndarray:
@@ -164,16 +173,20 @@ class Fixture:
     spec: AlgebraSpec
     seed: int
     triple: ModularTriple
-    block_weights: np.ndarray          # weight of each block in omega
-    block_probs: list[np.ndarray]      # within-block Schmidt weights
 
     def closed_form_delta(self) -> np.ndarray:
-        """Independent construction of the modular operator from the Schmidt data."""
+        """Independent construction of the modular operator from omega's block densities.
+
+        With X = omega's block reshaped to n x m, rho = X X^* and rho' = X^* X, the
+        block of Delta is rho (x) conj(rho')^{-1}; no S, J or orbit is used.
+        """
         d = self.spec.dim
         out = np.zeros((d, d), dtype=complex)
-        for (n, m), off, q in zip(self.spec.blocks, self.spec.offsets, self.block_probs):
-            rho = np.diag(q.astype(complex))
-            out[off : off + n * m, off : off + n * m] = np.kron(rho, np.linalg.inv(np.conj(rho)))
+        for (n, m), off in zip(self.spec.blocks, self.spec.offsets):
+            block = slice(off, off + n * m)
+            x = self.triple.omega[block].reshape(n, m)
+            rho, rho_prime = x @ x.conj().T, x.conj().T @ x
+            out[block, block] = np.kron(rho, np.linalg.inv(np.conj(rho_prime)))
         return out
 
 
@@ -193,10 +206,9 @@ def generate_fixture(
     for attempt in range(CERTIFY_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         weights = _draw_weights(rng, len(spec.blocks), min(0.05, 1.0 / (2 * len(spec.blocks))))
-        probs, parts = [], []
+        parts = []
         for (n, m), w in zip(spec.blocks, weights):
             q = _draw_weights(rng, n, p_min)
-            probs.append(q)
             phases = np.exp(2j * np.pi * rng.random(n))
             block_vec = np.zeros(n * m, dtype=complex)
             block_vec[np.arange(n) * (m + 1)] = np.sqrt(q) * phases  # the |ii> entries
@@ -207,9 +219,7 @@ def generate_fixture(
             triple = modular_data(a, omega, a_prime)
         except (NotCyclicError, NotSeparatingError):
             continue
-        return Fixture(
-            spec=spec, seed=seed, triple=triple, block_weights=weights, block_probs=probs
-        )
+        return Fixture(spec=spec, seed=seed, triple=triple)
     raise AlgebraError(
         f"could not certify a cyclic-separating vector for {spec.label()} "
         f"after {CERTIFY_ATTEMPTS} attempts"
@@ -257,65 +267,42 @@ def _from_pairs(items) -> np.ndarray:
 
 def fixture_to_json(fix: Fixture) -> dict:
     """Serializable snapshot of a fixture: what :func:`fixture_from_json` reads back."""
-    t = fix.triple
     return {
         "schema_version": SCHEMA_VERSION,
         "model": fix.spec.label(),
         "seed": fix.seed,
         "dim": fix.spec.dim,
-        "omega": _to_pairs(t.omega),
-        "algebra_basis": _to_pairs(t.algebra.basis),
-        "commutant_basis": _to_pairs(t.commutant.basis),
-        "block_weights": [float(x) for x in fix.block_weights],
-        "block_probs": [[float(x) for x in q] for q in fix.block_probs],
+        "omega": _to_pairs(fix.triple.omega),
     }
-
-
-def _stored_basis(doc: dict, key: str, d: int) -> OperatorSubspace:
-    """The basis stored under key, refused unless a finite (k, d, d) trace-orthonormal stack."""
-    basis = _from_pairs(doc[key])
-    if basis.shape[1:] != (d, d) or not np.isfinite(basis).all():
-        raise AlgebraError(f"{key} must be a finite (k, {d}, {d}) stack, got shape {basis.shape}")
-    flat = basis.reshape(len(basis), d * d)
-    gram_error = np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis))), initial=0.0)
-    if not gram_error <= RANK_TOL:
-        raise AlgebraError(f"{key} is not trace-orthonormal: Gram error {gram_error:.3e}")
-    return OperatorSubspace(d, basis)
 
 
 def fixture_from_json(doc: dict) -> Fixture:
     """Rebuild a fixture from its JSON snapshot.
 
-    The modular triple is recomputed by :func:`modular_data` from the stored
-    bases and omega, which certifies omega cyclic and separating again. Keys
-    the loader does not read, such as the S, J and Delta that older snapshots
-    stored, are ignored. A snapshot is refused with AlgebraError when its model
-    and dim disagree, when a basis is not a finite trace-orthonormal
-    (k, dim, dim) stack, when the two bases do not commute, or when omega is
-    not a finite unit vector of dimension dim, each to RANK_TOL.
+    A and A' come from the model label by ``spec.commutant_chain``, as in
+    :func:`generate_fixture`, and the modular triple is recomputed by
+    :func:`modular_data` from them and omega, which certifies omega cyclic and
+    separating again. Keys the loader does not read, such as the S, J, Delta,
+    bases and weights that older snapshots stored, are ignored. A snapshot is
+    refused with AlgebraError when it lacks a key that :func:`fixture_to_json`
+    writes, when its model label is malformed or disagrees with dim, or when
+    omega is not a finite unit vector of dimension dim, to RANK_TOL.
     """
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise AlgebraError(f"unsupported schema version {doc.get('schema_version')!r}")
+    for key in ("schema_version", "model", "seed", "dim", "omega"):
+        if key not in doc:
+            raise AlgebraError(f"snapshot has no {key!r}")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise AlgebraError(f"unsupported schema version {doc['schema_version']!r}")
     d, spec = int(doc["dim"]), parse_spec(doc["model"])
     if spec.dim != d:
         raise AlgebraError(f"model {spec.label()} has dimension {spec.dim}, the snapshot {d}")
-    a, c = _stored_basis(doc, "algebra_basis", d), _stored_basis(doc, "commutant_basis", d)
-    leak = commutator_leak(a.basis, c.basis, len(a.basis))  # one element of a at a time
-    if not leak <= RANK_TOL:
-        raise AlgebraError(f"stored bases do not commute: a commutator of norm {leak:.3e}")
     omega = _from_pairs(doc["omega"])
     norm = float(np.linalg.norm(omega))
     if omega.shape != (d,) or not abs(norm - 1.0) <= RANK_TOL:  # a NaN entry fails too
         raise AlgebraError(f"omega must be a finite unit vector of dimension {d}, got shape "
                            f"{omega.shape} and norm {norm:.3e}")
-    triple = modular_data(a, omega, c)
-    return Fixture(
-        spec=spec,
-        seed=int(doc["seed"]),
-        triple=triple,
-        block_weights=np.array(doc["block_weights"], dtype=float),
-        block_probs=[np.array(q, dtype=float) for q in doc["block_probs"]],
-    )
+    a, a_prime = spec.commutant_chain(2)
+    return Fixture(spec=spec, seed=int(doc["seed"]), triple=modular_data(a, omega, a_prime))
 
 
 def save_fixture(fix: Fixture, path) -> None:

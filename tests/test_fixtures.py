@@ -111,6 +111,20 @@ def test_omega_equals_the_entry_by_entry_draw_at_the_block_offsets(label):
     assert spec.offsets == [sum(n * m for n, m in spec.blocks[:j]) for j in range(k)]
 
 
+@pytest.mark.parametrize("label", ["standard_factor(2)))", "direct_sum(2:2,1:1",
+                                   "standard_factor()", "direct_sum(2:2,1)",
+                                   "standard_factor(02)", "maximal_abelian(3)x"])
+def test_a_label_that_is_not_a_model_label_is_refused(label):
+    # the label alone defines A and A' in a snapshot, so only the exact
+    # output of AlgebraSpec.label, whitespace aside, is read
+    with pytest.raises(AlgebraError):
+        parse_spec(label)
+
+
+def test_a_label_with_whitespace_reads_as_the_model():
+    assert parse_spec(" direct_sum(2:2, 1:1) ") == AlgebraSpec.direct_sum([(2, 2), (1, 1)])
+
+
 def test_rectangular_multiplicity_rejected():
     # no cyclic-separating vector exists when a multiplicity differs from its
     # block size, so the model is refused before any fixture is drawn
@@ -169,22 +183,6 @@ def _factor_snapshot() -> dict:
     return fixture_to_json(generate_fixture(AlgebraSpec.standard_factor(2), seed=7))
 
 
-def test_fixture_loader_refuses_a_basis_that_is_not_orthonormal():
-    # scaled by 2, the basis still spans A, but the loaded A would read a
-    # membership residual of 3.0 for the identity
-    doc = _factor_snapshot()
-    doc["algebra_basis"] = (2.0 * np.array(doc["algebra_basis"])).tolist()
-    with pytest.raises(AlgebraError, match="trace-orthonormal"):
-        fixture_from_json(doc)
-
-
-def test_fixture_loader_refuses_bases_that_do_not_commute():
-    doc = _factor_snapshot()
-    doc["commutant_basis"] = doc["algebra_basis"]  # M_2 (x) 1 does not commute with itself
-    with pytest.raises(AlgebraError, match="do not commute"):
-        fixture_from_json(doc)
-
-
 def test_fixture_loader_refuses_an_omega_that_is_not_a_unit_vector():
     # scaled by 2, omega is still cyclic and separating, so only this check sees it
     doc = _factor_snapshot()
@@ -205,6 +203,14 @@ def test_fixture_loader_refuses_an_omega_of_another_dimension():
     doc["omega"] = doc["omega"][:3]
     with pytest.raises(AlgebraError, match="dimension 4"):
         fixture_from_json(doc)
+
+
+def test_fixture_loader_refuses_a_snapshot_without_a_key_the_writer_emits():
+    # each key the writer emits is read; a write-only field would load without it
+    doc = _factor_snapshot()
+    for key in doc:
+        with pytest.raises(AlgebraError, match=key):
+            fixture_from_json({k: v for k, v in doc.items() if k != key})
 
 
 def test_fixture_loader_refuses_a_model_of_another_dimension():
@@ -247,9 +253,7 @@ def test_fixture_json_schema_fields():
     assert doc["model"] == "standard_factor(2)"
     assert len(doc["omega"]) == 4
     assert len(doc["omega"][0]) == 2  # [re, im] pairs
-    assert set(doc) == {"schema_version", "model", "seed", "dim", "omega", "algebra_basis",
-                        "commutant_basis", "block_weights", "block_probs"}
-    assert np.array(doc["algebra_basis"]).shape == (4, 4, 4, 2)
+    assert set(doc) == {"schema_version", "model", "seed", "dim", "omega"}
     with pytest.raises(AlgebraError):
         fixture_from_json({**doc, "schema_version": "0"})
 
@@ -267,7 +271,12 @@ def test_fixture_snapshot_of_the_older_format_still_loads(label):
     older = {**doc, "s_matrix": _pairs(t.s.matrix), "j_matrix": _pairs(t.j.matrix),
              "delta": _pairs(np.zeros_like(t.delta)),  # stale: never compared
              "delta_eigenvalues": t.delta_spec.eigenvalues.tolist(),
-             "delta_eigenvectors": _pairs(t.delta_spec.eigenvectors), "kappa": float(t.kappa)}
+             "delta_eigenvectors": _pairs(t.delta_spec.eigenvectors), "kappa": float(t.kappa),
+             # bases and weights, also stale: A and A' come from the model label, and
+             # the closed form from omega
+             "algebra_basis": _pairs(t.commutant.basis),
+             "commutant_basis": _pairs(t.algebra.basis),
+             "block_weights": [1.0], "block_probs": [[0.5, 0.5]]}
     for loaded in (fixture_from_json(older), fixture_from_json(doc)):
         assert fixture_to_json(loaded) == doc  # the round trip keeps every bit
         a = loaded.triple
@@ -275,6 +284,30 @@ def test_fixture_snapshot_of_the_older_format_still_loads(label):
                      (a.orbit.matrix, t.orbit.matrix)):
             assert np.array_equal(x, y)
         assert a.kappa == t.kappa
+        assert rel_residual(a.delta, loaded.closed_form_delta()) <= 1e-10
+
+
+def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("label", ["standard_factor(2)", "standard_factor(3)",
+                                   "direct_sum(2:2,1:1)", "direct_sum(3:3,1:1,2:2)"])
+def test_closed_form_delta_matches_on_a_state_that_is_not_schmidt_diagonal(label):
+    # X -> V X W^T per block keeps omega a unit vector and cyclic-separating, but
+    # its block densities stop being diagonal, and so does Delta
+    spec, rng = parse_spec(label), np.random.default_rng(17)
+    doc = fixture_to_json(generate_fixture(spec, seed=11))
+    omega = fixtures._from_pairs(doc["omega"])
+    for (n, m), off in zip(spec.blocks, spec.offsets):
+        x = omega[off : off + n * m].reshape(n, m)
+        omega[off : off + n * m] = (_haar_unitary(rng, n) @ x @ _haar_unitary(rng, m).T).ravel()
+    fix = fixture_from_json({**doc, "omega": _pairs(omega)})
+    delta = fix.triple.delta
+    assert np.max(np.abs(delta - np.diag(np.diag(delta)))) >= 1e-3 * np.max(np.abs(delta))
+    assert rel_residual(delta, fix.closed_form_delta()) <= 1e-10
 
 
 def explicit_block_basis(spec, commutant: bool) -> np.ndarray:
