@@ -1,10 +1,7 @@
 """Verification suites: seeded ensembles of checks over generated fixtures.
 
-Each suite folds its measurements into uniquely-identified check records
-(see :mod:`modlab.report`). Must-pass identities record status pass/fail;
-quantities whose validity is deliberately left open (growth-bound ratios,
-role-swapped transfer, uncorrected contour discrepancies) are recorded with
-status ``audit`` and never fail a run.
+Each suite computes samples and folds them into check records (see
+:mod:`modlab.report`) as ``CHECKS`` declares: a must-pass or an audit record.
 """
 
 from __future__ import annotations
@@ -33,10 +30,85 @@ RESOLVENT_SAMPLES = 8  # off-axis points per fixture and role
 TOL_BASE = 1e-9  # residual tolerance per unit of dimension at kappa = 1
 
 
-def kappa_tol(t, p):
+def kappa_tol(t, p=0):
     """TOL_BASE kappa^((|p| + 1) / 2) d, the tolerance of an identity whose sides
-    differ by p powers of Delta; p is a number or an array of them."""
+    differ by p powers of Delta; p is a number or an array of them, and its
+    default 0 is an identity between operators of the same power."""
     return TOL_BASE * t.kappa ** ((np.abs(p) + 1) / 2.0) * t.dim
+
+
+# check id (the text before any "[l1,l2]" window) -> (ref, rule, audit). A rule
+# maps (triple, *params) to each sample's tolerance; an audit record never fails a run.
+CHECKS = {
+    "modular/s-on-algebra": ("S(a omega) = a* omega on the algebra", kappa_tol, False),
+    "modular/s-star-on-commutant": ("S*(a' omega) = a'* omega on the commutant", kappa_tol, False),
+    "modular/fixed-vector": ("S omega = J omega = Delta omega = omega", kappa_tol, False),
+    "modular/polar-s": ("S = J Delta^(1/2)", kappa_tol, False),
+    "modular/polar-s-star": ("S* = J Delta^(-1/2)", kappa_tol, False),
+    "modular/conjugation-inverts-delta": ("J Delta J = Delta^(-1)", kappa_tol, False),
+    "modular/j-involution": ("J o J = identity", kappa_tol, False),
+    "modular/s-involution": ("S o S = identity", kappa_tol, False),
+    "modular/j-antiunitary": ("<J psi, J phi> = <phi, psi>", lambda t: 1e-10 * t.dim, False),
+    "modular/spectrum-inversion-symmetry": ("spec(Delta) invariant under x -> 1/x",
+                                            lambda t: 1e-9, False),
+    "modular/closed-form-delta": ("Delta equals rho (x) conj(rho')^(-1) blockwise",
+                                  lambda t: 1e-10, False),
+    "flow/membership": ("Delta^(-it) a Delta^(it) stays in the algebra", kappa_tol, False),
+    "flow/commutant-commutators": ("[Delta^(-it) a Delta^(it), b'] = 0", kappa_tol, False),
+    "flow/group-law": ("flow(s) then flow(t) equals flow(s+t)", lambda t: 1e-10 * t.dim, False),
+    "flow/fixes-state": ("<omega, g(x,t) omega> = <omega, x omega>", lambda t: 1e-10 * t.dim,
+                         False),
+    "flow/strip-constancy": ("|Delta^(-z) a Delta^z| constant along vertical lines",
+                             lambda t: 1e-10 * t.dim, False),
+    "flow/integer-ladder-match": ("Delta^(-n) a Delta^n equals the ladder solve", kappa_tol,
+                                  False),
+    "flow/integer-commutators": ("[Delta^(-n) a Delta^n, b'] = 0 for n = 0..6", kappa_tol, False),
+    "flow/analytic-commutators": ("[Delta^(-z) a Delta^z, b'] = 0 across the sampled plane",
+                                  kappa_tol, False),
+    "tidy/pair-vector-agreement": ("a omega = a' omega = windowed vector", kappa_tol, False),
+    "tidy/membership": ("tidy solves land in their algebras", lambda t: TOL_BASE * t.dim, False),
+    "tidy/solve-roundtrip": ("Orbit.solve inverts a -> a omega",
+                             lambda t: 1e-10 * math.sqrt(t.kappa) * t.dim, False),
+    # both sides of the dagger ladder are the same power of Delta, whatever n
+    "tidy/dagger-ladder": ("(a'_(n+1))* omega = (a_n)* omega",
+                           lambda t, n, scale: kappa_tol(t) * scale, False),
+    "tidy/power-conjugation": ("Delta^n a Delta^(-n) b omega = a_n b omega",
+                               lambda t, n, scale: kappa_tol(t, n) * scale, False),
+    "tidy/growth-bound": ("ladder norms vs closed-form exponential bound", lambda t: 1.0, True),
+    "tidy/growth-slope": ("fitted log-growth rate vs bound rate (n >= 0)",
+                          lambda t, l1, l2: 0.5 * math.log(l2**2 + 4 * math.pi**2), True),
+    "tidy/growth-slope-neg": ("fitted log-growth rate vs mirrored bound rate (n <= 0)",
+                              lambda t, l1, l2: 0.5 * math.log(1.0 / l1**2 + 4 * math.pi**2),
+                              True),
+    # the bound is exact (equality at z = -1, Delta = 1); 1e-9 absorbs the norms' rounding
+    "resolvent/transfer-bound": ("|a| <= |a'| / sqrt(2 (|z| - Re z))", lambda t: 1.0 + 1e-9,
+                                 False),
+    "resolvent/transfer-bound-mirrored": (
+        "role-swapped transfer (source in A, modular operator inverted)", lambda t: 1.0 + 1e-9,
+        True),
+    "density/tidy-span": ("covering-window tidy vectors span H", lambda t: 0.5, False),
+    "density/tidy-bicommutant": ("(tidy set)' = A', so (tidy set)'' = A", lambda t: 1e-9, False),
+    "density/algebra-bicommutant": ("A'' = A", lambda t: 1e-9, False),
+    "density/commutant-triple": ("A''' = A'", lambda t: 1e-9, False),
+    "contour/residue-closure": ("quadrature = spectral oracle + pole sum",
+                                lambda t: 10 * ct.QUAD_TOL, False),
+    "contour/uncorrected-discrepancy": ("quadrature vs oracle without pole correction",
+                                        lambda t: 10 * ct.QUAD_TOL, True),
+    "contour/convergence-order": ("halving nodes shrinks the closure defect by >= 3",
+                                  lambda t: 1.0 / 3.0, False),
+    "contour/truncation-robustness": ("doubling the truncation moves the result by < quad_tol",
+                                      lambda t: ct.QUAD_TOL, False),
+    "contour/sigmoid-limit": ("Delta^n f_k(Delta) psi converges to the windowed vector",
+                              lambda t: ct.SIGMOID_FINAL_TOL, False),
+}
+
+
+def _adder(checks: CheckSet, t):
+    """The fold entry of a suite: add(id, samples, *params) folds as CHECKS declares."""
+    def add(check_id: str, samples, *params) -> None:
+        ref, rule, audit = CHECKS[check_id.partition("[")[0]]
+        checks.add(check_id, ref, samples, rule(t, *params), audit)
+    return add
 
 
 def _fixture_seed(base_seed: int, model_idx: int, trial: int) -> int:
@@ -89,56 +161,38 @@ def _adjoint_orbit_residuals(space, s, omega, rng) -> np.ndarray:
 def run_modular_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     d = t.dim
-    tol = kappa_tol(t, 0)
     omega = t.omega
+    add = _adder(checks, t)
 
-    checks.add("modular/s-on-algebra", "S(a omega) = a* omega on the algebra",
-               _adjoint_orbit_residuals(t.algebra, t.s, omega, rng), tol)
-    checks.add("modular/s-star-on-commutant", "S*(a' omega) = a'* omega on the commutant",
-               _adjoint_orbit_residuals(t.commutant, t.s_star, omega, rng), tol)
-
-    fixed = [np.linalg.norm(m - omega) for m in (t.s(omega), t.j(omega), t.delta @ omega)]
-    checks.add("modular/fixed-vector", "S omega = J omega = Delta omega = omega", fixed, tol)
+    add("modular/s-on-algebra", _adjoint_orbit_residuals(t.algebra, t.s, omega, rng))
+    add("modular/s-star-on-commutant",
+        _adjoint_orbit_residuals(t.commutant, t.s_star, omega, rng))
+    add("modular/fixed-vector",
+        [np.linalg.norm(m - omega) for m in (t.s(omega), t.j(omega), t.delta @ omega)])
 
     sqrt_d = complex_power(t.delta_spec, 0.5)
     inv_sqrt_d = complex_power(t.delta_spec, -0.5)
-    checks.add(
-        "modular/polar-s", "S = J Delta^(1/2)",
-        rel_residual(t.s.matrix, t.j.compose_linear(sqrt_d).matrix), tol,
-    )
-    checks.add(
-        "modular/polar-s-star", "S* = J Delta^(-1/2)",
-        rel_residual(t.s_star.matrix, t.j.compose_linear(inv_sqrt_d).matrix), tol,
-    )
+    add("modular/polar-s", rel_residual(t.s.matrix, t.j.compose_linear(sqrt_d).matrix))
+    add("modular/polar-s-star",
+        rel_residual(t.s_star.matrix, t.j.compose_linear(inv_sqrt_d).matrix))
     # J Delta J as a linear map: J o (Delta o J), matrix M_J conj(Delta M_J)
     jdj = t.j.matrix @ np.conj(t.delta @ t.j.matrix)
-    checks.add(
-        "modular/conjugation-inverts-delta", "J Delta J = Delta^(-1)",
-        rel_residual(jdj, complex_power(t.delta_spec, -1.0)), tol,
-    )
+    add("modular/conjugation-inverts-delta",
+        rel_residual(jdj, complex_power(t.delta_spec, -1.0)))
     eye = np.eye(d)
-    checks.add("modular/j-involution", "J o J = identity",
-               rel_residual(t.j.compose(t.j), eye), tol)
-    checks.add("modular/s-involution", "S o S = identity",
-               rel_residual(t.s.compose(t.s), eye), tol)
+    add("modular/j-involution", rel_residual(t.j.compose(t.j), eye))
+    add("modular/s-involution", rel_residual(t.s.compose(t.s), eye))
 
     # one (100, 4, d) draw is the stream of 100 sequential (psi, phi) pairs
     g = rng.standard_normal((100, 4, d))
     psi, phi = _unit_rows(g[:, :2]), _unit_rows(g[:, 2:])
     lhs = np.sum(t.j(psi.T).conj() * t.j(phi.T), axis=0)
     rhs = np.sum(phi.conj() * psi, axis=1)
-    checks.add("modular/j-antiunitary", "<J psi, J phi> = <phi, psi>",
-               np.abs(lhs - rhs), 1e-10 * d)
+    add("modular/j-antiunitary", np.abs(lhs - rhs))
 
     w = np.sort(t.delta_spec.eigenvalues)
-    checks.add("modular/spectrum-inversion-symmetry", "spec(Delta) invariant under x -> 1/x",
-               np.abs(w - np.sort(1.0 / w)) / np.maximum(w, 1e-30), 1e-9)
-
-    checks.add(
-        "modular/closed-form-delta",
-        "Delta equals rho (x) conj(rho)^(-1) blockwise",
-        rel_residual(t.delta, fix.closed_form_delta()), 1e-10,
-    )
+    add("modular/spectrum-inversion-symmetry", np.abs(w - np.sort(1.0 / w)) / np.maximum(w, 1e-30))
+    add("modular/closed-form-delta", rel_residual(t.delta, fix.closed_form_delta()))
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +202,21 @@ def run_modular_suite(fix: Fixture, rng, checks: CheckSet) -> None:
 
 def run_flow_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
-    d = t.dim
-    tol = kappa_tol(t, 0)
+    add = _adder(checks, t)
 
     membership, commutator = tomita_check(t, t.algebra.basis, FLOW_TIMES)  # a-major, then t
-    checks.add("flow/membership",
-               "Delta^(-it) a Delta^(it) stays in the algebra", membership, tol)
-    checks.add("flow/commutant-commutators",
-               "[Delta^(-it) a Delta^(it), b'] = 0", commutator, tol)
+    add("flow/membership", membership)
+    add("flow/commutant-commutators", commutator)
 
     x = _random_element(t.algebra, rng)
     s, u = 0.4, -1.7
     lhs = analytic_flow(t, analytic_flow(t, x, 1j * s), 1j * u)
     rhs = analytic_flow(t, x, 1j * (s + u))
-    checks.add("flow/group-law", "flow(s) then flow(t) equals flow(s+t)",
-               rel_residual(lhs, rhs), 1e-10 * d)
+    add("flow/group-law", rel_residual(lhs, rhs))
 
     state = np.vdot(t.omega, x @ t.omega)
-    checks.add("flow/fixes-state", "<omega, g(x,t) omega> = <omega, x omega>",
-               [abs(np.vdot(t.omega, g @ t.omega) - state)
-                for g in analytic_flow(t, x, 1j * np.array([0.3, 2.0, -5.0]))], 1e-10 * d)
+    add("flow/fixes-state", [abs(np.vdot(t.omega, g @ t.omega) - state)
+                             for g in analytic_flow(t, x, 1j * np.array([0.3, 2.0, -5.0]))])
 
     windows = covering_windows(t)
     source = _random_element(t.algebra, rng)
@@ -179,28 +228,20 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     # skipped, so it reaches the record
     spreads = [np.ptp(norms) / norms[0] for norms in strip_growth_scan(t, tidy0.a)
                if not norms[0] <= 1e-300]
-    checks.add("flow/strip-constancy", "|Delta^(-z) a Delta^z| constant along vertical lines",
-               spreads or 0.0, 1e-10 * d)
+    add("flow/strip-constancy", spreads or 0.0)
 
     # seven integer samples n = 0..6, then six drawn from the plane, in one stack
     zs = [float(n) for n in range(7)] + [complex(rng.uniform(-4, 4), rng.uniform(-5, 5))
                                          for _ in range(6)]
     samples = analytic_flow(t, tidy0.a, zs)
     ladders = td.ladder(t, t.orbit, tidy0, [-1, -2, -3])
-    checks.add("flow/integer-ladder-match",
-               "Delta^(-n) a Delta^n equals the ladder solve",
-               [rel_residual(f_n, lad) for f_n, lad in zip(samples[1:4], ladders)],
-               kappa_tol(t, np.arange(1, 4)))
+    add("flow/integer-ladder-match",
+        [rel_residual(f_n, lad) for f_n, lad in zip(samples[1:4], ladders)], np.arange(1, 4))
 
     ratios = commutator_ratio(samples, opnorm_stack(samples), t.commutant.basis,
                               t.commutant_norms)
-    checks.add("flow/integer-commutators",
-               "[Delta^(-n) a Delta^n, b'] = 0 for n = 0..6",
-               ratios[:7], kappa_tol(t, np.arange(7)))
-
-    checks.add("flow/analytic-commutators",
-               "[Delta^(-z) a Delta^z, b'] = 0 across the sampled plane",
-               ratios[7:], kappa_tol(t, np.real(zs[7:])))
+    add("flow/integer-commutators", ratios[:7], np.arange(7))
+    add("flow/analytic-commutators", ratios[7:], np.real(zs[7:]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,37 +252,32 @@ def run_flow_suite(fix: Fixture, rng, checks: CheckSet) -> None:
 def run_tidy_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
     d = t.dim
-    tol = kappa_tol(t, 0)
+    add = _adder(checks, t)
     windows = covering_windows(t)
 
     source = _random_element(t.algebra, rng)
     w0 = windows[int(rng.integers(len(windows)))]
     tidy0 = td.make_tidy(t, source, w0[0], w0[1])
 
-    checks.add("tidy/pair-vector-agreement", "a omega = a' omega = windowed vector",
-               [rel_residual(x @ t.omega, tidy0.vector) for x in (tidy0.a, tidy0.a_prime)], tol)
-    checks.add("tidy/membership", "tidy solves land in their algebras",
-               [membership_residual(tidy0.a, t.algebra),
-                membership_residual(tidy0.a_prime, t.commutant)], TOL_BASE * d)
+    add("tidy/pair-vector-agreement",
+        [rel_residual(x @ t.omega, tidy0.vector) for x in (tidy0.a, tidy0.a_prime)])
+    add("tidy/membership", [membership_residual(tidy0.a, t.algebra),
+                            membership_residual(tidy0.a_prime, t.commutant)])
 
     a = _random_element(t.algebra, rng)
-    round_trip = rel_residual(t.orbit.solve(a @ t.omega), a)
-    checks.add("tidy/solve-roundtrip",
-               "Orbit.solve inverts a -> a omega", round_trip, 1e-10 * math.sqrt(t.kappa) * d)
+    add("tidy/solve-roundtrip", rel_residual(t.orbit.solve(a @ t.omega), a))
 
     # a_n and a'_(n+1) of tidy0, solved once for both ladder identities
     ns = np.arange(-LADDER_RANGE, LADDER_RANGE + 1)
     a_n = td.ladder(t, t.orbit, tidy0, ns)
     residuals, scales = td.dagger_ladder_check(
         t, tidy0, a_n, td.ladder(t, t.commutant_orbit, tidy0, ns + 1))
-    checks.add("tidy/dagger-ladder", "(a'_(n+1))* omega = (a_n)* omega",
-               residuals, tol * scales)
+    add("tidy/dagger-ladder", residuals, ns, scales)
 
     w1 = windows[int(rng.integers(len(windows)))]
     tidy_b = td.make_tidy(t, _random_element(t.algebra, rng), w1[0], w1[1])
     residuals, scales = td.powers_check(t, tidy0, tidy_b, ns, a_n)
-    checks.add("tidy/power-conjugation", "Delta^n a Delta^(-n) b omega = a_n b omega",
-               residuals, kappa_tol(t, ns) * scales)
+    add("tidy/power-conjugation", residuals, ns, scales)
 
     for (l1, l2) in AUDIT_WINDOWS:
         ns, norms, bounds, (slope_pos, slope_neg) = td.growth_audit(t, source, l1, l2)
@@ -258,14 +294,9 @@ def run_tidy_suite(fix: Fixture, rng, checks: CheckSet) -> None:
                     "bound": float(bounds[i]), "ratio": float(ratios[f, i]),
                     "pass": bool(passed[f, i]),
                 })
-        checks.add("tidy/growth-bound", "ladder norms vs closed-form exponential bound",
-                   ratios.T, 1.0, audit=True)  # n-major, as the rows
-        checks.add(f"tidy/growth-slope[{l1:g},{l2:g}]",
-                   "fitted log-growth rate vs bound rate (n >= 0)",
-                   slope_pos, 0.5 * math.log(l2**2 + 4 * math.pi**2), audit=True)
-        checks.add(f"tidy/growth-slope-neg[{l1:g},{l2:g}]",
-                   "fitted log-growth rate vs mirrored bound rate (n <= 0)",
-                   slope_neg, 0.5 * math.log(1.0 / l1**2 + 4 * math.pi**2), audit=True)
+        add("tidy/growth-bound", ratios.T)  # n-major, as the rows
+        add(f"tidy/growth-slope[{l1:g},{l2:g}]", slope_pos, l1, l2)
+        add(f"tidy/growth-slope-neg[{l1:g},{l2:g}]", slope_neg, l1, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +326,9 @@ def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     zs, sources, mirror_sources, mirror_zs = (np.array(x) for x in zip(*draws))
     transfer = td.resolvent_transfer(t, sources, zs)
     mirror = td.resolvent_transfer(t, mirror_sources, mirror_zs, mirror=True)
-    # 1e-9 relative slack absorbs floating error in the norm measurement;
-    # the bound itself is an exact inequality (equality at z = -1, Delta = 1)
-    checks.add("resolvent/transfer-bound", "|a| <= |a'| / sqrt(2 (|z| - Re z))",
-               transfer.measured_norm / transfer.bound, 1.0 + 1e-9)
-    checks.add("resolvent/transfer-bound-mirrored",
-               "role-swapped transfer (source in A, modular operator inverted)",
-               mirror.measured_norm / mirror.bound, 1.0 + 1e-9, audit=True)
+    add = _adder(checks, t)
+    add("resolvent/transfer-bound", transfer.measured_norm / transfer.bound)
+    add("resolvent/transfer-bound-mirrored", mirror.measured_norm / mirror.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +338,15 @@ def run_resolvent_suite(fix: Fixture, rng, checks: CheckSet) -> None:
 
 def run_density_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
+    add = _adder(checks, t)
     span, res = td.tidy_bicommutant_check(t, covering_windows(t))
-    checks.add("density/tidy-span", "covering-window tidy vectors span H",
-               float(t.dim - span), 0.5)
-    checks.add("density/tidy-bicommutant", "(tidy set)' = A', so (tidy set)'' = A", res, 1e-9)
+    add("density/tidy-span", float(t.dim - span))
+    add("density/tidy-bicommutant", res)
 
     # A'' and A''' depend on the model alone, so its spec builds them once
     double, tricommutant = fix.spec.commutant_chain(4)[2:]
-    checks.add("density/algebra-bicommutant", "A'' = A",
-               mutual_projection_residual(double, t.algebra), 1e-9)
-    checks.add("density/commutant-triple", "A''' = A'",
-               mutual_projection_residual(tricommutant, t.commutant), 1e-9)
+    add("density/algebra-bicommutant", mutual_projection_residual(double, t.algebra))
+    add("density/commutant-triple", mutual_projection_residual(tricommutant, t.commutant))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +369,10 @@ def _spectrum_avoiding_lambdas(t):
 
 def run_contour_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     t = fix.triple
-    d = t.dim
+    add = _adder(checks, t)
     lambdas = _spectrum_avoiding_lambdas(t)
     lam = lambdas[0]
-    psi = _random_unit_vector(d, rng)
+    psi = _random_unit_vector(t.dim, rng)
 
     # the twelve (n, k) integrals, then the truncation pair, as one family; the
     # first of the pair repeats the (0, 1) integral and is evaluated once
@@ -376,12 +401,8 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet) -> None:
                 "pole_count": 2 * k,
                 "pole_norm": float(np.linalg.norm(result.pole_correction)),
             })
-        checks.add("contour/residue-closure",
-                   "quadrature = spectral oracle + pole sum",
-                   corrected, 10 * ct.QUAD_TOL)
-        checks.add("contour/uncorrected-discrepancy",
-                   "quadrature vs oracle without pole correction",
-                   uncorrected, 10 * ct.QUAD_TOL, audit=True)
+        add("contour/residue-closure", corrected)
+        add("contour/uncorrected-discrepancy", uncorrected)
 
     # convergence order on one fixed pair of resolutions
     n, k = 1, 2
@@ -392,21 +413,16 @@ def run_contour_suite(fix: Fixture, rng, checks: CheckSet) -> None:
     fine = ct.contour_quadrature_fixed(t, n, k, lam, psi, trunc, 2 * n_line, 64)
     d1 = float(np.linalg.norm(coarse - target))
     d2 = float(np.linalg.norm(fine - target))
-    checks.add("contour/convergence-order", "halving nodes shrinks the closure defect by >= 3",
-               0.0 if d1 <= 1e-12 else d2 / d1, 1.0 / 3.0)
+    add("contour/convergence-order", 0.0 if d1 <= 1e-12 else d2 / d1)
 
     # truncation robustness
     failed = isinstance(r1, ct.ContourError) or isinstance(r2, ct.ContourError)
     moved = math.nan if failed else float(np.linalg.norm(r1.value - r2.value))
-    checks.add("contour/truncation-robustness",
-               "doubling the truncation moves the result by < quad_tol",
-               moved, ct.QUAD_TOL)
+    add("contour/truncation-robustness", moved)
 
     for idx, lam_i in enumerate(lambdas):
         _, errors = ct.sigmoid_limit_check(t, n=idx % 3, lam=lam_i, psi=psi)
-        checks.add("contour/sigmoid-limit",
-                   "Delta^n f_k(Delta) psi converges to the windowed vector",
-                   errors[-1], ct.SIGMOID_FINAL_TOL)
+        add("contour/sigmoid-limit", errors[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +453,10 @@ class RunConfig:
     suites: tuple[str, ...] = ALL_SUITES
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.models:
+            raise ValueError("models must name at least one model")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         unknown = set(self.suites) - set(ALL_SUITES)

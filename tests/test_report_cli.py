@@ -266,6 +266,11 @@ def test_run_suites_deterministic_body():
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(trials=0)
+    # numpy's SeedSequence refuses a negative seed only once the first fixture is drawn
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RunConfig(seed=-1)
+    with pytest.raises(ValueError, match="at least one model"):
+        RunConfig(models=())
     with pytest.raises(ValueError):
         RunConfig(suites=("bogus",))
     with pytest.raises(ValueError):
@@ -339,7 +344,8 @@ def test_cli_exit_code_via_subprocess(tmp_path):
     ("--trials", "0"),
     ("--pmin", "0.5"),
     ("--model", "standard", "--factor-size", "0"),
-], ids=["trials-0", "pmin-0.5", "factor-size-0"])
+    ("--seed", "-1", "--trials", "1"),
+], ids=["trials-0", "pmin-0.5", "factor-size-0", "seed-negative"])
 @pytest.mark.parametrize("command", ["verify", "audit-tidy-bound", "contour-study", "fixture"])
 def test_cli_bad_arguments_exit_2_without_output(tmp_path, capsys, command, bad):
     out = tmp_path / "out"

@@ -10,8 +10,11 @@ silently under such a running maximum.
 
 import dataclasses
 import importlib
+import json
 import math
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from modlab.linalg import AntilinearMap, rel_residual
 from modlab.report import CheckSet
 from modlab.suites import TOL_BASE
 
+ROOT = Path(__file__).resolve().parents[1]
 MODELS = ("standard_factor(2)", "standard_factor(3)", "direct_sum(2:2,1:1)")
 SAMPLED = ("modular/s-on-algebra", "modular/s-star-on-commutant", "modular/j-antiunitary")
 
@@ -442,3 +446,38 @@ def test_offaxis_draw_raises_a_typed_error_after_64_rejected_draws():
     with pytest.raises(suites.td.ResolventDomainError, match="off-axis"):
         suites._draw_offaxis_z(rng, np.array([0.5, 2.0]))
     assert rng.draws == 2 * 64
+
+
+# ---------------------------------------------------------------------------
+# the CHECKS table declares every check of a run, once
+# ---------------------------------------------------------------------------
+
+# check id -> status of the default run (standard_factor(2) and (3), every suite)
+DEFAULT_STATUSES = json.loads((ROOT / "perfbench" / "expected" / "default-ensemble.json")
+                              .read_text())
+
+
+def _entry(check_id: str) -> str:
+    return check_id.partition("[")[0]
+
+
+def test_every_id_of_a_default_run_has_a_checks_entry_and_every_entry_an_id():
+    # the ids depend on the models and suites, not on the number of trials
+    report = suites.run_suites(suites.RunConfig(trials=1))
+    ids = {c.id for c in report.checks}
+    assert ids == set(DEFAULT_STATUSES)
+    assert {_entry(cid) for cid in ids} == set(suites.CHECKS)
+    assert len(ids) == 42 and len(suites.CHECKS) == 38
+
+
+def test_each_entry_has_the_kind_of_its_ids_in_the_default_run():
+    for cid, status in DEFAULT_STATUSES.items():
+        audit = suites.CHECKS[_entry(cid)][2]
+        assert ("audit" if audit else "pass") == status, cid
+
+
+def test_readme_lists_every_check_once_with_its_kind():
+    listed = re.findall(r"^- `([a-z]+/[a-z-]+)` \((must-pass|audit)",
+                        (ROOT / "README.md").read_text(), flags=re.M)
+    assert sorted(cid for cid, _ in listed) == sorted(suites.CHECKS)
+    assert all(suites.CHECKS[cid][2] == (kind == "audit") for cid, kind in listed)
